@@ -21,6 +21,12 @@ visible.  A CuPy-module backend moves the whole EFT chain off-host,
 which lifts exactly the composite workloads these conservative floors
 guard.
 
+The one-limb kernels (:mod:`repro.exec.onelimb`) get their own floor:
+a d launch run as plain IEEE double arithmetic against the
+:mod:`repro.md.generic` tuple path every d launch took before, bitwise
+identity asserted first, at least **3x** on 64- and 4096-element
+launches.
+
 All assertions run in the CI ``perf-smoke`` job; records land in
 ``BENCH_exec.json`` through :mod:`harness`.
 """
@@ -32,7 +38,8 @@ import pytest
 
 import harness
 from repro.batch import batched_blocked_qr
-from repro.exec import FusedBackend, GenericBackend, use_backend
+from repro.exec import FusedBackend, GenericBackend, onelimb, use_backend
+from repro.md import generic as mdgeneric
 from repro.poly import katsura
 from repro.vec import batched as vb
 from repro.vec import random as mdrandom
@@ -50,11 +57,16 @@ CAUCHY_SPEEDUP_FLOOR = 1.2
 QR_SPEEDUP_FLOOR = 0.9
 POLY_SPEEDUP_FLOOR = 0.85
 
+#: Floor for one-limb d launches over the md.generic tuple path.
+ONE_LIMB_SPEEDUP_FLOOR = 3.0
+
 LIMBS = 2  # double double — the paper's headline precision
 
 ELEMENTWISE_N = 262144
 CAUCHY_BATCH, CAUCHY_ORDER = 256, 32
 QR_BATCH, QR_DIM, QR_TILE = 32, 8, 4
+ONE_LIMB_SIZES = (64, 4096)
+ONE_LIMB_CALLS = 200  # launches per timed repeat
 
 
 def _dd_stack(shape, seed):
@@ -246,3 +258,46 @@ def test_exec_fused_katsura_floor():
         f"fused {fused_seconds * 1e3:.2f} ms, speedup {speedup:.2f}x"
     )
     assert speedup >= POLY_SPEEDUP_FLOOR
+
+
+def _tuple_path(op, x, y):
+    """A d launch as every one ran before the one-limb kernels: the
+    expansion arithmetic of md.generic on limb tuples, restacked."""
+    limbs = getattr(mdgeneric, op)(tuple(x), tuple(y), 1)
+    return np.stack(np.broadcast_arrays(*limbs), axis=0)
+
+
+@pytest.mark.parametrize("n", ONE_LIMB_SIZES)
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_exec_one_limb_floor(op, n):
+    """d ``add``/``mul`` through the backend (the one-limb kernels)
+    against the md.generic tuple path: >= 3x."""
+    x, y = np.random.default_rng(40 + n).standard_normal((2, 1, n))
+    kernel = getattr(GenericBackend(), op)
+    assert getattr(onelimb, op)(x, y, 1) is not None  # runs one-limb
+    assert np.array_equal(
+        kernel(x, y).view(np.int64), _tuple_path(op, x, y).view(np.int64)
+    )
+
+    calls = range(ONE_LIMB_CALLS)
+    tuple_seconds = harness.best_seconds(
+        lambda: [_tuple_path(op, x, y) for _ in calls], repeats=5
+    )
+    onelimb_seconds = harness.best_seconds(lambda: [kernel(x, y) for _ in calls], repeats=5)
+    speedup = tuple_seconds / onelimb_seconds
+    harness.record(
+        "exec",
+        f"onelimb_{op}_d_n{n}",
+        shape=harness.problem_shape(n=n),
+        limbs=1,
+        calls=ONE_LIMB_CALLS,
+        tuple_seconds=tuple_seconds,
+        onelimb_seconds=onelimb_seconds,
+        speedup=speedup,
+        floor=ONE_LIMB_SPEEDUP_FLOOR,
+    )
+    print(
+        f"\nd {op} n={n} x{ONE_LIMB_CALLS}: tuple path {tuple_seconds * 1e3:.2f} ms, "
+        f"one-limb {onelimb_seconds * 1e3:.2f} ms, speedup {speedup:.2f}x"
+    )
+    assert speedup >= ONE_LIMB_SPEEDUP_FLOOR

@@ -3,8 +3,10 @@
 The backend boundary between the multiple double *algorithms*
 (:mod:`repro.md`, :mod:`repro.vec` and everything above them) and the
 array *execution* strategy.  See :mod:`repro.exec.backend` for the
-contract, :mod:`repro.exec.generic` for the reference implementation
-and :mod:`repro.exec.fused` for the fused NumPy kernels.
+contract, :mod:`repro.exec.generic` for the reference implementation,
+:mod:`repro.exec.fused` for the fused NumPy kernels and
+:mod:`repro.exec.onelimb` for the plain IEEE double kernels both run
+first on one-limb (d) launches.
 
 Quickstart::
 

@@ -9,6 +9,12 @@ entry, takes what it needs, and releases back to the mark on exit, so
 the same few cache-resident buffers serve every operation of a given
 shape for the lifetime of the backend.
 
+The persistent per-launch-shape *bundles* (:meth:`ScratchArena.bundle`)
+are cached least recently used first out, within :data:`BUNDLE_BYTES`
+per thread: a sweep over many distinct launch shapes (the shrinking
+trailing blocks of a QR factorization, say) would otherwise keep one
+buffer set per shape alive for the life of the process.
+
 Buffers come from ``xp.empty`` (contents are garbage until written);
 kernels must fully define every element they read.  The arena is the
 host-side analogue of a CUDA workspace allocation reused across kernel
@@ -21,10 +27,21 @@ backend instance never hand each other in-use scratch.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["ScratchArena"]
+__all__ = ["BUNDLE_BYTES", "ScratchArena"]
+
+#: Byte budget of the cached scratch bundles of one thread.  Beyond it
+#: the least recently used bundles are dropped (a dropped bundle is
+#: simply allocated afresh on its next launch).
+BUNDLE_BYTES = 32 * 2**20
+
+
+def _owned_bytes(bufs) -> int:
+    """Bytes of the buffers that own their memory (views are free)."""
+    return sum(buf.nbytes for buf in bufs if getattr(buf, "base", None) is None)
 
 
 class ScratchArena:
@@ -46,7 +63,14 @@ class ScratchArena:
     def _state(self):
         state = getattr(self._local, "state", None)
         if state is None:
-            state = {"pools": {}, "log": [], "allocated": 0, "reused": 0}
+            state = {
+                "pools": {},
+                "log": [],
+                "allocated": 0,
+                "reused": 0,
+                "bundles": OrderedDict(),
+                "bundle_bytes": 0,
+            }
             self._local.state = state
         return state
 
@@ -105,6 +129,9 @@ class ScratchArena:
         allocates them, every later call returns the same tuple — one
         dict probe instead of one :meth:`take` per buffer, which is
         what keeps small fused launches cheaper than allocator churn.
+        The cache holds at most :data:`BUNDLE_BYTES` and drops the least
+        recently used bundles beyond it; a bundle larger than the whole
+        budget is handed out uncached.
         Alternatively ``build`` is a callable ``build(xp) -> tuple``
         producing the cached value — used by kernels that also want
         derived structures (pre-sliced row views) amortized into the
@@ -114,18 +141,25 @@ class ScratchArena:
         the pools.
         """
         state = self._state()
-        bundles = state.setdefault("bundles", {})
-        bufs = bundles.get(key)
-        if bufs is None:
-            if build is not None:
-                bufs = build(self.xp)
-            else:
-                dt = np.dtype(dtype)
-                bufs = tuple(self.xp.empty(s, dtype=dt) for s in shapes)
-            bundles[key] = bufs
-            state["allocated"] += len(bufs)
+        bundles = state["bundles"]
+        entry = bundles.get(key)
+        if entry is not None:
+            bundles.move_to_end(key)
+            state["reused"] += len(entry[0])
+            return entry[0]
+        if build is not None:
+            bufs = build(self.xp)
         else:
-            state["reused"] += len(bufs)
+            dt = np.dtype(dtype)
+            bufs = tuple(self.xp.empty(s, dtype=dt) for s in shapes)
+        state["allocated"] += len(bufs)
+        size = _owned_bytes(bufs)
+        if size <= BUNDLE_BYTES:
+            bundles[key] = (bufs, size)
+            state["bundle_bytes"] += size
+            while state["bundle_bytes"] > BUNDLE_BYTES:
+                _, (_, dropped) = bundles.popitem(last=False)
+                state["bundle_bytes"] -= dropped
         return bufs
 
     # ------------------------------------------------------------------
@@ -133,14 +167,16 @@ class ScratchArena:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> dict:
-        """Allocation counters for this thread: fresh vs pool hits."""
+        """Allocation counters for this thread: fresh vs pool hits, and
+        the cached bundles with their byte total."""
         state = self._state()
         return {
             "allocated": state["allocated"],
             "reused": state["reused"],
             "pooled_buffers": sum(len(p) for p in state["pools"].values()),
             "in_use": len(state["log"]),
-            "bundles": len(state.get("bundles", {})),
+            "bundles": len(state["bundles"]),
+            "bundle_bytes": state["bundle_bytes"],
         }
 
 

@@ -8,7 +8,7 @@ fresh ``(m,) + broadcast_shape`` stack.  Two implementations ship:
 
 * ``generic`` (:class:`repro.exec.generic.GenericBackend`) — the
   reference.  It calls the limb-tuple arithmetic of
-  :mod:`repro.md.generic` exactly as ``MDArray`` always has, one NumPy
+  :mod:`repro.md.generic` as ``MDArray`` always has, one NumPy
   micro-op and one fresh temporary per EFT step.
 * ``fused`` (:class:`repro.exec.fused.FusedBackend`) — the same float
   operation sequence (same EFT formulas, same renormalization chains,
@@ -16,6 +16,15 @@ fresh ``(m,) + broadcast_shape`` stack.  Two implementations ship:
   ``out=`` into a scratch-buffer arena, whole ``(k,) + shape`` workspace
   stacks for the renormalization passes, and stacked limb-parallel EFTs
   where the data dependencies allow it.
+
+At ``m = 1`` neither backend is a call-for-call replay of
+:mod:`repro.md.generic` any more.  Both run a launch whose operands all
+have one limb through the plain IEEE double kernels of
+:mod:`repro.exec.onelimb` (``add``, ``sub``, ``mul``, ``div``, ``sqr``,
+``sqrt``): when the error-free transformations are exact and finite,
+the one-limb renormalization returns the rounded value itself, so one
+IEEE operation plus ``+ 0.0`` gives the same bits.  A per-launch guard
+sends every other launch down the expansion path.
 
 The boundary is shaped for the paper's hardware story: a backend holds
 the array-module handle ``xp``, and every kernel allocates through it.

@@ -10,10 +10,10 @@ change how the work is issued:
 
 * every micro-op writes into preallocated arena scratch via ``out=``
   instead of allocating a temporary (no value change);
-* each (kernel, launch shape) pair owns one persistent scratch
-  *bundle* (:meth:`repro.exec.arena.ScratchArena.bundle`), so issuing
-  an operation costs one dict probe instead of one allocation per
-  EFT step (no value change);
+* each (kernel, launch shape) pair owns one cached scratch *bundle*
+  (:meth:`repro.exec.arena.ScratchArena.bundle`, least recently used
+  out beyond a fixed byte budget), so issuing an operation costs one
+  dict probe instead of one allocation per EFT step (no value change);
 * independent EFTs run as one stacked ufunc over a ``(k,) + shape``
   workspace axis — e.g. both limb pairs of a double double addition, or
   all error terms of a ``vecsum`` pass — computing the same elementwise
@@ -32,6 +32,10 @@ change how the work is issued:
   to views / cached index arrays instead of being recomputed and
   copied per call (no value change).
 
+One-limb launches (``m = 1``, every operand one limb) first try the
+plain IEEE double kernels of :mod:`repro.exec.onelimb`, exactly as the
+generic backend does; the kernels below run the launches those decline.
+
 The oracle for all of this is the existing bit-identity suite: the
 vectorized-vs-scalar-reference tests plus ``tests/exec`` compare the
 two backends limb for limb.
@@ -49,6 +53,7 @@ import numpy as np
 
 from ..md.eft import SPLITTER
 from ..md.renorm import GUARD_LIMBS
+from . import onelimb
 from .generic import GenericBackend
 
 __all__ = ["FusedBackend"]
@@ -252,6 +257,9 @@ class FusedBackend(GenericBackend):
     def add(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
+        out = onelimb.add(x, y, m)
+        if out is not None:
+            return out
         shape = x.shape[1:]
         if shape and y.shape[1:] == shape:
             return self._run_elementwise(self._add_into, (x, y), m, shape)
@@ -260,6 +268,9 @@ class FusedBackend(GenericBackend):
     def sub(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
+        out = onelimb.sub(x, y, m)
+        if out is not None:
+            return out
         shape = x.shape[1:]
         if shape and y.shape[1:] == shape:
             return self._run_elementwise(self._sub_into, (x, y), m, shape)
@@ -268,6 +279,9 @@ class FusedBackend(GenericBackend):
     def mul(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
+        out = onelimb.mul(x, y, m)
+        if out is not None:
+            return out
         shape = x.shape[1:]
         if shape and y.shape[1:] == shape:
             return self._run_elementwise(self._mul_into, (x, y), m, shape)
@@ -276,6 +290,9 @@ class FusedBackend(GenericBackend):
     def div(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
+        out = onelimb.div(x, y, m)
+        if out is not None:
+            return out
         shape = x.shape[1:]
         if shape and y.shape[1:] == shape:
             return self._run_elementwise(self._div_into, (x, y), m, shape)
@@ -284,6 +301,9 @@ class FusedBackend(GenericBackend):
     def sqr(self, x, m=None):
         if m is None:
             m = x.shape[0]
+        out = onelimb.sqr(x, m)
+        if out is not None:
+            return out
         shape = x.shape[1:]
         if shape:
             return self._run_elementwise(self._sqr_into, (x,), m, shape)
@@ -300,6 +320,9 @@ class FusedBackend(GenericBackend):
     def sqrt(self, x, m=None):
         if m is None:
             m = x.shape[0]
+        out = onelimb.sqrt(x, m)
+        if out is not None:
+            return out
         shape = x.shape[1:]
         if shape:
             return self._run_elementwise(self._sqrt_into, (x,), m, shape)
