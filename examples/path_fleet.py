@@ -17,9 +17,9 @@ The example tracks both solution branches of
 with :func:`repro.batch.track_paths`.  The branch point at t = -1/4
 makes the expansion ill-conditioned, so the fleet escalates its
 precision (d → dd) in lock-step sub-batches; every path's steps
-are bit-identical to tracking it alone with
-:func:`repro.series.track_path` — batching reorganizes the launches,
-not the arithmetic.  A looped-vs-batched QR timing of the fleet's own
+are bit-identical to tracking it alone, unbatched (the test suite's
+reference tracker) — batching reorganizes the launches, not the
+arithmetic.  A looped-vs-batched QR timing of the fleet's own
 Jacobian shape shows the wall-clock payoff.
 
 Run with:  python examples/path_fleet.py

@@ -3,9 +3,10 @@
 This is how the paper's workload is consumed in practice: a polynomial
 homotopy has thousands of solution paths, every one of which needs the
 same small dense kernels (Jacobian QR, per-order triangular solves,
-Hankel solves for the Padé approximants).  :func:`track_paths` runs the
-adaptive-precision tracker of :func:`repro.series.tracker.track_path`
-over a whole *fleet* of start points:
+Hankel solves for the Padé approximants).  :func:`track_paths` is the
+library's one adaptive-precision step loop, run over a whole *fleet* of
+start points (:func:`repro.series.tracker.track_path` is a fleet of
+one):
 
 * between steps a :class:`~repro.batch.scheduler.FleetScheduler`
   **re-packs the active paths into per-precision sub-batches** (paths
@@ -28,28 +29,29 @@ over a whole *fleet* of start points:
   batched series evaluation** over a shared power table, instead of a
   Python loop of per-path series calls;
 * step control, precision escalation (d → dd → qd → od) and Newton
-  correction follow the single-path tracker *per path*, decision for
-  decision.
+  correction are decided *per path*, with the step-control helpers of
+  :mod:`repro.series.tracker`.
 
 Because every batched kernel is bit-identical to a loop over its
 unbatched counterpart, each path of a fleet takes **exactly** the steps
-it would take if tracked alone — a fleet of one reproduces
-:func:`~repro.series.tracker.track_path` bit for bit, and a path whose
-Jacobian goes singular poisons only its own batch slice: it is detected
-(non-finite expansion), reported as ``failed``, and removed from the
-fleet without perturbing a single bit of its batch mates.
+it would take if tracked alone, unbatched (the tests pin this against
+an unbatched reference tracker), and a path whose Jacobian goes
+singular poisons only its own batch slice: it is detected (non-finite
+expansion), reported as ``failed``, and removed from the fleet without
+perturbing a single bit of its batch mates.
 
 Fleets of **complex** start points (the native backend of
 ``Homotopy(..., backend="complex")``) run the identical lock-step
 machinery on the separated-plane complex kernels: the ``n`` complex
 variables stay ``n`` (no realification to ``2n``), the batched QR /
 triangular solves / Padé constructions dispatch on
-:class:`~repro.vec.complexmd.MDComplexArray` operands, and a complex
-fleet of one is bit-identical to complex ``track_path``.
+:class:`~repro.vec.complexmd.MDComplexArray` operands, and every complex
+fleet path is bit-identical to the unbatched complex reference.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
@@ -349,10 +351,10 @@ def track_paths(
     duration of the call.
 
     Returns a :class:`PathFleetResult`; its ``paths`` entries are
-    bit-identical to tracking each start point alone with
-    ``track_path`` (same steps, same escalations, same points), and a
-    path whose linear algebra degenerates is flagged ``failed`` without
-    affecting its batch mates.
+    bit-identical to tracking each start point alone, unbatched (same
+    steps, same escalations, same points), and a path whose linear
+    algebra degenerates is flagged ``failed`` without affecting its
+    batch mates.
     """
     system, jacobian, starts = resolve_system_arguments(system, jacobian, starts)
     if policy not in POLICIES:
@@ -372,6 +374,14 @@ def track_paths(
             "the Padé degrees must satisfy L + M + 1 <= order so the "
             "defect coefficient exists"
         )
+    for name, value in (("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    for name, value in (("tol", tol), ("min_step", min_step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
     pole_safety = _resolve_pole_safety(pole_safety)
     starts = [list(start) for start in starts]
     if not starts:
@@ -655,7 +665,7 @@ def _advance_sub_batch(
     fleet.fleet_model_ms += fleet_timed.kernel_ms
 
     # ------------------------------------------------------------------
-    # per-path step control — decision for decision as in track_path
+    # per-path step control
     # ------------------------------------------------------------------
     # the per-path cost of one expansion attempt is sub-batch-invariant
     # (same dimension, order, precision, tiles), so price it once
@@ -704,8 +714,7 @@ def _advance_sub_batch(
         remaining = t_end - state.t_current
 
         # step control on the Padé truncation estimate (pole_radius
-        # shrunk by the pole_safety fraction, as in track_path —
-        # decision for decision)
+        # shrunk by the pole_safety fraction)
         h = min(remaining, state.trial_step) if state.trial_step else remaining
         h = _pole_step_cap(h, approximants, pole_safety)
         h = min(remaining, max(h, min_step))
@@ -855,8 +864,8 @@ def _batched_newton_correct(
 
     The residual series are evaluated per path (each has its own
     ``t``); the ``b`` least squares solves of every polish iteration
-    run as one batched launch sequence.  Per path this matches
-    :func:`repro.series.tracker._newton_correct` bit for bit — on
+    run as one batched launch sequence.  Per path this matches an
+    unbatched polish (one ``lstsq`` per iteration) bit for bit — on
     complex fleets through the separated-plane complex kernels.
     """
     limbs = prec.limbs

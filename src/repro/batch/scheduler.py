@@ -23,7 +23,7 @@ Because batched kernels are bit-identical per slice to their unbatched
 counterparts, and each path's step-control state is self-contained,
 *the packing policy never changes per-path results* — it only changes
 how the work is cut into launches.  The fleet tests pin this: both
-policies reproduce solo ``track_path`` bitwise.
+policies reproduce the unbatched reference tracker bitwise.
 
 The scheduler is deliberately dumb about path internals: it sees only
 ``active`` and ``rung`` on the state objects it is handed, so it can

@@ -72,11 +72,6 @@ _log = get_logger(__name__)
 #: Version stamped into the header of every live JSONL stream.
 LIVE_SCHEMA_VERSION = 1
 
-#: ``fields["path"]`` of solo :func:`~repro.series.tracker.track_path`
-#: records (they carry no fleet index).
-_SOLO = "solo"
-
-
 @dataclass
 class PathProgress:
     """The monitor's view of one path."""
@@ -240,16 +235,12 @@ class LiveMonitor:
                 self._on_failed(fields)
             elif name == "sub_batch":
                 self.sub_batches += 1
-            elif name == "track_path" and record.kind == "span":
-                self._on_solo_close(fields)
             now = self._clock()
             if self._flush_due(now):
                 self._flush_locked(now)
 
     def _progress_for(self, fields) -> PathProgress:
         key = fields.get("path")
-        if key is None:
-            key = _SOLO
         progress = self.paths.get(key)
         if progress is None:
             progress = self.paths[key] = PathProgress(path=key)
@@ -283,17 +274,6 @@ class LiveMonitor:
         progress.status = "failed"
         if fields.get("t") is not None:
             progress.t = float(fields["t"])
-        self._last_progress = self._clock()
-
-    def _on_solo_close(self, fields) -> None:
-        """A closed solo ``track_path`` span retires the solo path."""
-        progress = self.paths.get(_SOLO)
-        if progress is None or not progress.active:
-            return
-        progress.status = "retired"
-        progress.reached = bool(fields.get("reached"))
-        if fields.get("final_t") is not None:
-            progress.t = float(fields["final_t"])
         self._last_progress = self._clock()
 
     # -- progress / ETA ----------------------------------------------------

@@ -83,9 +83,8 @@ def _timeline_rows(source, path=None) -> list:
 def path_timeline(source, path=None) -> str:
     """The step-by-step timeline of one path (or of every path).
 
-    ``path`` filters on the ``path`` index field fleet runs attach to
-    their step records; single-path runs (:func:`repro.series.tracker
-    .track_path`) have no index and render with ``path = -``.
+    ``path`` filters on the ``path`` index field every step record
+    carries (a single-path run is a fleet of one: ``path = 0``).
     """
     rows = _timeline_rows(source, path)
     scope = "all paths" if path is None else f"path {path}"

@@ -690,12 +690,14 @@ def path_step_trace(
     complex_data=False,
     trace=None,
 ):
-    """Analytic trace of one adaptive path tracking step.
+    """Analytic trace of one adaptive path tracking step, run unbatched.
 
-    One series Newton expansion of the local solution plus one Padé
-    construction per solution component, the work
-    :func:`repro.series.tracker.track_path` performs (at one precision)
-    per accepted or rejected step.  ``complex_data=True`` prices the
+    One series Newton expansion plus one Padé construction per
+    solution component: one path's step attempt priced as if it ran
+    alone, summed into each ``PathStep.model_ms``.  It does not price
+    the launches :func:`repro.series.tracker.track_path` records, a
+    fleet of one (:func:`path_fleet_trace` with ``batch=1``, one
+    batched Padé construction).  ``complex_data=True`` prices the
     native complex step (launch-identical, 4x-real multiply tallies).
     """
     if numerator_degree is None:

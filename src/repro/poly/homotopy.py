@@ -712,8 +712,9 @@ class Homotopy:
     # ------------------------------------------------------------------
     def track(self, start=None, **kwargs):
         """Track one path with
-        :func:`repro.series.tracker.track_path`; ``start`` defaults to
-        the first seeded start solution (realified, or a complex
+        :func:`repro.series.tracker.track_path` — a fleet of one, so
+        the same step loop as :meth:`track_fleet`; ``start`` defaults
+        to the first seeded start solution (realified, or a complex
         ``n``-point which is embedded automatically).  All keyword
         arguments — including ``monitor=`` for a live
         :class:`~repro.obs.live.LiveMonitor` — pass through to the

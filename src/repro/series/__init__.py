@@ -30,9 +30,9 @@ Python loops:
 * :mod:`repro.series.pade` — ``[L/M]`` Padé approximants via the least
   squares solver on the ill-conditioned Hankel systems, gathered
   directly from the coefficient arrays;
-* :mod:`repro.series.tracker` — the adaptive-precision path tracker
-  that escalates d → dd → qd → od when the error estimates degrade and
-  reports predicted GPU cost through :mod:`repro.perf`.
+* :mod:`repro.series.tracker` — ``track_path``, the adaptive-precision
+  path tracker (d → dd → qd → od escalation, predicted GPU cost through
+  :mod:`repro.perf`) as a one-path fleet of :mod:`repro.batch.fleet`.
 
 The per-operation costs and launch counts of the series arithmetic are
 catalogued in :func:`repro.md.opcounts.series_counts` and

@@ -43,7 +43,6 @@ __all__ = [
     "is_complex_scalar",
     "coerce_scalar",
     "leading_value",
-    "scalar_array",
     "evaluation_magnitudes",
 ]
 
@@ -83,15 +82,6 @@ def leading_value(value):
     if isinstance(value, complex):
         return value
     return float(value)
-
-
-def scalar_array(values, limbs):
-    """A one-dimensional :class:`MDArray` / :class:`MDComplexArray`
-    from a list of (possibly complex) multiple double scalars."""
-    values = list(values)
-    if any(is_complex_scalar(v) for v in values):
-        return MDComplexArray.from_multidoubles(values, limbs)
-    return MDArray.from_multidoubles(values, limbs)
 
 
 def evaluation_magnitudes(array) -> np.ndarray:

@@ -24,10 +24,10 @@ Two a posteriori error estimates control the step:
   re-expands, which is exactly the scenario in which the paper argues
   multiprecision adds significant value.
 
-The predicted GPU cost of every step is reported through the analytic
-cost model (:func:`repro.perf.costmodel.path_step_trace` timed by
-:class:`repro.perf.model.PerformanceModel`), so a tracked path yields
-the same kind of kernel-time accounting as the paper's tables.
+The step loop lives in :func:`repro.batch.fleet.track_paths`, and
+:func:`track_path` is a fleet of one.  This module keeps the per-path
+records and step-control helpers; every step is priced with the
+analytic cost model (:func:`repro.perf.costmodel.path_step_trace`).
 """
 
 from __future__ import annotations
@@ -35,34 +35,10 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..core.least_squares import lstsq
-from ..md.constants import get_precision
-from ..md.number import ComplexMultiDouble, MultiDouble
 from ..obs.live import attach_monitor
-from ..obs.log import get_logger
-from .complexvec import (
-    ComplexTruncatedSeries,
-    coerce_scalar,
-    evaluation_magnitudes,
-    leading_value,
-    scalar_array,
-)
-from .newton import (
-    _coerce_jacobian,
-    _coerce_residual,
-    _coerce_start,
-    _residual_column,
-    newton_series,
-    resolve_system_arguments,
-)
-from .pade import pade
-from .truncated import TruncatedSeries
+from .newton import resolve_system_arguments
 
 __all__ = ["PathStep", "PathResult", "track_path", "track_paths"]
-
-_log = get_logger(__name__)
 
 
 def __getattr__(name):
@@ -157,10 +133,10 @@ class PathResult:
     #: predicted kernel milliseconds of the whole path (cost model)
     total_model_ms: float = 0.0
     device: str = "V100"
-    #: whether tracking aborted on a degenerate linear solve (only the
-    #: fleet tracker :func:`repro.batch.fleet.track_paths` sets this —
-    #: a failed path is removed from its fleet without perturbing its
-    #: batch mates)
+    #: whether tracking aborted on a degenerate linear solve (a
+    #: non-finite series expansion); the path ends here with this
+    #: verdict instead of an exception, and in a fleet it is removed
+    #: without perturbing its batch mates
     failed: bool = False
     #: human-readable failure reason (empty when ``failed`` is False)
     failure: str = ""
@@ -186,33 +162,6 @@ class PathResult:
         )
 
 
-def _newton_correct(system, jacobian, heads, t_value, prec, tile_size, device, iterations=2):
-    """Polish a predicted point with scalar Newton steps at fixed ``t``.
-
-    The order-zero residual column is gathered straight from the
-    residual series' limb-major coefficient arrays, and the point
-    update is one vectorized multiple double addition.  Complex heads
-    run the identical polish on the separated-plane complex kernels.
-    """
-    n = len(heads)
-    limbs = prec.limbs
-    series_cls = (
-        ComplexTruncatedSeries
-        if heads and isinstance(heads[0], ComplexMultiDouble)
-        else TruncatedSeries
-    )
-    for _ in range(iterations):
-        x = [series_cls([h], prec) for h in heads]
-        t = TruncatedSeries([MultiDouble(t_value, prec)], prec)
-        residuals = _coerce_residual(system(x, t), n, 0, prec, series_cls)
-        matrix = _coerce_jacobian(jacobian(list(heads), t_value), n, limbs)
-        rhs = _residual_column(residuals, 0)
-        update = lstsq(matrix, rhs, tile_size=tile_size, device=device).x
-        corrected = scalar_array(heads, limbs) + update
-        heads = list(corrected)
-    return heads
-
-
 def track_path(
     system,
     jacobian=None,
@@ -236,6 +185,10 @@ def track_path(
 ) -> PathResult:
     """Track a solution path of ``F(x, t) = 0`` from ``t_start`` to ``t_end``.
 
+    A fleet of one: ``track_paths(system, jacobian, [start],
+    ...).paths[0]`` inside a ``track_path`` span.  A degenerate linear
+    solve ends the path ``failed`` instead of raising.
+
     Parameters
     ----------
     system:
@@ -252,12 +205,14 @@ def track_path(
         ``None`` uses the ``jacobian`` generated by the system object.
     start:
         The solution at ``t = t_start``.
+    t_start, t_end:
+        The parameter interval; both must be finite.
     order:
         Truncation order of the local series expansions.
     tol:
-        Per-step error budget; half is granted to the Padé truncation
-        estimate (step control), half to the roundoff-noise estimate
-        (precision control).
+        Per-step error budget, finite and positive; half is granted to
+        the Padé truncation estimate (step control), half to the
+        roundoff-noise estimate (precision control).
     precision_ladder:
         Limb counts the tracker may escalate through, in order.
     numerator_degree, denominator_degree:
@@ -267,9 +222,10 @@ def track_path(
         First trial step (defaults to the full remaining distance).
     min_step:
         Smallest step the tracker will try before blaming the working
-        precision and escalating.
+        precision and escalating; finite and positive.
     max_steps:
-        Step budget; tracking stops (with ``reached = False``) once spent.
+        Step budget (``>= 0``); tracking stops (with ``reached =
+        False``) once spent.
     correct:
         Polish every predicted point with two scalar Newton iterations
         (recommended; keeps the expansion points on the path).
@@ -292,39 +248,9 @@ def track_path(
     natively in ``n`` complex variables on the separated-plane complex
     kernels — the backend of ``Homotopy(..., backend="complex")``.
     """
+    from ..batch.fleet import track_paths
+
     system, jacobian, start = resolve_system_arguments(system, jacobian, start)
-    if not precision_ladder:
-        raise ValueError("the precision ladder must not be empty")
-    if order < 2:
-        raise ValueError("path tracking needs series of order >= 2")
-    if numerator_degree is None:
-        numerator_degree = (order - 1) // 2
-    if denominator_degree is None:
-        denominator_degree = (order - 1) // 2
-    if numerator_degree + denominator_degree >= order:
-        raise ValueError(
-            "the Padé degrees must satisfy L + M + 1 <= order so the "
-            "defect coefficient exists"
-        )
-
-    from ..perf.costmodel import path_step_trace
-    from ..perf.model import PerformanceModel
-
-    model = PerformanceModel(device)
-    pole_safety = _resolve_pole_safety(pole_safety)
-    ladder = [get_precision(p).limbs for p in precision_ladder]
-    rung = 0
-
-    prec = get_precision(ladder[rung])
-    heads = _coerce_start(start, prec, system)
-    complex_data = isinstance(heads[0], ComplexMultiDouble)
-    n = len(heads)
-
-    result = PathResult(device=device)
-    precisions_used = [prec.name]
-    t_current = float(t_start)
-    trial_step = float(initial_step) if initial_step else None
-
     # The monitor (when given) watches the active recorder for the
     # duration of the call — enters first, exits last, so the closing
     # ``track_path`` span is still delivered to it.
@@ -333,154 +259,31 @@ def track_path(
     with monitor_stack, recorder.span(
         "track_path",
         category="path",
-        t_start=t_current,
+        t_start=float(t_start),
         t_end=float(t_end),
         order=order,
         tol=tol,
         device=str(device),
     ) as path_span:
-        while t_current < t_end - 1e-14 and len(result.steps) < max_steps:
-            remaining = t_end - t_current
-            step_escalations = 0
-            step_model_ms = 0.0
-
-            with recorder.span("step", category="step", t=t_current) as step_span:
-                while True:
-                    prec = get_precision(ladder[rung])
-                    heads = [coerce_scalar(h, prec) for h in heads]
-
-                    def local_system(x, s, _t0=t_current, _prec=prec):
-                        shifted = TruncatedSeries.variable(s.order, _prec, head=_t0)
-                        return system(x, shifted)
-
-                    expansion = newton_series(
-                        local_system,
-                        lambda x0, _t0=t_current: jacobian(x0, _t0),
-                        heads,
-                        order,
-                        prec,
-                        tile_size=tile_size,
-                        device=device,
-                    )
-                    approximants = [
-                        pade(s, numerator_degree, denominator_degree, device=device)
-                        for s in expansion.series
-                    ]
-                    timed = model.attribute(
-                        path_step_trace(
-                            n,
-                            order,
-                            prec.limbs,
-                            tile_size=tile_size,
-                            numerator_degree=numerator_degree,
-                            denominator_degree=denominator_degree,
-                            device=device,
-                            complex_data=complex_data,
-                        )
-                    )
-                    step_model_ms += timed.kernel_ms
-
-                    # step control on the Padé truncation estimate; the pole
-                    # cap uses the closest denominator root (pole_radius), not
-                    # the Cauchy bound, so one ill-conditioned component cannot
-                    # freeze the step at min_step — shrunk by the pole_safety
-                    # fraction so the step never lands on the pole itself
-                    h = min(remaining, trial_step) if trial_step else remaining
-                    h = _pole_step_cap(h, approximants, pole_safety)
-                    h = min(remaining, max(h, min_step))
-                    truncation = max(a.error_estimate(h) for a in approximants)
-                    while truncation > _BUDGET_SPLIT * tol and h > min_step:
-                        h = max(h / 2.0, min_step)
-                        truncation = max(a.error_estimate(h) for a in approximants)
-
-                    # precision control on the coefficient-condition estimate,
-                    # computed on the expansion's limb-major coefficient array
-                    # for the whole system at once (one Horner sweep, reused)
-                    values = evaluation_magnitudes(expansion.vector.evaluate(h))
-                    conditions = expansion.vector.coefficient_condition(h, values=values)
-                    noise = prec.eps * float(
-                        np.max(conditions * np.maximum(values, 1.0))
-                    )
-                    converged = truncation <= _BUDGET_SPLIT * tol
-                    clean = noise <= _BUDGET_SPLIT * tol
-                    if (clean and converged) or rung == len(ladder) - 1:
-                        break
-                    reason = "precision_noise" if not clean else "truncation_stalled"
-                    recorder.event(
-                        "step_rejected",
-                        category="step",
-                        t=t_current,
-                        step=h,
-                        precision=prec.name,
-                        truncation_error=truncation,
-                        precision_noise=noise,
-                        reason=reason,
-                    )
-                    recorder.count("steps_rejected")
-                    rung += 1
-                    step_escalations += 1
-                    next_name = get_precision(ladder[rung]).name
-                    recorder.event(
-                        "escalation",
-                        category="step",
-                        t=t_current,
-                        from_precision=prec.name,
-                        to_precision=next_name,
-                        reason=reason,
-                    )
-                    recorder.count("escalations")
-                    _log.warning(
-                        "precision escalation at t = %.6g: %s -> %s (%s)",
-                        t_current,
-                        prec.name,
-                        next_name,
-                        reason,
-                    )
-                    if next_name not in precisions_used:
-                        precisions_used.append(next_name)
-
-                # advance to the predicted point
-                new_heads = [a.evaluate(h) for a in approximants]
-                t_next = t_current + h
-                if correct:
-                    new_heads = _newton_correct(
-                        system, jacobian, new_heads, t_next, prec, tile_size, device
-                    )
-                result.steps.append(
-                    PathStep(
-                        t=t_current,
-                        step=h,
-                        precision=prec.name,
-                        limbs=prec.limbs,
-                        truncation_error=truncation,
-                        precision_noise=noise,
-                        escalations=step_escalations,
-                        model_ms=step_model_ms,
-                        point=tuple(leading_value(value) for value in new_heads),
-                    )
-                )
-                result.escalations += step_escalations
-                result.total_model_ms += step_model_ms
-                if step_span:
-                    step_span.set(
-                        t=t_current,
-                        step=h,
-                        precision=prec.name,
-                        truncation_error=truncation,
-                        precision_noise=noise,
-                        escalations=step_escalations,
-                        model_ms=step_model_ms,
-                        pole_radius=min(a.pole_radius() for a in approximants),
-                    )
-                    recorder.count("steps")
-                heads = new_heads
-                t_current = t_next
-                trial_step = 2.0 * h  # gentle growth for the next trial
-
-        result.final_point = list(heads)
-        result.final_t = t_current
-        result.reached = t_current >= t_end - 1e-14
-        result.precisions_used = tuple(precisions_used)
+        result = track_paths(
+            system,
+            jacobian,
+            [start],
+            t_start=t_start,
+            t_end=t_end,
+            order=order,
+            tol=tol,
+            precision_ladder=precision_ladder,
+            numerator_degree=numerator_degree,
+            denominator_degree=denominator_degree,
+            initial_step=initial_step,
+            min_step=min_step,
+            max_steps=max_steps,
+            tile_size=tile_size,
+            correct=correct,
+            pole_safety=pole_safety,
+            device=device,
+        ).paths[0]
         if path_span:
             path_span.set(
                 reached=result.reached,
@@ -490,12 +293,5 @@ def track_path(
                 final_precision=result.final_precision,
                 precisions=list(result.precisions_used),
                 model_ms=result.total_model_ms,
-            )
-        if not result.reached:
-            _log.warning(
-                "path stopped at t = %.6g after %d steps (budget %d)",
-                result.final_t,
-                result.step_count,
-                max_steps,
             )
     return result

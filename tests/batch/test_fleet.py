@@ -2,14 +2,18 @@
 
 The edge cases the batched execution layer must get right:
 
-* a fleet of **one** reproduces ``track_path`` bit for bit (steps,
-  escalations, model accounting, final point limbs);
-* every path of a **multi-path** fleet matches tracking it alone
-  (batched kernels are bit-identical, so fleets change nothing);
+* a fleet of **one** — which is what ``track_path`` runs — reproduces
+  the unbatched reference tracker (``tests/oracles/solo_tracker.py``)
+  bit for bit (steps, escalations, model accounting, final point limbs);
+* every path of a **multi-path** fleet matches tracking it alone with
+  the reference (batched kernels are bit-identical, so fleets change
+  nothing);
 * a path that **escalates to od mid-fleet** regroups into higher
   precision sub-batches without disturbing the ladder semantics;
 * a **singular step** in one path (degenerate Jacobian) fails that
-  path alone — its batch mates' results stay bit-identical.
+  path alone — its batch mates' results stay bit-identical;
+* the reference comparison itself can fail, and the reference does not
+  call the fleet it checks.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from repro.batch import PathFleetResult, track_paths
 from repro.perf.costmodel import path_fleet_trace, path_step_trace
 from repro.series import track_path
 from repro.series.tracker import PathResult
+
+from ..oracles.solo_tracker import solo_track_path
 
 
 def sqrt_system(x, t):
@@ -54,8 +60,13 @@ def branch_point_jacobian(x0, t0):
     return [[2 * x0[0]]]
 
 
+def untrackable_system(x, t):
+    raise AssertionError("a bad input must be rejected before any evaluation")
+
+
 def assert_path_matches_reference(path: PathResult, reference: PathResult):
-    """Bitwise comparison of a fleet path against a solo-tracked one."""
+    """Bitwise comparison of a fleet path against the unbatched
+    reference (:func:`solo_track_path`)."""
     assert path.steps == reference.steps
     assert path.final_t == reference.final_t
     assert path.reached == reference.reached
@@ -79,10 +90,14 @@ class TestFleetOfOne:
         ids=["double", "escalating", "uncorrected"],
     )
     def test_bitwise_identical_to_track_path(self, kwargs):
-        reference = track_path(sqrt_system, sqrt_jacobian, [1.0], **kwargs)
+        """``track_path`` is a fleet of one; both match the unbatched
+        reference bit for bit."""
+        reference = solo_track_path(sqrt_system, sqrt_jacobian, [1.0], **kwargs)
         fleet = track_paths(sqrt_system, sqrt_jacobian, [[1.0]], **kwargs)
         assert fleet.batch == 1
         assert_path_matches_reference(fleet.paths[0], reference)
+        solo = track_path(sqrt_system, sqrt_jacobian, [1.0], **kwargs)
+        assert_path_matches_reference(solo, reference)
 
     def test_already_at_t_end(self):
         fleet = track_paths(
@@ -100,7 +115,7 @@ class TestMultiPathFleet:
             coupled_system, coupled_jacobian, starts, tol=1e-16, order=8, max_steps=16
         )
         for start, path in zip(starts, fleet.paths):
-            reference = track_path(
+            reference = solo_track_path(
                 coupled_system,
                 coupled_jacobian,
                 start,
@@ -128,7 +143,7 @@ class TestMultiPathFleet:
             max_steps=6,
         )
         for start, path in zip(([0.5], [-0.5]), fleet.paths):
-            reference = track_path(
+            reference = solo_track_path(
                 branch_point_system,
                 branch_point_jacobian,
                 start,
@@ -190,7 +205,7 @@ class TestEscalationMidFleet:
             sqrt_system, sqrt_jacobian, [[1.0], [-1.0]], tol=1e-70, order=8, max_steps=2
         )
         for start, path in zip(([1.0], [-1.0]), fleet.paths):
-            reference = track_path(
+            reference = solo_track_path(
                 sqrt_system, sqrt_jacobian, start, tol=1e-70, order=8, max_steps=2
             )
             assert_path_matches_reference(path, reference)
@@ -227,7 +242,7 @@ class TestSingularPathIsolation:
         assert fleet.failed_count == 1
         # the healthy batch mates are bit-identical to solo tracking
         for index in (0, 2):
-            reference = track_path(
+            reference = solo_track_path(
                 coupled_system,
                 coupled_jacobian,
                 starts[index],
@@ -255,6 +270,57 @@ class TestValidation:
             track_paths(sqrt_system, sqrt_jacobian, [[1.0]], order=1)
         with pytest.raises(ValueError):
             track_paths(sqrt_system, sqrt_jacobian, [[1.0]], precision_ladder=())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": 0.0},
+            {"tol": -1e-8},
+            {"min_step": 0.0},
+            {"min_step": -1e-10},
+            {"min_step": float("nan")},
+            {"min_step": float("inf")},
+            {"max_steps": -1},
+            {"t_start": float("nan")},
+            {"t_start": float("-inf")},
+            {"t_end": float("nan")},
+            {"t_end": float("inf")},
+        ],
+        ids=str,
+    )
+    def test_bad_inputs_raise_before_tracking(self, kwargs):
+        """One bad keyword per case must raise ``ValueError`` naming it,
+        through both entry points: the fleet validates, ``track_path``
+        (a fleet of one) inherits the checks."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            track_paths(untrackable_system, sqrt_jacobian, [[1.0]], **kwargs)
+        with pytest.raises(ValueError, match=name):
+            track_path(untrackable_system, sqrt_jacobian, [1.0], **kwargs)
+
+
+class TestReferenceOracle:
+    """The reference comparison is a gate, so it must be able to fail."""
+
+    def test_perturbed_tolerance_is_caught(self):
+        fleet = track_paths(sqrt_system, sqrt_jacobian, [[1.0]], tol=1e-8)
+        reference = solo_track_path(sqrt_system, sqrt_jacobian, [1.0], tol=2e-8)
+        with pytest.raises(AssertionError):
+            assert_path_matches_reference(fleet.paths[0], reference)
+
+    def test_oracle_does_not_call_the_fleet(self, monkeypatch):
+        def broken_fleet(*args, **kwargs):
+            raise RuntimeError("the fleet was called")
+
+        monkeypatch.setattr("repro.batch.fleet.track_paths", broken_fleet)
+        # the patch is live: the library's one-path tracker goes through it
+        with pytest.raises(RuntimeError, match="fleet was called"):
+            track_path(sqrt_system, sqrt_jacobian, [1.0])
+        reference = solo_track_path(sqrt_system, sqrt_jacobian, [1.0])
+        assert reference.reached and reference.final_t == 1.0
+        assert abs(float(reference.final_point[0]) - 2.0**0.5) < 1e-8
 
 
 class TestFleetCostModel:

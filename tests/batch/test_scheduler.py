@@ -9,9 +9,9 @@ Two layers of coverage:
   fleets that converge in round zero, all-paths-fail fleets, a single
   survivor re-packed alone, mid-flight escalation splitting a
   sub-batch, and the ground rule that **packing never changes
-  per-path results**: both policies reproduce solo ``track_path``
-  bitwise, and ``lockstep`` reproduces the recorded pre-scheduler
-  golden fixture limb for limb.
+  per-path results**: both policies reproduce the unbatched reference
+  tracker (``tests/oracles/solo_tracker.py``) bitwise, and ``lockstep``
+  reproduces the recorded pre-scheduler golden fixture limb for limb.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import pytest
 from repro.batch import POLICIES, FleetScheduler, track_paths
 from repro.obs import recording
 from repro.poly import Homotopy, cyclic
-from repro.series import track_path
 
+from ..oracles.solo_tracker import solo_track_path
 from .test_fleet import (
     assert_path_matches_reference,
     coupled_jacobian,
@@ -192,7 +192,7 @@ class TestTrackPathsPolicies:
         assert survivor_batches and all(
             indices == (1,) for indices in survivor_batches
         )
-        reference = track_path(
+        reference = solo_track_path(
             coupled_system,
             coupled_jacobian,
             starts[1],
@@ -239,7 +239,7 @@ class TestTrackPathsPolicies:
         assert ranks == sorted(ranks)
         assert fleet.paths[1].precisions_used == ("2d", "4d", "8d")
         for start, path in zip(starts, fleet.paths):
-            reference = track_path(split_system, split_jacobian, start, **kwargs)
+            reference = solo_track_path(split_system, split_jacobian, start, **kwargs)
             assert_path_matches_reference(path, reference)
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -255,7 +255,7 @@ class TestTrackPathsPolicies:
             policy=policy,
         )
         for start, path in zip(starts, fleet.paths):
-            reference = track_path(
+            reference = solo_track_path(
                 coupled_system, coupled_jacobian, start, tol=1e-16, order=8, max_steps=16
             )
             assert_path_matches_reference(path, reference)

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 
+from ..oracles.solo_tracker import solo_track_path
+
 
 @pytest.fixture(scope="module")
 def power_series_example():
@@ -161,10 +163,9 @@ def test_homotopy_quickstart_distinct_endpoint_clustering():
 
 def test_path_fleet_matches_single_path_tracker():
     path_fleet = importlib.import_module("path_fleet")
-    from repro.series import track_path
 
     fleet = path_fleet.track_fleet(tol=1e-8)
-    reference = track_path(
+    reference = solo_track_path(
         path_fleet.branch_point_system,
         path_fleet.branch_point_jacobian,
         [0.5],

@@ -7,8 +7,8 @@ stall detection at WARNING, incremental JSONL flushes at DEBUG, the
 read-back contract).  The acceptance tests track the real cyclic-3
 complex fleet with and without a monitor attached under **both**
 execution backends and assert bitwise identity — endpoints, steps,
-regrouping, launch sequences — plus the same for a monitored solo
-``track_path``.
+regrouping, launch sequences — plus the same for a monitored
+single-path ``track_path`` (a fleet of one).
 """
 
 from __future__ import annotations
@@ -335,7 +335,9 @@ class TestMonitoringIsObserveOnly:
         assert [complex(v) for v in observed.final_point] == [
             complex(v) for v in reference.final_point
         ]
-        (progress,) = monitor.paths.values()
+        # a single path is a fleet of one: its records carry path = 0
+        assert list(monitor.paths) == [0]
+        progress = monitor.paths[0]
         assert progress.accepted == reference.step_count
         assert progress.status == "retired"
 

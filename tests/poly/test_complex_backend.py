@@ -3,7 +3,8 @@
 The acceptance contract of the complex series backend: the native
 complex tracker and the realified cross-check track the same homotopies
 to the same endpoints (to working precision), the complex fleet is
-bit-identical to complex solo tracking, the complex Jacobian matches
+bit-identical to the unbatched complex reference tracker
+(``tests/oracles/solo_tracker.py``), the complex Jacobian matches
 the realified block structure, and the ``embed_complex`` → track →
 ``extract_complex`` round trip is lossless.
 """
@@ -20,6 +21,8 @@ from repro.series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
 from repro.series.tracker import track_path
 from repro.series.truncated import TruncatedSeries
 from repro.vec.complexmd import MDComplexArray
+
+from ..oracles.solo_tracker import solo_track_path
 
 TRACK = dict(tol=1e-6, order=8, max_steps=192, precision_ladder=(1, 2))
 
@@ -193,7 +196,7 @@ class TestCyclic3NativeFleet:
 
     def test_complex_fleet_bitwise_equals_complex_solo(self, native):
         homotopy, fleet = native
-        solo = track_path(
+        solo = solo_track_path(
             homotopy, homotopy.start_solutions()[0], **TRACK
         )
         assert fleet.paths[0].steps == solo.steps

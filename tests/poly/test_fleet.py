@@ -27,8 +27,9 @@ from repro.batch.fleet import track_paths
 from repro.poly import Homotopy, cyclic
 from repro.poly.homotopy import extract_complex
 from repro.series.reference import ScalarSeries
-from repro.series.tracker import track_path
 from repro.series.truncated import TruncatedSeries
+
+from ..oracles.solo_tracker import solo_track_path
 
 
 class TestCyclic2AllRoots:
@@ -69,7 +70,8 @@ class TestCyclic2AllRoots:
             assert max(abs(x - y) for x, y in zip(a, b)) > 1e-3
 
     def test_fleet_bitwise_equals_solo_tracking(self, homotopy, fleet):
-        solo = homotopy.track(
+        solo = solo_track_path(
+            homotopy,
             homotopy.start_solutions()[0],
             tol=1e-6,
             order=8,
@@ -117,7 +119,7 @@ class TestCyclic4Fleet:
             assert path.final_t > 0.05
 
     def test_fleet_bitwise_equals_solo_tracking(self, homotopy, fleet):
-        solo = track_path(
+        solo = solo_track_path(
             homotopy,
             homotopy.start_solutions()[0],
             tol=1e-6,

@@ -146,6 +146,27 @@ def test_parameter_validation():
         )
 
 
+def test_singular_path_ends_with_a_failure_verdict():
+    """An all-zero Jacobian makes the very first expansion singular: the
+    path ends ``failed`` with a reason instead of raising."""
+
+    def coupled_system(x, t):
+        x1, x2 = x
+        return [x1 * x1 - 1 - t, x1 * x2 - 1]
+
+    def zero_jacobian(x0, t0):
+        return [[0.0, 0.0], [0.0, 0.0]]
+
+    result = track_path(
+        coupled_system, zero_jacobian, [0.0, 0.0], tol=1e-16, order=8, max_steps=16
+    )
+    assert result.failed and not result.reached
+    assert result.step_count == 0
+    assert result.final_t == 0.0
+    assert result.failure.startswith("singular batched linear solve: ")
+    assert result.summary().startswith("FAILED at t = 0")
+
+
 def test_partial_interval_and_uncorrected_prediction():
     result = track_path(
         sqrt_system,
