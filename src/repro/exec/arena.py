@@ -1,196 +1,128 @@
-"""Per-shape scratch-buffer arena for the fused execution backend.
+"""One bounded scratch workspace per thread for the fused execution backend.
 
 A fused kernel (:mod:`repro.exec.fused`) writes every intermediate of an
-EFT chain into a preallocated buffer via ``out=`` instead of letting the
-array library allocate a fresh temporary per micro-op.  The arena owns
-those buffers: it keeps one pool per ``(dtype, shape)`` key and hands
-buffers out in stack (frame) discipline — a kernel marks the arena on
-entry, takes what it needs, and releases back to the mark on exit, so
-the same few cache-resident buffers serve every operation of a given
-shape for the lifetime of the backend.
+EFT chain into scratch via ``out=`` instead of letting the array library
+allocate a fresh temporary per micro-op.  The arena owns that scratch:
+one flat float64 workspace of :data:`WORKSPACE_BYTES` per thread.  A
+kernel *carves* its buffers as views at a bump offset
+(:meth:`ScratchArena.carve`); a kernel it calls carves at the offset
+the caller's carve returned, so nested scratch stacks above its
+caller's and never aliases it.  Nothing is released one buffer at a
+time: every outermost backend call starts carving at offset 0 again.
+Output arrays are never carved, because they outlive the call.
 
-The persistent per-launch-shape *bundles* (:meth:`ScratchArena.bundle`)
-are cached least recently used first out, within :data:`BUNDLE_BYTES`
-per thread: a sweep over many distinct launch shapes (the shrinking
-trailing blocks of a QR factorization, say) would otherwise keep one
-buffer set per shape alive for the life of the process.
+The workspace never grows.  The fused backend sizes every launch to fit
+it (a launch whose scratch would not fit runs in element chunks), so a
+thread's scratch stays within :data:`WORKSPACE_BYTES` however many
+launch shapes a run sees, and the same few cache-resident bytes serve
+every launch.  A carve past the end raises instead of aliasing.
 
-Buffers come from ``xp.empty`` (contents are garbage until written);
-kernels must fully define every element they read.  The arena is the
+The workspace comes from ``xp.empty`` (contents are garbage until
+written); kernels must fully define every element they read.  It is the
 host-side analogue of a CUDA workspace allocation reused across kernel
-launches — on a CuPy-backed module the same code holds device buffers.
-
-Pools are thread-local, so two threads running fused kernels through one
-backend instance never hand each other in-use scratch.
+launches; on a CuPy-backed module the same code holds device memory.
+Workspaces are thread-local, so two threads running fused kernels
+through one backend instance never share scratch.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["BUNDLE_BYTES", "ScratchArena"]
+__all__ = ["WORKSPACE_BYTES", "ScratchArena"]
 
-#: Byte budget of the cached scratch bundles of one thread.  Beyond it
-#: the least recently used bundles are dropped (a dropped bundle is
-#: simply allocated afresh on its next launch).
-BUNDLE_BYTES = 32 * 2**20
+#: Bytes of one thread's scratch workspace.  Fused launches are chunked
+#: so that their scratch fits it; it is never exceeded and never grows.
+WORKSPACE_BYTES = 2 * 2**20
 
 
-def _owned_bytes(bufs) -> int:
-    """Bytes of the buffers that own their memory (views are free)."""
-    return sum(buf.nbytes for buf in bufs if getattr(buf, "base", None) is None)
+class _Workspace:
+    """One thread's workspace: typed flat views of one buffer, and the
+    highest offset any carve reached."""
+
+    __slots__ = ("flat", "peak")
+
+    def __init__(self, buffer):
+        # offsets count float64 elements; a bool view packs 8 per element
+        self.flat = {np.float64: (buffer, 1), np.bool_: (buffer.view(np.bool_), 8)}
+        self.peak = 0
 
 
 class ScratchArena:
-    """Reusable ``xp`` buffers pooled by dtype and shape.
+    """A flat ``xp`` float64 workspace per thread, carved at a bump offset.
 
     ``xp`` is the array module (NumPy by default; a CuPy module makes
-    the buffers device allocations).  Not a general allocator: buffers
-    must be released in LIFO frame order via :meth:`mark` /
-    :meth:`release` (or the :meth:`frame` context manager).
+    the workspace a device allocation).  Not a general allocator: the
+    caller of :meth:`carve` owns the offset discipline.
     """
+
+    #: float64 elements of one thread's workspace
+    capacity = WORKSPACE_BYTES // 8
 
     def __init__(self, xp=np):
         self.xp = xp
         self._local = threading.local()
 
-    # ------------------------------------------------------------------
-    # thread-local state
-    # ------------------------------------------------------------------
-    def _state(self):
-        state = getattr(self._local, "state", None)
-        if state is None:
-            state = {
-                "pools": {},
-                "log": [],
-                "allocated": 0,
-                "reused": 0,
-                "bundles": OrderedDict(),
-                "bundle_bytes": 0,
-            }
-            self._local.state = state
-        return state
+    def _workspace(self) -> _Workspace:
+        workspace = getattr(self._local, "workspace", None)
+        if workspace is None:
+            workspace = _Workspace(self.xp.empty(self.capacity))
+            self._local.workspace = workspace
+        return workspace
 
-    # ------------------------------------------------------------------
-    # frame discipline
-    # ------------------------------------------------------------------
-    def mark(self) -> int:
-        """Checkpoint the in-use log (cheap: a length)."""
-        return len(self._state()["log"])
+    def carve(self, top, *shapes, dtype=np.float64):
+        """Views of ``shapes`` carved from this thread's workspace at
+        offset ``top``, followed by the offset just past them.
 
-    def release(self, mark: int) -> None:
-        """Return every buffer taken since ``mark`` to its pool."""
-        state = self._state()
-        log = state["log"]
-        pools = state["pools"]
-        while len(log) > mark:
-            key, buf = log.pop()
-            pools[key].append(buf)
-
-    def frame(self):
-        """Context manager form of :meth:`mark`/:meth:`release`."""
-        return _Frame(self)
-
-    # ------------------------------------------------------------------
-    # allocation
-    # ------------------------------------------------------------------
-    def take(self, shape, dtype=np.float64):
-        """A scratch buffer of the given shape, pooled per (dtype, shape).
-
-        The contents are undefined — the caller must write before
-        reading.  The buffer belongs to the current frame and is
-        recycled on :meth:`release`.
+        ``top`` counts float64 elements of the workspace.  The views are
+        scratch: their contents are undefined until written, and they
+        stay valid until something else carves the same range — which
+        the caller prevents by handing the returned offset to every
+        kernel it calls while the views are live.  ``dtype`` may be
+        ``np.bool_`` for mask buffers.  Raises ``MemoryError`` rather
+        than run past the end of the workspace.
         """
-        shape = tuple(shape)
-        key = (np.dtype(dtype).str, shape)
-        state = self._state()
-        pool = state["pools"].setdefault(key, [])
-        if pool:
-            buf = pool.pop()
-            state["reused"] += 1
-        else:
-            buf = self.xp.empty(shape, dtype=dtype)
-            state["allocated"] += 1
-        state["log"].append((key, buf))
-        return buf
+        workspace = self._workspace()
+        flat, per = workspace.flat[dtype]
+        start = top * per
+        views = []
+        for shape in shapes:
+            end = start + math.prod(shape)
+            if end > flat.size:
+                raise MemoryError(
+                    f"fused scratch overflows the {WORKSPACE_BYTES}-byte workspace"
+                )
+            views.append(flat[start:end].reshape(shape))
+            start = end
+        top = -(-start // per)
+        if top > workspace.peak:
+            workspace.peak = top
+        views.append(top)
+        return views
 
-    def take_stack(self, k: int, shape, dtype=np.float64):
-        """A ``(k,) + shape`` workspace stack (limb/term-major)."""
-        return self.take((k, *shape), dtype=dtype)
+    def high_water(self, run) -> int:
+        """Call ``run()`` and return the highest workspace offset (in
+        float64 elements) its carves reached on this thread."""
+        workspace = self._workspace()
+        before, workspace.peak = workspace.peak, 0
+        try:
+            run()
+            return workspace.peak
+        finally:
+            workspace.peak = max(before, workspace.peak)
 
-    def bundle(self, key, shapes=None, dtype=np.float64, build=None):
-        """The persistent scratch set of one fused kernel launch shape.
-
-        ``key`` identifies a (kernel, launch configuration) pair and
-        ``shapes`` the buffers that kernel needs; the first call
-        allocates them, every later call returns the same tuple — one
-        dict probe instead of one :meth:`take` per buffer, which is
-        what keeps small fused launches cheaper than allocator churn.
-        The cache holds at most :data:`BUNDLE_BYTES` and drops the least
-        recently used bundles beyond it; a bundle larger than the whole
-        budget is handed out uncached.
-        Alternatively ``build`` is a callable ``build(xp) -> tuple``
-        producing the cached value — used by kernels that also want
-        derived structures (pre-sliced row views) amortized into the
-        same probe.  The caller owns the exclusivity contract: a kernel
-        must not re-enter itself (directly or mutually) with the same
-        key while its bundle is live.  Bundles are thread-local like
-        the pools.
-        """
-        state = self._state()
-        bundles = state["bundles"]
-        entry = bundles.get(key)
-        if entry is not None:
-            bundles.move_to_end(key)
-            state["reused"] += len(entry[0])
-            return entry[0]
-        if build is not None:
-            bufs = build(self.xp)
-        else:
-            dt = np.dtype(dtype)
-            bufs = tuple(self.xp.empty(s, dtype=dt) for s in shapes)
-        state["allocated"] += len(bufs)
-        size = _owned_bytes(bufs)
-        if size <= BUNDLE_BYTES:
-            bundles[key] = (bufs, size)
-            state["bundle_bytes"] += size
-            while state["bundle_bytes"] > BUNDLE_BYTES:
-                _, (_, dropped) = bundles.popitem(last=False)
-                state["bundle_bytes"] -= dropped
-        return bufs
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
     @property
     def stats(self) -> dict:
-        """Allocation counters for this thread: fresh vs pool hits, and
-        the cached bundles with their byte total."""
-        state = self._state()
+        """This thread's workspace: allocations made (0 or 1), its size
+        and the highest byte offset any carve reached."""
+        workspace = getattr(self._local, "workspace", None)
+        if workspace is None:
+            return {"allocated": 0, "workspace_bytes": 0, "peak_bytes": 0}
         return {
-            "allocated": state["allocated"],
-            "reused": state["reused"],
-            "pooled_buffers": sum(len(p) for p in state["pools"].values()),
-            "in_use": len(state["log"]),
-            "bundles": len(state["bundles"]),
-            "bundle_bytes": state["bundle_bytes"],
+            "allocated": 1,
+            "workspace_bytes": workspace.flat[np.float64][0].nbytes,
+            "peak_bytes": workspace.peak * 8,
         }
-
-
-class _Frame:
-    __slots__ = ("_arena", "_mark")
-
-    def __init__(self, arena):
-        self._arena = arena
-        self._mark = None
-
-    def __enter__(self):
-        self._mark = self._arena.mark()
-        return self._arena
-
-    def __exit__(self, exc_type, exc, tb):
-        self._arena.release(self._mark)
-        return False

@@ -6,16 +6,18 @@ limb-major storage — a ``(m,) + shape`` float64 ndarray whose slice
 ``data[k]`` is the ``k``-th most significant limb plane — and returns a
 fresh ``(m,) + broadcast_shape`` stack.  Two implementations ship:
 
-* ``generic`` (:class:`repro.exec.generic.GenericBackend`) — the
-  reference.  It calls the limb-tuple arithmetic of
-  :mod:`repro.md.generic` as ``MDArray`` always has, one NumPy
-  micro-op and one fresh temporary per EFT step.
-* ``fused`` (:class:`repro.exec.fused.FusedBackend`) — the same float
-  operation sequence (same EFT formulas, same renormalization chains,
-  so results are **bitwise identical**) executed as fused array kernels:
-  ``out=`` into a scratch-buffer arena, whole ``(k,) + shape`` workspace
+* ``fused`` (:class:`repro.exec.fused.FusedBackend`) — the default.
+  The float operation sequence of ``generic`` (same EFT formulas, same
+  renormalization chains, so results are **bitwise identical**)
+  executed as fused array kernels: ``out=`` into scratch carved from
+  one bounded workspace per thread, whole ``(k,) + shape`` workspace
   stacks for the renormalization passes, and stacked limb-parallel EFTs
   where the data dependencies allow it.
+* ``generic`` (:class:`repro.exec.generic.GenericBackend`) — the
+  oracle.  It calls the limb-tuple arithmetic of
+  :mod:`repro.md.generic` as ``MDArray`` always has, one NumPy
+  micro-op and one fresh temporary per EFT step; the bit-identity
+  tests compare ``fused`` against it.
 
 At ``m = 1`` neither backend is a call-for-call replay of
 :mod:`repro.md.generic` any more.  Both run a launch whose operands all
@@ -35,7 +37,8 @@ traces) is backend-independent by construction.
 
 Selection: :func:`get_backend` / :func:`set_backend` /
 :func:`use_backend`, with the ``REPRO_EXEC_BACKEND`` environment
-variable choosing the process-wide default (read once, at first use).
+variable choosing the process-wide default (read once, at first use;
+``fused`` when unset).
 """
 
 from __future__ import annotations
@@ -195,15 +198,15 @@ def get_backend() -> ExecutionBackend:
     """The active execution backend.
 
     On first use the process default is taken from ``REPRO_EXEC_BACKEND``
-    (falling back to ``generic``); afterwards :func:`set_backend` and
-    :func:`use_backend` control it.
+    (falling back to ``fused``; ``generic`` selects the oracle);
+    afterwards :func:`set_backend` and :func:`use_backend` control it.
     """
     global _active
     backend = _active
     if backend is None:
         with _lock:
             if _active is None:
-                _active = _instantiate(os.environ.get(ENV_VAR, "generic"))
+                _active = _instantiate(os.environ.get(ENV_VAR, "fused"))
             backend = _active
     return backend
 

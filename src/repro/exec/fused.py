@@ -8,12 +8,16 @@ float operations feed which.  The kernels below keep the generic term
 orders, EFT formulas and renormalization chains exactly, and only
 change how the work is issued:
 
-* every micro-op writes into preallocated arena scratch via ``out=``
-  instead of allocating a temporary (no value change);
-* each (kernel, launch shape) pair owns one cached scratch *bundle*
-  (:meth:`repro.exec.arena.ScratchArena.bundle`, least recently used
-  out beyond a fixed byte budget), so issuing an operation costs one
-  dict probe instead of one allocation per EFT step (no value change);
+* every micro-op writes into scratch via ``out=`` instead of
+  allocating a temporary; a kernel carves its scratch as views of one
+  per-thread workspace (:class:`repro.exec.arena.ScratchArena`), and a
+  kernel it calls carves above it, so issuing an operation allocates
+  nothing but its output (no value change);
+* a launch whose scratch would not fit the workspace runs in element
+  chunks sized to fit, which also keeps each chunk's whole EFT chain
+  cache-resident instead of making one full-array memory pass per
+  micro-op; the kernels are elementwise, so chunks compute the same
+  floats (no value change);
 * independent EFTs run as one stacked ufunc over a ``(k,) + shape``
   workspace axis — e.g. both limb pairs of a double double addition, or
   all error terms of a ``vecsum`` pass — computing the same elementwise
@@ -41,7 +45,7 @@ vectorized-vs-scalar-reference tests plus ``tests/exec`` compare the
 two backends limb for limb.
 
 On a CuPy array module the same kernels become real device launches;
-the arena then pools device buffers.  (NumPy is the only module
+the workspace is then device memory.  (NumPy is the only module
 exercised in CI.)
 """
 
@@ -171,176 +175,144 @@ def _antidiagonal_index(terms):
     return cached
 
 
-# tile geometry: large launches stream through L2-resident chunks of
-# the scratch bundles — the limb kernels are elementwise (independent
-# per element), so chunked execution computes the same floats; this is
-# the host-side analogue of a gridDim > 1 launch staging tiles through
-# shared memory, and it is what keeps the whole EFT chain's working
-# set cache-resident instead of making one full-array memory pass per
-# micro-op
-_TILE = 32768
-_TILE_MIN = 65536
+def _cut(op, axis, ndim, n, part):
+    """``op`` restricted to ``part`` along output axis ``axis`` (of
+    ``ndim``), or whole where it broadcasts along that axis."""
+    own = axis - (ndim - op.ndim)  # element axes align from the right
+    if own < 1 or op.shape[own] != n:
+        return op
+    return op[(slice(None),) * own + (part,)]
 
 
 class FusedBackend(GenericBackend):
-    """Fused ``out=``/arena kernels, bit-identical to :class:`GenericBackend`."""
+    """Fused ``out=`` kernels on one bounded scratch workspace per thread,
+    bit-identical to :class:`GenericBackend`."""
 
     name = "fused"
+
+    def __init__(self, xp=np):
+        super().__init__(xp)
+        self._planes: dict = {}  # see _scratch_planes
+
+    # ------------------------------------------------------------------
+    # launches
+    # ------------------------------------------------------------------
+    def _launch(self, kernel, operands, m):
+        """Run ``kernel(*operands, m, out, top)`` into a fresh
+        ``(m,) + broadcast shape`` output, chunked so its scratch fits."""
+        shape = operands[0].shape[1:]
+        for op in operands:
+            if op.shape[1:] != shape or not shape:
+                # mixed element shapes broadcast against each other; a 0-d
+                # element shape indexes to numpy scalars, which cannot be
+                # ufunc out= targets, so it gets one broadcast element axis
+                shape = np.broadcast_shapes(*(op.shape[1:] for op in operands))
+                operands = tuple(
+                    op.reshape((op.shape[0], 1)) if op.ndim == 1 else op
+                    for op in operands
+                )
+                break
+        out = _empty((m, *(shape or (1,))))
+        fit = max(1, self.arena.capacity // self._scratch_planes(kernel, operands, m))
+        if out.size // m <= fit:
+            kernel(*operands, m, out, 0)
+        else:
+            self._run_chunks(kernel, operands, m, out, fit, 1)
+        return out if shape else out.reshape((m,))
+
+    def _scratch_planes(self, kernel, operands, m):
+        """Workspace elements ``kernel`` carves per output element.
+
+        A kernel carves the same buffers whatever the values, each at
+        most one output plane per limb row, so the count depends only on
+        the limb counts; it is measured once on a one-element launch."""
+        key = (kernel.__func__, m, *map(len, operands))
+        planes = self._planes.get(key)
+        if planes is None:
+            probe = [np.ones((op.shape[0], 1)) for op in operands]
+            out = _empty((m, 1))
+            with np.errstate(all="ignore"):
+                planes = self.arena.high_water(lambda: kernel(*probe, m, out, 0))
+            self._planes[key] = planes = max(planes, 1)
+        return planes
+
+    def _run_chunks(self, kernel, operands, m, out, fit, axis):
+        """Run ``kernel`` over ``out``, whose limb planes hold more than
+        ``fit`` elements, in chunks of at most ``fit`` cut along element
+        axis ``axis`` (the axes before it are already down to one index);
+        each chunk carves from offset 0."""
+        n = out.shape[axis]
+        row = out.size // m // n  # elements per index along axis
+        step = fit // row
+        lead = (slice(None),) * axis
+        ndim = out.ndim
+        for lo in range(0, n, step or 1):
+            part = slice(lo, lo + (step or 1))
+            parts = tuple(_cut(op, axis, ndim, n, part) for op in operands)
+            if step:
+                kernel(*parts, m, out[lead + (part,)], 0)
+            else:  # one index along axis is still too big: cut the next
+                self._run_chunks(kernel, parts, m, out[lead + (part,)], fit, axis + 1)
 
     # ------------------------------------------------------------------
     # public surface
     # ------------------------------------------------------------------
-    @staticmethod
-    def _norm(stack):
-        # a 0-d element shape indexes to numpy scalars, which cannot be
-        # ufunc out= targets; give it one broadcast element axis instead
-        return stack.reshape((stack.shape[0], 1)) if stack.ndim == 1 else stack
-
-    def _run_broadcast(self, into, operands, m):
-        """Slow path: mixed element shapes or 0-d operands."""
-        shape = np.broadcast_shapes(*(op.shape[1:] for op in operands))
-        normed = tuple(self._norm(op) for op in operands)
-        if not shape:
-            out = _empty((m, 1))
-            into(*normed, m, out)
-            return out.reshape((m,))
-        out = _empty((m, *shape))
-        n0 = shape[0]
-        plane = out[0].size
-        if plane >= _TILE_MIN and n0 > 1:
-            step = _TILE // (plane // n0)
-            if step < 1:
-                step = 1
-            if step < n0:
-                # chunk along the leading element axis; operands that
-                # broadcast along it (size 1, or aligned to the tail)
-                # feed every chunk whole
-                ndim = out.ndim
-                for lo in range(0, n0, step):
-                    hi = lo + step
-                    if hi > n0:
-                        hi = n0
-                    into(
-                        *(
-                            op[:, lo:hi]
-                            if op.ndim == ndim and op.shape[1] == n0
-                            else op
-                            for op in normed
-                        ),
-                        m,
-                        out[:, lo:hi],
-                    )
-                return out
-        into(*normed, m, out)
-        return out
-
-    def _run_elementwise(self, into, operands, m, shape):
-        out = _empty((m, *shape))
-        plane = out[0].size
-        n0 = shape[0]
-        if plane >= _TILE_MIN and n0 > 1:
-            # chunk along the leading element axis — no contiguity
-            # requirement, so reduction-tree views tile too
-            step = _TILE // (plane // n0)
-            if step < 1:
-                step = 1
-            if step < n0:
-                for lo in range(0, n0, step):
-                    hi = lo + step
-                    if hi > n0:
-                        hi = n0
-                    into(*(op[:, lo:hi] for op in operands), m, out[:, lo:hi])
-                return out
-        into(*operands, m, out)
-        return out
-
     def add(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
         out = onelimb.add(x, y, m)
-        if out is not None:
-            return out
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._add_into, (x, y), m, shape)
-        return self._run_broadcast(self._add_into, (x, y), m)
+        if out is None:
+            out = self._launch(self._add_into, (x, y), m)
+        return out
 
     def sub(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
         out = onelimb.sub(x, y, m)
-        if out is not None:
-            return out
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._sub_into, (x, y), m, shape)
-        return self._run_broadcast(self._sub_into, (x, y), m)
+        if out is None:
+            out = self._launch(self._sub_into, (x, y), m)
+        return out
 
     def mul(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
         out = onelimb.mul(x, y, m)
-        if out is not None:
-            return out
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._mul_into, (x, y), m, shape)
-        return self._run_broadcast(self._mul_into, (x, y), m)
+        if out is None:
+            out = self._launch(self._mul_into, (x, y), m)
+        return out
 
     def div(self, x, y, m=None):
         if m is None:
             m = x.shape[0]
         out = onelimb.div(x, y, m)
-        if out is not None:
-            return out
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._div_into, (x, y), m, shape)
-        return self._run_broadcast(self._div_into, (x, y), m)
+        if out is None:
+            out = self._launch(self._div_into, (x, y), m)
+        return out
 
     def sqr(self, x, m=None):
         if m is None:
             m = x.shape[0]
         out = onelimb.sqr(x, m)
-        if out is not None:
-            return out
-        shape = x.shape[1:]
-        if shape:
-            return self._run_elementwise(self._sqr_into, (x,), m, shape)
-        return self._run_broadcast(self._sqr_into, (x,), m)
+        if out is None:
+            out = self._launch(self._sqr_into, (x,), m)
+        return out
 
     def fma(self, x, y, z, m=None):
         if m is None:
             m = x.shape[0]
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape and z.shape[1:] == shape:
-            return self._run_elementwise(self._fma_into, (x, y, z), m, shape)
-        return self._run_broadcast(self._fma_into, (x, y, z), m)
+        return self._launch(self._fma_into, (x, y, z), m)
 
     def sqrt(self, x, m=None):
         if m is None:
             m = x.shape[0]
         out = onelimb.sqrt(x, m)
-        if out is not None:
-            return out
-        shape = x.shape[1:]
-        if shape:
-            return self._run_elementwise(self._sqrt_into, (x,), m, shape)
-        return self._run_broadcast(self._sqrt_into, (x,), m)
+        if out is None:
+            out = self._launch(self._sqrt_into, (x,), m)
+        return out
 
     def renormalize(self, limbs, m):
-        limbs = [np.asarray(limb, dtype=np.float64) for limb in limbs]
-        n = len(limbs)
-        shape = np.broadcast_shapes(*(limb.shape for limb in limbs))
-        work_shape = shape if shape else (1,)
-        out = _empty((m, *work_shape))
-        (work,) = self.arena.bundle(
-            ("renorm_in", n, work_shape), ((n, *work_shape),)
-        )
-        for row, limb in enumerate(limbs):
-            _copyto(work[row], limb)
-        self._renorm_stack(work, n, m, out)
-        return out.reshape((m, *shape))
+        stacks = tuple(np.asarray(limb, dtype=np.float64)[None] for limb in limbs)
+        return self._launch(self._renormalize_into, stacks, m)
 
     # ------------------------------------------------------------------
     # launch-configuration hooks
@@ -427,21 +399,21 @@ class FusedBackend(GenericBackend):
         _add(v2, v1, out=work[lo + 1 : hi])
         work[lo] = chain[0]
 
-    def _renorm_stack(self, work, n, m, out):
+    def _renormalize_into(self, *args):
+        *stacks, m, out, top = args  # one single-limb stack per term
+        n = len(stacks)
+        work, top = self.arena.carve(top, (n, *out.shape[1:]))
+        for row, stack in enumerate(stacks):
+            _copyto(work[row], stack[0])
+        self._renorm_stack(work, n, m, out, top)
+
+    def _renorm_stack(self, work, n, m, out, top):
         """Renormalize ``n`` term rows of ``work`` into ``m`` output limbs,
         replaying :func:`repro.md.renorm.renormalize` exactly."""
         shape = work.shape[1:]
-        chain, bb, t1, t2, pad, tz = self.arena.bundle(
-            ("renorm", n, shape),
-            (
-                (n, *shape),
-                (n - 1, *shape),
-                (n - 1, *shape),
-                (n - 1, *shape),
-                shape,
-                shape,
-            ),
-        )
+        block, top = self.arena.carve(top, (4 * n - 1, *shape))
+        chain, pad, tz = block[:n], block[n], block[n + 1]
+        bb, t1, t2 = block[n + 2 : 2 * n + 1], block[2 * n + 1 : 3 * n], block[3 * n :]
         if n < m:
             # generic pads with work[0] * 0.0 + 0.0 computed from the
             # original first term — capture it before extraction
@@ -459,14 +431,10 @@ class FusedBackend(GenericBackend):
             # (if no head row holds an exact zero, every generic swap
             # pass is the identity — skipping it changes no values)
             nm1 = n_extract - 1
-            (mstack,) = self.arena.bundle(
-                ("renorm_mask_stack", nm1, shape), ((nm1, *shape),), bool
-            )
+            masks, _ = self.arena.carve(top, (n_extract, *shape), dtype=np.bool_)
+            mstack, mask = masks[:nm1], masks[nm1]
             _eq(work[:nm1], 0.0, out=mstack)
             if mstack.any():
-                (mask,) = self.arena.bundle(
-                    ("renorm_mask", shape), (shape,), bool
-                )
                 for _ in range(GUARD_LIMBS):
                     for i in range(nm1):
                         _eq(work[i], 0.0, out=mask)
@@ -485,22 +453,22 @@ class FusedBackend(GenericBackend):
     # ------------------------------------------------------------------
     # addition
     # ------------------------------------------------------------------
-    def _add_into(self, x, y, m, out):
+    def _add_into(self, x, y, m, out, top):
         if x.shape[0] == 2 and y.shape[0] == 2 and m == 2:
-            self._dd_add_into(x, y, out)
+            self._dd_add_into(x, y, out, top)
             return
-        self._add_general_into(x, y, m, out)
+        self._add_general_into(x, y, m, out, top)
 
-    def _sub_into(self, x, y, m, out):
-        (neg,) = self.arena.bundle(("sub", y.shape), (y.shape,))
+    def _sub_into(self, x, y, m, out, top):
+        neg, top = self.arena.carve(top, y.shape)
         _neg(y, out=neg)
-        self._add_into(x, neg, m, out)
+        self._add_into(x, neg, m, out, top)
 
-    def _add_general_into(self, x, y, m, out):
+    def _add_general_into(self, x, y, m, out, top):
         nx, ny = x.shape[0], y.shape[0]
         shape = out.shape[1:]
         n = nx + ny
-        (work,) = self.arena.bundle(("add", nx, ny, shape), ((n, *shape),))
+        work, top = self.arena.carve(top, (n, *shape))
         pos = 0
         for i in range(max(nx, ny)):
             if i < nx:
@@ -509,31 +477,18 @@ class FusedBackend(GenericBackend):
             if i < ny:
                 work[pos] = y[i]
                 pos += 1
-        self._renorm_stack(work, n, m, out)
+        self._renorm_stack(work, n, m, out, top)
 
-    @staticmethod
-    def _dd_add_bundle(shape):
-        def build(xp):
-            ss = xp.empty((2, *shape))
-            ee = xp.empty((2, *shape))
-            u1 = xp.empty((2, *shape))
-            u2 = xp.empty((2, *shape))
-            # the per-limb views are part of the cached bundle: basic
-            # indexing costs a fresh view object per call otherwise
-            return (
-                ss, ee, u1, u2, xp.empty(shape), xp.empty(shape),
-                ss[0], ss[1], ee[0], ee[1],
-            )
-
-        return build
-
-    def _dd_add_into(self, x, y, out):
+    def _dd_add_into(self, x, y, out, top):
         shape = out.shape[1:]
         if x.shape[1:] == shape and y.shape[1:] == shape:
-            # both limb pairs in one stacked two_sum over the limb axis
-            ss, ee, u1, u2, u, w, s1, t1, s2, t2 = self.arena.bundle(
-                ("dd_add", shape), build=self._dd_add_bundle(shape)
-            )
+            # both limb pairs in one stacked two_sum over the limb axis;
+            # one carved block, split by indexing (cheaper than one carve
+            # per buffer at the small launch shapes of the QR tiles)
+            block, _ = self.arena.carve(top, (10, *shape))
+            ss, ee, u1, u2 = block[0:2], block[2:4], block[4:6], block[6:8]
+            s1, t1, s2, t2 = block[0], block[1], block[2], block[3]
+            u, w = block[8], block[9]
             _add(x, y, ss)
             _sub(ss, x, u1)  # bb
             _sub(ss, u1, u2)
@@ -541,9 +496,7 @@ class FusedBackend(GenericBackend):
             _sub(y, u1, u1)
             _add(u2, u1, ee)
         else:
-            s1, s2, t1, t2, u, w = self.arena.bundle(
-                ("dd_add_mixed", shape), (shape,) * 6
-            )
+            (s1, s2, t1, t2, u, w), _ = self.arena.carve(top, (6, *shape))
             self._two_sum_into(x[0], y[0], s1, s2, u, w)
             self._two_sum_into(x[1], y[1], t1, t2, u, w)
         _add(s2, t1, s2)
@@ -562,18 +515,17 @@ class FusedBackend(GenericBackend):
     # ------------------------------------------------------------------
     # multiplication
     # ------------------------------------------------------------------
-    def _mul_into(self, x, y, m, out):
+    def _mul_into(self, x, y, m, out, top):
         if x.shape[0] == 2 and y.shape[0] == 2 and m == 2:
-            self._dd_mul_into(x, y, out)
+            self._dd_mul_into(x, y, out, top)
             return
-        self._mul_general_into(x, y, m, out)
+        self._mul_general_into(x, y, m, out, top)
 
-    def _dd_mul_into(self, x, y, out):
+    def _dd_mul_into(self, x, y, out, top):
         shape = out.shape[1:]
         xs, ys = x.shape[1:], y.shape[1:]
-        p1, p2, t1, t2, ahi, alo, at, bhi, blo, bt = self.arena.bundle(
-            ("dd_mul", shape, xs, ys),
-            (shape, shape, shape, shape, xs, xs, xs, ys, ys, ys),
+        (p1, p2, t1, t2), (ahi, alo, at), (bhi, blo, bt), _ = self.arena.carve(
+            top, (4, *shape), (3, *xs), (3, *ys)
         )
         x0, x1 = x[0], x[1]
         y0, y1 = y[0], y[1]
@@ -598,7 +550,7 @@ class FusedBackend(GenericBackend):
         _sub(o0, p1, t1)
         _sub(p2, t1, o1)
 
-    def _mul_general_into(self, x, y, m, out):
+    def _mul_general_into(self, x, y, m, out, top):
         nx, ny = x.shape[0], y.shape[0]
         pairs, corr, rows, n_terms = _mul_layout(nx, ny, m)
         if n_terms == 0:
@@ -609,19 +561,17 @@ class FusedBackend(GenericBackend):
         shape = out.shape[1:]
         xs, ys = x.shape[1:], y.shape[1:]
         cx, cy = min(nx, m), min(ny, m)
-        work, xhi, xlo, xt, yhi, ylo, yt, t1, t2 = self.arena.bundle(
-            ("mul", nx, ny, m, shape, xs, ys),
-            (
-                (n_terms, *shape),
-                (cx, *xs),
-                (cx, *xs),
-                xs,
-                (cy, *ys),
-                (cy, *ys),
-                ys,
-                shape,
-                shape,
-            ),
+        work, xhi, xlo, xt, yhi, ylo, yt, t1, t2, top = self.arena.carve(
+            top,
+            (n_terms, *shape),
+            (cx, *xs),
+            (cx, *xs),
+            xs,
+            (cy, *ys),
+            (cy, *ys),
+            ys,
+            shape,
+            shape,
         )
         # Veltkamp halves of the input limbs, computed once (the generic
         # code recomputes them per partial product — deterministically,
@@ -645,27 +595,25 @@ class FusedBackend(GenericBackend):
             for i, j in rest:
                 _mul(x[i], y[j], out=t2)
                 _add(crow, t2, out=crow)
-        self._renorm_stack(work, n_terms, m, out)
+        self._renorm_stack(work, n_terms, m, out, top)
 
-    def _mul_double_into(self, x, d, m, out):
+    def _mul_double_into(self, x, d, m, out, top):
         """``x`` times one double plane ``d`` (the long-division helper)."""
         nx = x.shape[0]
         n_limbs, tail, rows, n_terms = _mul_double_layout(nx, m)
         shape = out.shape[1:]
         xs, ds = x.shape[1:], d.shape
-        work, xhi, xlo, xt, dhi, dlo, dt, t1, t2 = self.arena.bundle(
-            ("mul_double", nx, m, shape, xs, ds),
-            (
-                (n_terms, *shape),
-                (n_limbs, *xs),
-                (n_limbs, *xs),
-                xs,
-                ds,
-                ds,
-                ds,
-                shape,
-                shape,
-            ),
+        work, xhi, xlo, xt, dhi, dlo, dt, t1, t2, top = self.arena.carve(
+            top,
+            (n_terms, *shape),
+            (n_limbs, *xs),
+            (n_limbs, *xs),
+            xs,
+            ds,
+            ds,
+            ds,
+            shape,
+            shape,
         )
         for i in range(n_limbs):
             self._split_into(x[i], xhi[i], xlo[i], xt)
@@ -678,9 +626,9 @@ class FusedBackend(GenericBackend):
             )
         if tail:
             _mul(x[m], d, out=work[rows[("t",)]])
-        self._renorm_stack(work, n_terms, m, out)
+        self._renorm_stack(work, n_terms, m, out, top)
 
-    def _sqr_into(self, x, m, out):
+    def _sqr_into(self, x, m, out, top):
         n = x.shape[0]
         steps, corr, rows, n_terms = _sqr_layout(n, m)
         if n_terms == 0:
@@ -691,9 +639,8 @@ class FusedBackend(GenericBackend):
         shape = out.shape[1:]
         xs = x.shape[1:]
         c = min(n, m)
-        work, xhi, xlo, xt, t1, t2, t3 = self.arena.bundle(
-            ("sqr", n, m, shape, xs),
-            ((n_terms, *shape), (c, *xs), (c, *xs), xs, shape, shape, shape),
+        work, xhi, xlo, xt, t1, t2, t3, top = self.arena.carve(
+            top, (n_terms, *shape), (c, *xs), (c, *xs), xs, shape, shape, shape
         )
         for i in range(c):
             self._split_into(x[i], xhi[i], xlo[i], xt)
@@ -734,45 +681,41 @@ class FusedBackend(GenericBackend):
                 _mul(x[i], x[j], out=t2)
                 _add(t2, t2, out=t2)
                 _add(crow, t2, out=crow)
-        self._renorm_stack(work, n_terms, m, out)
+        self._renorm_stack(work, n_terms, m, out, top)
 
     # ------------------------------------------------------------------
     # division / fma / square root
     # ------------------------------------------------------------------
-    def _div_into(self, x, y, m, out):
+    def _div_into(self, x, y, m, out, top):
         nx = x.shape[0]
         shape = out.shape[1:]
-        quot, rem, rem2, md = self.arena.bundle(
-            ("div", nx, m, shape),
-            ((m + 1, *shape), (nx, *shape), (nx, *shape), (nx, *shape)),
+        quot, rem, rem2, md, top = self.arena.carve(
+            top, (m + 1, *shape), (nx, *shape), (nx, *shape), (nx, *shape)
         )
         rem[...] = x
         for k in range(m + 1):
             _div(rem[0], y[0], out=quot[k])
             if k < m:
                 # r = sub(r, mul_double(y, qk, len(r)))
-                self._mul_double_into(y, quot[k], nx, md)
+                self._mul_double_into(y, quot[k], nx, md, top)
                 _neg(md, out=md)
-                self._add_into(rem, md, nx, rem2)
+                self._add_into(rem, md, nx, rem2, top)
                 rem, rem2 = rem2, rem
-        self._renorm_stack(quot, m + 1, m, out)
+        self._renorm_stack(quot, m + 1, m, out, top)
 
-    def _fma_into(self, x, y, z, m, out):
+    def _fma_into(self, x, y, z, m, out, top):
         mt = m + 1 if x.shape[0] >= m else m
         pshape = np.broadcast_shapes(x.shape[1:], y.shape[1:])
-        (prod,) = self.arena.bundle(("fma", mt, pshape), ((mt, *pshape),))
-        self._mul_into(x, y, mt, prod)
-        self._add_into(prod, z, m, out)
+        prod, top = self.arena.carve(top, (mt, *pshape))
+        self._mul_into(x, y, mt, prod, top)
+        self._add_into(prod, z, m, out, top)
 
-    def _sqrt_into(self, x, m, out):
+    def _sqrt_into(self, x, m, out, top):
         shape = x.shape[1:]
-        sf, tmp, yc, one, y2, xy2, resid, corr, ynew, root, root2, err = (
-            self.arena.bundle(
-                ("sqrt", m, shape),
-                (shape, shape) + ((m, *shape),) * 10,
-            )
+        sf, tmp, yc, one, y2, xy2, resid, corr, ynew, root, root2, err, top = (
+            self.arena.carve(top, shape, shape, *((m, *shape),) * 10)
         )
-        (mask,) = self.arena.bundle(("sqrt_mask", shape), (shape,), bool)
+        mask, top = self.arena.carve(top, shape, dtype=np.bool_)
         _eq(x[0], 0.0, out=mask)
         # y0 = 1 / sqrt(where(zero, 1.0, leading))
         _copyto(sf, x[0])
@@ -796,18 +739,18 @@ class FusedBackend(GenericBackend):
                 _copyto(one[row], tmp)
         iters = max(1, math.ceil(math.log2(max(m, 2))) + 1)
         for _ in range(iters):
-            self._sqr_into(yc, m, y2)
-            self._mul_into(x, y2, m, xy2)
-            self._sub_into(one, xy2, m, resid)
-            self._mul_into(yc, resid, m, corr)
+            self._sqr_into(yc, m, y2, top)
+            self._mul_into(x, y2, m, xy2, top)
+            self._sub_into(one, xy2, m, resid, top)
+            self._mul_into(yc, resid, m, corr, top)
             _mul(corr, 0.5, out=corr)  # scale_pow2
-            self._add_into(yc, corr, m, ynew)
+            self._add_into(yc, corr, m, ynew, top)
             yc, ynew = ynew, yc
-        self._mul_into(x, yc, m, root)
+        self._mul_into(x, yc, m, root, top)
         # one Newton correction on the root itself: root += (x - root^2)*y/2
-        self._sqr_into(root, m, root2)
-        self._sub_into(x, root2, m, err)
-        self._mul_into(err, yc, m, corr)
+        self._sqr_into(root, m, root2, top)
+        self._sub_into(x, root2, m, err, top)
+        self._mul_into(err, yc, m, corr, top)
         _mul(corr, 0.5, out=corr)
-        self._add_into(root, corr, m, out)
+        self._add_into(root, corr, m, out, top)
         _copyto(out, 0.0, where=mask)

@@ -1,11 +1,12 @@
-"""The reference execution backend: limb-tuple generic arithmetic.
+"""The oracle execution backend: limb-tuple generic arithmetic.
 
 This backend reproduces what ``MDArray._apply`` did before the backend
 boundary existed: unpack the limb-major stack into a tuple of limb
 views, run the expansion arithmetic of :mod:`repro.md.generic` (every
 EFT step a separate NumPy micro-op with a fresh temporary), then
 broadcast and restack the resulting limbs.  It is the semantics oracle:
-the fused backend must match it bit for bit.
+the default fused backend must match it bit for bit, and
+``REPRO_EXEC_BACKEND=generic`` runs any program on it instead.
 
 At ``m = 1`` it is no longer a call-for-call replay of
 :mod:`repro.md.generic`: a launch whose operands all have one limb runs
@@ -31,7 +32,7 @@ def _limb_tuple(data):
 
 
 class GenericBackend(ExecutionBackend):
-    """Current behavior: per-EFT micro-ops through ``repro.md.generic``."""
+    """The oracle: per-EFT micro-ops through ``repro.md.generic``."""
 
     name = "generic"
 
