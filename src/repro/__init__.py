@@ -23,8 +23,8 @@ see the subpackages for the full API:
   :func:`~repro.series.tracker.track_path`
 * :mod:`repro.batch` — batched multi-system execution (operands with a
   leading batch axis, one launch per ``b`` problems): batched QR /
-  back substitution / least squares / Padé and the lock-step path
-  fleet tracker; lazily exported here as
+  back substitution / least squares / Padé and the path fleet
+  tracker; lazily exported here as
   :func:`~repro.batch.qr.batched_blocked_qr`,
   :func:`~repro.batch.least_squares.batched_least_squares`,
   :func:`~repro.batch.pade.batched_pade` and

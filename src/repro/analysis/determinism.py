@@ -1,7 +1,7 @@
 """``determinism`` — numeric result paths are replayable bit for bit.
 
 Every cross-check in this codebase — scalar vs vectorized, generic vs
-fused, lockstep vs continuous scheduling — asserts **bitwise** equality
+fused, fleet vs one-path-at-a-time tracking — asserts **bitwise** equality
 between two executions.  That only means anything while a numeric
 result depends on nothing but its inputs: no wall clock, no global
 random state, no hash-order iteration.

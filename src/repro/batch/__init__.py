@@ -27,14 +27,9 @@ launch scales linearly — exactly how polynomial-homotopy workloads
   all Hankel systems of a fleet solved in one batched launch sequence;
 * :mod:`repro.batch.fleet` — :func:`~repro.batch.fleet.track_paths`,
   the path *fleet*: batched Newton/Padé steps with per-path adaptive
-  d → dd → qd → od escalation handled by regrouping paths into
-  per-precision sub-batches between steps;
-* :mod:`repro.batch.scheduler` —
-  :class:`~repro.batch.scheduler.FleetScheduler`, the packing policy
-  behind the regrouping: ``continuous`` (default — re-pack survivors
-  after every sub-batch, retire finished paths from the launches
-  immediately) or ``lockstep`` (the historical round barrier); both
-  yield bitwise-identical per-path results.
+  d → dd → qd → od escalation, handled by re-packing the active paths
+  after every sub-batch (the paths at the lowest occupied precision
+  rung advance next, finished paths leave the launches immediately).
 
 The batch-aware analytic accounting lives in
 :func:`repro.perf.costmodel.batched_qr_trace` /
@@ -58,7 +53,6 @@ from .least_squares import (
 )
 from .pade import batched_pade
 from .qr import BatchedQRResult, batched_blocked_qr
-from .scheduler import POLICIES, FleetScheduler
 
 __all__ = [
     "BatchedQRResult",
@@ -70,8 +64,6 @@ __all__ = [
     "batched_least_squares",
     "batched_solve",
     "batched_pade",
-    "FleetScheduler",
-    "POLICIES",
     "PathFleetResult",
     "track_paths",
 ]

@@ -1,4 +1,4 @@
-"""Path fleets: many homotopy paths advanced in scheduled batched steps.
+"""Path fleets: many homotopy paths advanced in batched steps.
 
 This is how the paper's workload is consumed in practice: a polynomial
 homotopy has thousands of solution paths, every one of which needs the
@@ -8,26 +8,22 @@ library's one adaptive-precision step loop, run over a whole *fleet* of
 start points (:func:`repro.series.tracker.track_path` is a fleet of
 one):
 
-* between steps a :class:`~repro.batch.scheduler.FleetScheduler`
-  **re-packs the active paths into per-precision sub-batches** (paths
-  currently at d, dd, qd, od each form one batch); under the default
-  ``continuous`` policy the re-pack happens after *every* sub-batch —
-  a path that finishes retires from the launch immediately and an
-  escalated path joins its new rung mates without waiting for a round
-  barrier — while ``policy="lockstep"`` reproduces the historical
-  round-barrier behavior exactly;
+* after every sub-batch the active paths are **re-packed**: all paths
+  at the lowest occupied precision rung (d, dd, qd, od) form the next
+  sub-batch, so a path that finishes retires from the launches
+  immediately and an escalated path joins its new rung mates at once;
 * each sub-batch advances through one batched step — one
   :func:`~repro.batch.qr.batched_blocked_qr` of all Jacobian heads, one
   batched triangular solve per series order, and **one**
   :func:`~repro.batch.pade.batched_pade` construction covering all
   ``batch × dimension`` solution components — so the kernel launch
-  count per round is flat in the fleet width;
-* under ``continuous`` packing, systems that expose ``residual_fleet``
+  count per sub-batch is flat in the fleet width;
+* systems that expose ``residual_fleet``
   (:class:`~repro.poly.system.PolynomialSystem`,
   :class:`~repro.poly.homotopy.Homotopy`) compute each order's
   residual columns for the whole sub-batch with **one fleet-wide
-  batched series evaluation** over a shared power table, instead of a
-  Python loop of per-path series calls;
+  batched series evaluation** over a shared power table; plain
+  callables are evaluated in a Python loop of per-path series calls;
 * step control, precision escalation (d → dd → qd → od) and Newton
   correction are decided *per path*, with the step-control helpers of
   :mod:`repro.series.tracker`.
@@ -41,7 +37,7 @@ expansion), reported as ``failed``, and removed from the fleet without
 perturbing a single bit of its batch mates.
 
 Fleets of **complex** start points (the native backend of
-``Homotopy(..., backend="complex")``) run the identical lock-step
+``Homotopy(..., backend="complex")``) run the identical batched
 machinery on the separated-plane complex kernels: the ``n`` complex
 variables stay ``n`` (no realification to ``2n``), the batched QR /
 triangular solves / Padé constructions dispatch on
@@ -98,7 +94,6 @@ from .back_substitution import batched_back_substitution
 from .least_squares import batched_least_squares
 from .pade import batched_pade
 from .qr import batched_blocked_qr
-from .scheduler import POLICIES, FleetScheduler
 from .tracing import add_batched_launch
 
 __all__ = ["PathFleetResult", "track_paths"]
@@ -113,9 +108,8 @@ class PathFleetResult:
 
     #: per-path results, in start-point order
     paths: list = field(default_factory=list)
-    #: scheduler rounds executed — under ``lockstep`` each round
-    #: advances every active precision sub-batch once behind a barrier;
-    #: under ``continuous`` every sub-batch is its own round
+    #: sub-batches advanced so far; the ``round`` of each
+    #: ``sub_batches`` record and of the fleet's telemetry events
     rounds: int = 0
     #: one ``(round, precision name, path indices)`` record per
     #: sub-batch advanced — the regrouping history
@@ -124,12 +118,9 @@ class PathFleetResult:
     #: ``sub_batches`` (QR + per-order solves + batched Padé solves)
     round_traces: list = field(default_factory=list)
     #: predicted kernel milliseconds of the whole fleet under batched
-    #: execution (one lock-step launch sequence per sub-batch round)
+    #: execution (one batched launch sequence per sub-batch)
     fleet_model_ms: float = 0.0
     device: str = "V100"
-    #: the packing policy the scheduler ran (see
-    #: :data:`repro.batch.scheduler.POLICIES`)
-    policy: str = "continuous"
 
     @property
     def batch(self) -> int:
@@ -158,11 +149,10 @@ class PathFleetResult:
         """Predicted kernel-time ratio of one-path-at-a-time execution
         over scheduled batched execution.
 
-        Scheduler-aware: ``fleet_model_ms`` prices one batched launch
-        sequence per sub-batch *actually advanced*, at the width the
-        packing policy chose for it — so a policy that keeps launches
-        fuller (fewer, wider sub-batches for the same per-path steps)
-        shows a larger ratio.
+        Packing-aware: ``fleet_model_ms`` prices one batched launch
+        sequence per sub-batch *actually advanced*, at its width — so
+        fuller launches (fewer, wider sub-batches for the same per-path
+        steps) show a larger ratio.
         """
         if self.fleet_model_ms <= 0.0:
             return float("inf") if self.total_model_ms > 0.0 else 1.0
@@ -191,8 +181,8 @@ class PathFleetResult:
         failed = f", {self.failed_count} failed" if self.failed_count else ""
         return (
             f"{self.reached_count}/{self.batch} paths reached t = 1{failed}: "
-            f"{self.rounds} rounds / {len(self.sub_batches)} sub-batches "
-            f"at {self.occupancy:.0%} occupancy under {self.policy} packing "
+            f"{len(self.sub_batches)} sub-batches "
+            f"at {self.occupancy:.0%} occupancy "
             f"(precision {ladder}, {self.escalations} escalations, "
             f"{self.batching_speedup:.2f}x from batching on {self.device})"
         )
@@ -313,7 +303,6 @@ def track_paths(
     bs_tile_size=None,
     correct: bool = True,
     pole_safety=None,
-    policy: str = "continuous",
     device: str = "V100",
     monitor=None,
 ) -> PathFleetResult:
@@ -331,16 +320,15 @@ def track_paths(
     ``system`` with the start points in the second slot
     (``track_paths(homotopy, starts)``) — the residual/Jacobian
     adapters are generated from the object, no hand-written callables
-    required.  Complex start points track natively in ``n`` complex
-    variables on the separated-plane batched kernels.
+    required, and each order's residuals are evaluated fleet-wide
+    through its ``residual_fleet``.  Complex start points track
+    natively in ``n`` complex variables on the separated-plane batched
+    kernels.
 
-    ``policy`` selects how the :class:`~repro.batch.scheduler
-    .FleetScheduler` packs active paths into sub-batches:
-    ``"continuous"`` (default) re-packs after every sub-batch so
-    retired paths leave the launches immediately, ``"lockstep"``
-    reproduces the historical round-barrier schedule exactly.  The
-    policy only changes how work is cut into launches — per-path
-    results are bitwise identical under both.
+    After every sub-batch the active paths are re-packed: the paths at
+    the lowest occupied precision rung advance next, so retired paths
+    leave the launches immediately.  Packing only changes how work is
+    cut into launches — per-path results never depend on it.
 
     ``monitor`` optionally attaches a
     :class:`~repro.obs.live.LiveMonitor` that watches the fleet's
@@ -357,12 +345,13 @@ def track_paths(
     batch mates.
     """
     system, jacobian, starts = resolve_system_arguments(system, jacobian, starts)
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown packing policy {policy!r}; expected one of {POLICIES}"
-        )
-    if not precision_ladder:
+    ladder = [get_precision(p).limbs for p in precision_ladder]
+    if not ladder:
         raise ValueError("the precision ladder must not be empty")
+    if any(low >= high for low, high in zip(ladder, ladder[1:])):
+        raise ValueError(
+            f"precision_ladder must be strictly increasing, got limbs {tuple(ladder)}"
+        )
     if order < 2:
         raise ValueError("path tracking needs series of order >= 2")
     if numerator_degree is None:
@@ -377,7 +366,12 @@ def track_paths(
     for name, value in (("t_start", t_start), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    for name, value in (("tol", tol), ("min_step", min_step)):
+    if t_end < t_start:
+        raise ValueError(f"t_end must be >= t_start = {t_start!r}, got {t_end!r}")
+    positive = [("tol", tol), ("min_step", min_step)]
+    if initial_step is not None:
+        positive.append(("initial_step", initial_step))
+    for name, value in positive:
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if max_steps < 0:
@@ -396,7 +390,6 @@ def track_paths(
     from ..perf.model import PerformanceModel
 
     model = PerformanceModel(device)
-    ladder = [get_precision(p).limbs for p in precision_ladder]
     prec0 = get_precision(ladder[0])
 
     head_lists = [_coerce_start(start, prec0, system) for start in starts]
@@ -417,7 +410,7 @@ def track_paths(
             for heads in head_lists
         ]
 
-    fleet = PathFleetResult(device=device, policy=policy)
+    fleet = PathFleetResult(device=device)
     fleet.paths = [PathResult(device=device) for _ in starts]
     states = []
     for index, heads in enumerate(head_lists):
@@ -425,7 +418,7 @@ def track_paths(
             index=index,
             heads=heads,
             t_current=float(t_start),
-            trial_step=float(initial_step) if initial_step else None,
+            trial_step=float(initial_step) if initial_step is not None else None,
             precisions_used=[prec0.name],
         )
         states.append(state)
@@ -444,23 +437,18 @@ def track_paths(
         t_end=float(t_end),
         order=order,
         tol=tol,
-        policy=policy,
         device=str(device),
     ) as run_span:
-        scheduler = FleetScheduler(states, policy=policy)
         while True:
-            picked = scheduler.next_sub_batch()
-            if picked is None:
+            batch_states = _next_sub_batch(states)
+            if batch_states is None:
                 break
-            batch_states, new_round = picked
-            if new_round:
-                fleet.rounds += 1
+            fleet.rounds += 1
             rung = batch_states[0].rung
             recorder.event(
                 "repack",
                 category="step",
                 round=fleet.rounds,
-                policy=policy,
                 precision=get_precision(ladder[rung]).name,
                 paths=[state.index for state in batch_states],
                 active=sum(1 for state in states if state.active),
@@ -485,7 +473,6 @@ def track_paths(
                 correct=correct,
                 pole_safety=pole_safety,
                 complex_data=complex_data,
-                batched_residuals=policy == "continuous",
                 device=device,
                 model=model,
                 path_step_trace=path_step_trace,
@@ -504,6 +491,16 @@ def track_paths(
                 batching_speedup=fleet.batching_speedup,
             )
     return fleet
+
+
+def _next_sub_batch(states):
+    """The active paths at the lowest occupied precision rung, or
+    ``None`` once the fleet has drained."""
+    active = [state for state in states if state.active]
+    if not active:
+        return None
+    rung = min(state.rung for state in active)
+    return [state for state in active if state.rung == rung]
 
 
 def _advance_sub_batch(
@@ -527,7 +524,6 @@ def _advance_sub_batch(
     correct,
     pole_safety,
     complex_data,
-    batched_residuals,
     device,
     model,
     path_step_trace,
@@ -535,10 +531,10 @@ def _advance_sub_batch(
 ):
     """One batched step attempt for one precision sub-batch.
 
-    With ``batched_residuals`` (the ``continuous`` policy) and a system
-    exposing ``residual_fleet``, each order's residual columns come
-    from one fleet-wide batched series evaluation; otherwise from the
-    historical per-path loop.  Both are bit-identical per path.
+    For a system exposing ``residual_fleet``, each order's residual
+    columns come from one fleet-wide batched series evaluation; a plain
+    callable is evaluated path by path.  Both are bit-identical per
+    path.
     """
     prec = get_precision(ladder[rung])
     limbs = prec.limbs
@@ -572,16 +568,7 @@ def _advance_sub_batch(
     ]
 
     series_cls = ComplexTruncatedSeries if complex_data else TruncatedSeries
-
-    def make_local_system(t0):
-        def local_system(x, s):
-            shifted = TruncatedSeries.variable(s.order, prec, head=t0)
-            return system(x, shifted)
-
-        return local_system
-
-    local_systems = [make_local_system(state.t_current) for state in batch_states]
-    use_fleet_residuals = batched_residuals and hasattr(system, "residual_fleet")
+    fleet_residuals = hasattr(system, "residual_fleet")
 
     solution = _SolutionStore(limbs, batch, n, order, complex_data)
     for p, state in enumerate(batch_states):
@@ -599,7 +586,7 @@ def _advance_sub_batch(
         q_conjugate = vb.batched_conjugate_transpose(qr.Q)
         uppers = qr.R[:, :n, :n]
         for k in range(1, order + 1):
-            if use_fleet_residuals:
+            if fleet_residuals:
                 residual_planes = system.residual_fleet(
                     solution.partial_planes(k),
                     [state.t_current for state in batch_states],
@@ -609,11 +596,12 @@ def _advance_sub_batch(
                 rhs = _batched_residual_columns(residual_planes, k)
             else:
                 rhs_rows = []
-                for p in range(len(batch_states)):
+                for p, state in enumerate(batch_states):
                     partial = [solution.partial(p, i, k) for i in range(n)]
-                    t = series_cls.variable(k, prec)
+                    # the global parameter t_current + s of this path
+                    t = TruncatedSeries.variable(k, prec, head=state.t_current)
                     residuals = _coerce_residual(
-                        local_systems[p](partial, t), n, k, prec, series_cls
+                        system(partial, t), n, k, prec, series_cls
                     )
                     rhs_rows.append(_residual_column(residuals, k))
                 rhs = vb.stack(rhs_rows)

@@ -9,7 +9,7 @@ experiments use (:func:`repro.perf.report.format_table`):
   its ``t``, step size, precision rung, truncation/noise estimates and
   cost, interleaved with the rejected attempts and their escalation
   reasons (the residual trajectory and precision ladder at a glance);
-* :func:`fleet_rounds` — the lock-step rounds of a fleet run: one row
+* :func:`fleet_rounds` — the sub-batch history of a fleet run: one row
   per precision sub-batch with its member paths, plus retirements and
   failures;
 * :func:`top_stages` — the top-k profiled stages by measured
@@ -99,7 +99,7 @@ def path_timeline(source, path=None) -> str:
 
 
 def fleet_rounds(source) -> str:
-    """The lock-step round/regrouping history of a fleet run."""
+    """The sub-batch/regrouping history of a fleet run."""
     rows = []
     for record in source.records:
         if record.name == "sub_batch":
@@ -128,7 +128,7 @@ def fleet_rounds(source) -> str:
     table = _Table(
         description="Fleet rounds: per-precision sub-batches and retirements",
         rows=rows,
-        notes="each advance row is one lock-step batched step attempt for the "
+        notes="each advance row is one batched step attempt for the "
         "listed paths at the listed precision rung",
     )
     return format_table(table)

@@ -636,13 +636,13 @@ def path_fleet_trace(
     device="V100",
     complex_data=False,
 ):
-    """Analytic trace of one lock-step fleet step over ``batch`` paths.
+    """Analytic trace of one batched fleet step over ``batch`` paths.
 
     One batched series Newton expansion (QR of all Jacobian heads plus
     one batched solve per series order) and **one** batched Padé
     construction covering all ``batch * dimension`` solution components
     — the work :func:`repro.batch.fleet.track_paths` performs per
-    precision sub-batch per round.  Compared with ``batch`` repetitions
+    precision sub-batch.  Compared with ``batch`` repetitions
     of :func:`path_step_trace` the flops are identical but the launch
     count is flat in the batch size (and the per-path Padé launches
     collapse into one batched construction, so it is flat in the

@@ -539,8 +539,8 @@ class Homotopy:
         return VectorSeries(MDArray(out)).components()
 
     def residual_fleet(self, coefficients, t_heads, *, trace=None, device="V100"):
-        """Fleet-wide batched residual evaluation for the continuous
-        scheduler (:mod:`repro.batch.scheduler`).
+        """Fleet-wide batched residual evaluation for the path fleet
+        (:func:`repro.batch.fleet.track_paths`).
 
         ``coefficients`` holds every path's unknown series as raw limb
         planes of element shape ``(b, tracking_dimension, K+1)`` — an
@@ -731,7 +731,7 @@ class Homotopy:
         return track_path(self, self.jacobian, self._resolve_start(start), **kwargs)
 
     def track_fleet(self, starts=None, **kwargs):
-        """Track a whole fleet with the lock-step batched
+        """Track a whole fleet with the batched
         :func:`repro.batch.fleet.track_paths`; ``starts`` defaults to
         every seeded start solution.  All keyword arguments — including
         ``monitor=`` for a live :class:`~repro.obs.live.LiveMonitor`

@@ -931,8 +931,8 @@ class PolynomialSystem:
         return weighted.sum(axis=3)
 
     def residual_fleet(self, coefficients, t_heads, *, trace=None, device="V100"):
-        """Fleet-wide batched residual evaluation for the continuous
-        scheduler (:mod:`repro.batch.scheduler`).
+        """Fleet-wide batched residual evaluation for the path fleet
+        (:func:`repro.batch.fleet.track_paths`).
 
         ``coefficients`` holds every path's unknown series as raw limb
         planes of element shape ``(b, n, K+1)``; ``t_heads`` gives the

@@ -206,7 +206,8 @@ def track_path(
     start:
         The solution at ``t = t_start``.
     t_start, t_end:
-        The parameter interval; both must be finite.
+        The parameter interval; both must be finite, with ``t_end >=
+        t_start``.
     order:
         Truncation order of the local series expansions.
     tol:
@@ -214,12 +215,14 @@ def track_path(
         the Padé truncation estimate (step control), half to the
         roundoff-noise estimate (precision control).
     precision_ladder:
-        Limb counts the tracker may escalate through, in order.
+        Limb counts the tracker may escalate through, strictly
+        increasing.
     numerator_degree, denominator_degree:
         Padé degrees ``[L/M]`` (both default to ``(order - 1) // 2`` so
         the defect coefficient is always available).
     initial_step:
-        First trial step (defaults to the full remaining distance).
+        First trial step, finite and positive (``None``, the default,
+        tries the full remaining distance).
     min_step:
         Smallest step the tracker will try before blaming the working
         precision and escalating; finite and positive.

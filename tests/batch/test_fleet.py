@@ -287,6 +287,13 @@ class TestValidation:
             {"t_start": float("-inf")},
             {"t_end": float("nan")},
             {"t_end": float("inf")},
+            {"t_end": -0.5},
+            {"initial_step": -0.1},
+            {"initial_step": 0.0},
+            {"initial_step": float("nan")},
+            {"initial_step": float("inf")},
+            {"precision_ladder": (2, 1)},
+            {"precision_ladder": (2, 2)},
         ],
         ids=str,
     )

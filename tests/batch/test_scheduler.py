@@ -1,17 +1,18 @@
-"""The fleet scheduler: packing policies and their invariants.
+"""The fleet's packing and its invariants.
 
 Two layers of coverage:
 
-* :class:`~repro.batch.scheduler.FleetScheduler` alone, on dummy
-  states — continuous re-packing (min-rung-first, mutations re-read
-  every call), the lockstep barrier snapshot, and policy validation;
-* the policies driving :func:`~repro.batch.fleet.track_paths` —
-  fleets that converge in round zero, all-paths-fail fleets, a single
-  survivor re-packed alone, mid-flight escalation splitting a
-  sub-batch, and the ground rule that **packing never changes
-  per-path results**: both policies reproduce the unbatched reference
-  tracker (``tests/oracles/solo_tracker.py``) bitwise, and ``lockstep``
-  reproduces the recorded pre-scheduler golden fixture limb for limb.
+* the private picker alone, on dummy states — after every sub-batch
+  the active paths at the lowest occupied rung advance next, and
+  retirement and escalation between calls are re-read every call;
+* the packing driving :func:`~repro.batch.fleet.track_paths` — fleets
+  that converge in round zero, all-paths-fail fleets, a single survivor
+  re-packed alone, mid-flight escalation splitting a sub-batch, the one
+  residual dispatch left (fleet-wide ``residual_fleet`` for system
+  objects, the per-path loop for plain callables), and the ground rule
+  that **packing never changes per-path results**: the fleet reproduces
+  the unbatched reference tracker (``tests/oracles/solo_tracker.py``)
+  bitwise, and the recorded cyclic-3 golden fixture limb for limb.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch import POLICIES, FleetScheduler, track_paths
+from repro.batch import track_paths
+from repro.batch.fleet import _next_sub_batch
 from repro.obs import recording
 from repro.poly import Homotopy, cyclic
 
@@ -47,91 +49,44 @@ class DummyState:
 
 
 class TestFleetSchedulerUnit:
-    def test_policies_tuple(self):
-        assert POLICIES == ("lockstep", "continuous")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            FleetScheduler([DummyState(0)], policy="bogus")
+    """The picker alone, on dummy states."""
 
     def test_continuous_picks_lowest_occupied_rung(self):
         states = [DummyState(2), DummyState(0), DummyState(1), DummyState(0)]
-        scheduler = FleetScheduler(states, policy="continuous")
-        batch, new_round = scheduler.next_sub_batch()
-        assert batch == [states[1], states[3]]
-        assert new_round is True
+        assert _next_sub_batch(states) == [states[1], states[3]]
 
     def test_continuous_every_sub_batch_is_a_round(self):
+        """No round barrier: the picker keeps no snapshot, so with
+        nothing mutated every call packs the same full rung again."""
         states = [DummyState(0), DummyState(1)]
-        scheduler = FleetScheduler(states, policy="continuous")
-        _, first = scheduler.next_sub_batch()
+        assert _next_sub_batch(states) == [states[0]]
+        assert _next_sub_batch(states) == [states[0]]
         states[0].active = False
-        _, second = scheduler.next_sub_batch()
-        assert first is True and second is True
+        assert _next_sub_batch(states) == [states[1]]
 
     def test_continuous_rereads_mutations_every_call(self):
-        """The scheduler holds no snapshot: retirement and escalation
-        between calls immediately reshape the next sub-batch."""
+        """Retirement and escalation between calls immediately reshape
+        the next sub-batch."""
         states = [DummyState(0), DummyState(0), DummyState(0)]
-        scheduler = FleetScheduler(states, policy="continuous")
-        batch, _ = scheduler.next_sub_batch()
-        assert batch == states
+        assert _next_sub_batch(states) == states
         states[0].active = False  # retired
         states[1].rung = 1  # escalated
-        batch, _ = scheduler.next_sub_batch()
-        assert batch == [states[2]]
+        assert _next_sub_batch(states) == [states[2]]
         states[2].active = False
-        batch, _ = scheduler.next_sub_batch()
-        assert batch == [states[1]]
+        assert _next_sub_batch(states) == [states[1]]
 
     def test_continuous_drains_to_none(self):
         state = DummyState(0)
-        scheduler = FleetScheduler([state], policy="continuous")
-        assert scheduler.next_sub_batch() is not None
+        assert _next_sub_batch([state]) is not None
         state.active = False
-        assert scheduler.next_sub_batch() is None
-        assert scheduler.next_sub_batch() is None
-
-    def test_lockstep_round_spans_the_barrier_snapshot(self):
-        """One round = one barrier snapshot, partitioned by rung in
-        ladder order; only the first group opens the round."""
-        states = [DummyState(1), DummyState(0), DummyState(1), DummyState(2)]
-        scheduler = FleetScheduler(states, policy="lockstep")
-        batch, new_round = scheduler.next_sub_batch()
-        assert (batch, new_round) == ([states[1]], True)
-        batch, new_round = scheduler.next_sub_batch()
-        assert (batch, new_round) == ([states[0], states[2]], False)
-        batch, new_round = scheduler.next_sub_batch()
-        assert (batch, new_round) == ([states[3]], False)
-        # the round drained: the next call snapshots a fresh barrier
-        batch, new_round = scheduler.next_sub_batch()
-        assert new_round is True
-
-    def test_lockstep_snapshot_is_stale_within_the_round(self):
-        """Mutations mid-round do not reshape the remaining groups —
-        the historical barrier semantics the golden fixture records."""
-        states = [DummyState(0), DummyState(1)]
-        scheduler = FleetScheduler(states, policy="lockstep")
-        scheduler.next_sub_batch()  # rung-0 group
-        states[0].rung = 1  # escalates after its advance...
-        batch, _ = scheduler.next_sub_batch()
-        assert batch == [states[1]]  # ...but this round's rung-1 group
-        # only at the next barrier do the two share a sub-batch
-        batch, new_round = scheduler.next_sub_batch()
-        assert new_round is True and batch == [states[0], states[1]]
-
-    def test_lockstep_drains_to_none(self):
-        states = [DummyState(0, active=False), DummyState(1, active=False)]
-        assert FleetScheduler(states, policy="lockstep").next_sub_batch() is None
+        assert _next_sub_batch([state]) is None
+        assert _next_sub_batch([]) is None
 
 
 class TestTrackPathsPolicies:
-    def test_unknown_policy_rejected_before_tracking(self):
-        with pytest.raises(ValueError, match="bogus"):
-            track_paths(sqrt_system, sqrt_jacobian, [[1.0]], policy="bogus")
+    """The packing driving :func:`~repro.batch.fleet.track_paths`."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_converged_in_round_zero(self, policy):
+    def test_converged_in_round_zero(self):
         """A fleet already at ``t_end`` never schedules a sub-batch."""
         fleet = track_paths(
             sqrt_system,
@@ -139,15 +94,12 @@ class TestTrackPathsPolicies:
             [[1.0], [-1.0]],
             t_start=1.0,
             t_end=1.0,
-            policy=policy,
         )
         assert fleet.rounds == 0 and fleet.sub_batches == []
         assert all(path.reached for path in fleet.paths)
         assert fleet.occupancy == 1.0
-        assert fleet.policy == policy
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_all_paths_fail(self, policy):
+    def test_all_paths_fail(self):
         """When every path dies on a singular solve the fleet stops
         cleanly with no survivor sub-batches after the failures."""
 
@@ -161,14 +113,12 @@ class TestTrackPathsPolicies:
             tol=1e-16,
             order=8,
             max_steps=8,
-            policy=policy,
         )
         assert fleet.failed_count == 2 and fleet.reached_count == 0
         assert all(path.failed and "singular" in path.failure for path in fleet.paths)
         assert len(fleet.sub_batches) == 1  # the one attempt that failed
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_single_survivor_repacked_alone(self, policy):
+    def test_single_survivor_repacked_alone(self):
         """After its batch mate dies, the survivor advances in
         width-one sub-batches and still matches solo tracking."""
 
@@ -185,7 +135,6 @@ class TestTrackPathsPolicies:
             tol=1e-16,
             order=8,
             max_steps=16,
-            policy=policy,
         )
         assert fleet.paths[0].failed
         survivor_batches = [indices for _, _, indices in fleet.sub_batches[1:]]
@@ -205,7 +154,7 @@ class TestTrackPathsPolicies:
 
     def test_od_escalation_splits_a_sub_batch_continuous(self):
         """A mid-flight od escalation pulls the escalating path out of
-        its rung mates' sub-batch: continuous packing drains the dd
+        its rung mates' sub-batch: the packing drains the dd
         rung first (min-rung-first) and the escalated path then
         advances alone through qd and od."""
         # two branches of one factored curve, 43 orders of magnitude
@@ -223,9 +172,7 @@ class TestTrackPathsPolicies:
 
         kwargs = dict(tol=1e-22, order=8, max_steps=3, precision_ladder=(2, 4, 8))
         starts = [[1.0], [V]]
-        fleet = track_paths(
-            split_system, split_jacobian, starts, policy="continuous", **kwargs
-        )
+        fleet = track_paths(split_system, split_jacobian, starts, **kwargs)
         # round 1 packs both paths at dd; the escalation splits them
         assert fleet.sub_batches[0] == (1, "2d", (0, 1))
         split = fleet.sub_batches[1:]
@@ -242,8 +189,7 @@ class TestTrackPathsPolicies:
             reference = solo_track_path(split_system, split_jacobian, start, **kwargs)
             assert_path_matches_reference(path, reference)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_both_policies_match_solo_tracking(self, policy):
+    def test_matches_solo_tracking(self):
         starts = [[1.0, 1.0], [-1.0, -1.0]]
         fleet = track_paths(
             coupled_system,
@@ -252,7 +198,6 @@ class TestTrackPathsPolicies:
             tol=1e-16,
             order=8,
             max_steps=16,
-            policy=policy,
         )
         for start, path in zip(starts, fleet.paths):
             reference = solo_track_path(
@@ -260,28 +205,41 @@ class TestTrackPathsPolicies:
             )
             assert_path_matches_reference(path, reference)
 
-    def test_policies_bitwise_identical_to_each_other(self):
-        kwargs = dict(tol=1e-34, order=8, max_steps=6)
-        starts = [[1.0, 1.0], [-1.0, -1.0]]
-        lockstep = track_paths(
-            coupled_system, coupled_jacobian, starts, policy="lockstep", **kwargs
-        )
-        continuous = track_paths(
-            coupled_system, coupled_jacobian, starts, policy="continuous", **kwargs
-        )
-        for ref, obs in zip(lockstep.paths, continuous.paths):
-            assert obs.steps == ref.steps
-            assert obs.final_t == ref.final_t
-            assert [v.limbs for v in obs.final_point] == [
-                v.limbs for v in ref.final_point
-            ]
+    def test_residual_dispatch(self, monkeypatch):
+        """System objects expand each order's residuals fleet-wide, one
+        ``residual_fleet`` call per order per sub-batch; a plain
+        callable wrapping the same system takes the per-path loop, with
+        equal steps.  Both are bitwise equal, so only a call count
+        notices a lost fast path."""
+        homotopy = Homotopy.total_degree(cyclic(2), seed=7)
+        starts = homotopy.start_solutions()
+        calls = []
+        residual_fleet = Homotopy.residual_fleet
 
-    def test_summary_narrates_the_policy(self):
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return residual_fleet(self, *args, **kwargs)
+
+        monkeypatch.setattr(Homotopy, "residual_fleet", counted)
+        kwargs = dict(tol=1e-8, order=8, max_steps=2, precision_ladder=(2,))
+        fleet = track_paths(homotopy, starts, **kwargs)
+        assert len(calls) == kwargs["order"] * len(fleet.sub_batches) == 16
+
+        calls.clear()
+        plain = track_paths(
+            lambda x, t: homotopy(x, t), homotopy.jacobian, starts, **kwargs
+        )
+        assert calls == []
+        assert [path.steps for path in plain.paths] == [
+            path.steps for path in fleet.paths
+        ]
+
+    def test_summary_narrates_the_packing(self):
         fleet = track_paths(
             sqrt_system, sqrt_jacobian, [[1.0], [-1.0]], tol=1e-8, max_steps=8
         )
         line = fleet.summary()
-        assert "continuous packing" in line
+        assert f"{len(fleet.sub_batches)} sub-batches at" in line
         assert "occupancy" in line
 
     def test_repack_events_and_occupancy_gauge(self):
@@ -291,12 +249,19 @@ class TestTrackPathsPolicies:
             )
         repacks = [r for r in recorder.records if r.name == "repack"]
         assert len(repacks) == len(fleet.sub_batches)
-        assert all(r.fields["policy"] == "continuous" for r in repacks)
+        assert [r.fields["round"] for r in repacks] == [
+            round_ for round_, _, _ in fleet.sub_batches
+        ]
         assert recorder.gauges["fleet_occupancy"] == fleet.occupancy
 
 
-class TestLockstepGoldenFixture:
-    """The recorded pre-scheduler lock-step run, limb for limb."""
+class TestCyclic3GoldenFixture:
+    """The recorded cyclic-3 fleet run, limb for limb.
+
+    The fixture was captured under a round-barrier packing.  With one
+    rung on the ladder every sub-batch carries all six paths, so its
+    schedule (3 sub-batches, all six paths at 2d) is also the schedule
+    of re-packing after every sub-batch."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -312,7 +277,6 @@ class TestLockstepGoldenFixture:
             order=8,
             max_steps=3,
             precision_ladder=(2,),
-            policy="lockstep",
         )
 
     def test_rounds_and_sub_batches(self, golden, fleet):

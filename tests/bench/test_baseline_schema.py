@@ -161,7 +161,8 @@ class TestCommittedBaselines:
             assert check_baselines.validate_baseline(path) == []
 
     def test_fleet_baseline_exists_with_floor(self):
-        """The continuous-scheduler suite ships its first baseline."""
+        """The fleet suite ships a baseline above its floor: fleet-wide
+        ``residual_fleet`` evaluation over the per-path residual loop."""
         payload = json.loads((BENCH_DIR / "BENCH_fleet.json").read_text())
         entry = payload["entries"]["straggler_fleet_b32_dd_od"]
         assert entry["speedup"] >= entry["floor"] == 1.3

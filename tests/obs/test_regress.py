@@ -151,7 +151,8 @@ def test_sparkline():
 
 def history_store(runs, *, entry_mutator=None):
     """A store holding ``runs`` synthetic re-measurements of the
-    committed fleet baseline, each with distinct stamps; the newest run
+    committed fleet baseline, each with distinct stamps (suite-level
+    and per-entry, which take precedence when present); the newest run
     passes through ``entry_mutator`` when given."""
     payload = json.loads((BENCH_DIR / "BENCH_fleet.json").read_text())
     store = TrendStore()
@@ -159,8 +160,10 @@ def history_store(runs, *, entry_mutator=None):
         copy = json.loads(json.dumps(payload))
         copy["git_sha"] = f"{run:040x}"
         copy["updated"] = f"2026-08-{run + 1:02d}T00:00:00Z"
-        if entry_mutator is not None and run == runs - 1:
-            for entry in copy["entries"].values():
+        for entry in copy["entries"].values():
+            entry["git_sha"] = copy["git_sha"]
+            entry["recorded_at"] = copy["updated"]
+            if entry_mutator is not None and run == runs - 1:
                 entry_mutator(entry)
         store.ingest_suite(copy)
     return store
