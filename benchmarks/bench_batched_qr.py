@@ -5,9 +5,12 @@ here: a batch of ``b = 32`` small QR factorizations at double double
 precision must run at least **5×** faster through
 :func:`repro.batch.qr.batched_blocked_qr` (one vectorized limb launch
 sequence for the whole batch) than through a Python loop over
-:func:`repro.core.blocked_qr.blocked_qr` — while producing
-**bit-identical** factors, which is asserted before any timing (a
-speedup over a wrong kernel is worthless).
+:func:`repro.core.blocked_qr.blocked_qr` — each call a batch of one —
+while producing **bit-identical** factors, which is asserted before any
+timing (a speedup over a wrong kernel is worthless).  Since the loop
+runs the same batched driver, that identity checks batch independence;
+the tests pin both against the unbatched oracle
+``tests/oracles/dense.py``.
 
 All floor assertions run in the CI ``perf-smoke`` job (they are *not*
 marked heavy, so ``--quick`` keeps them); the parametrized

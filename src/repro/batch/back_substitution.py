@@ -1,18 +1,20 @@
 """Batched tiled back substitution: ``b`` triangular solves per launch.
 
-Algorithm 1 of the paper (:func:`repro.core.back_substitution.
-tiled_back_substitution`) on a ``(b, dim, dim)`` batch of upper
-triangular systems: all diagonal tiles of **all** systems are inverted
-in one launch, and every stage-2 step advances all ``b`` right-hand
-sides at once.  The launch count is identical to the unbatched driver
-(flat in ``b``); the block counts, tallies and memory traffic scale
-linearly.
+The library's one implementation of Algorithm 1 of the paper, on a
+``(b, dim, dim)`` batch of upper triangular systems
+(:func:`repro.core.back_substitution.tiled_back_substitution` runs it on
+a batch of one): all diagonal tiles of **all** systems are inverted in
+one launch, and every stage-2 step advances all ``b`` right-hand sides
+at once.  The launch count is that of one system (flat in ``b``); the
+block counts, tallies and memory traffic scale linearly.
 
-Per batch slice the arithmetic is bit-identical to the unbatched
-driver.  Unlike the unbatched path, a singular system does **not**
-raise: its divisions produce non-finite entries confined to its own
-batch slice (``finite_systems`` on the result reports which members
-survived), so one bad system cannot take down a fleet.
+Per batch slice the arithmetic is bit-identical to the unbatched tile
+inversion and stage-2 loop kept as the test oracle
+``tests/oracles/dense.py``.  A singular system does **not** raise here
+(the unbatched entry point does): its divisions produce non-finite
+entries confined to its own batch slice (``finite_systems`` on the
+result reports which members survived), so one bad system cannot take
+down a fleet.
 """
 
 from __future__ import annotations
@@ -68,9 +70,12 @@ class BatchedBackSubstitutionResult:
 def batched_invert_upper_triangular(tiles_batch):
     """Invert a ``(b, n, n)`` batch of upper triangular tiles.
 
-    Mirrors :func:`repro.core.tile_inverse.invert_upper_triangular` row
-    by row over the batch (real or complex); a zero diagonal entry
-    yields non-finite entries in that system's slice instead of raising.
+    Stage 1 of Algorithm 1: row ``i`` of every inverse is obtained from
+    rows ``i+1 .. n-1`` with one fused multiply-subtract per previously
+    solved row, then one division by the diagonal entry — the
+    per-thread work of the paper's kernel, where thread ``k`` solves
+    ``U v = e_k``.  Real or complex; a zero diagonal entry yields
+    non-finite entries in that system's slice instead of raising.
     """
     if tiles_batch.ndim != 3 or tiles_batch.shape[1] != tiles_batch.shape[2]:
         raise ValueError("expected a (b, n, n) batch of square tiles")
@@ -107,7 +112,9 @@ def batched_back_substitution(
 ) -> BatchedBackSubstitutionResult:
     """Solve ``U_i x_i = b_i`` for a ``(b, dim, dim)`` batch with
     Algorithm 1; parameters mirror the unbatched driver, ``matrices``
-    and ``rhs`` carry one extra leading batch axis."""
+    and ``rhs`` carry one extra leading batch axis.  Complex matrices
+    take real or complex right-hand sides; real matrices need real
+    ones."""
     batch, dim = _check_inputs(matrices, rhs)
     if tile_size <= 0 or dim % tile_size != 0:
         raise ValueError(f"tile size {tile_size} must divide the dimension {dim}")
@@ -153,6 +160,8 @@ def batched_back_substitution(
             else MDArray.zeros((batch, dim), limbs)
         )
         b = rhs.copy()
+        if complex_data and not isinstance(b, MDComplexArray):
+            b = MDComplexArray(b, MDArray.zeros(b.shape, limbs))
         for i in range(tiles - 1, -1, -1):
             lo, hi = i * n, (i + 1) * n
             # x_i := U_i^{-1} b_i for every system, one block each
@@ -200,6 +209,21 @@ def _check_inputs(matrices, rhs) -> tuple:
     batch, dim = matrices.shape[0], matrices.shape[1]
     if rhs.ndim != 2 or rhs.shape != (batch, dim):
         raise ValueError("right-hand sides must have shape (b, dim)")
-    if matrices.limbs != rhs.limbs:
-        raise ValueError("matrices and right-hand sides must share the precision")
+    _check_rhs(matrices, rhs)
     return batch, dim
+
+
+def _check_rhs(matrices, rhs) -> None:
+    """Right-hand sides must share the matrices' precision, and a
+    complex one needs complex matrices: the real drivers keep their
+    iterates in real arrays."""
+    if matrices.limbs != rhs.limbs:
+        raise ValueError(
+            "matrices and right-hand sides must share the precision, got "
+            f"{matrices.limbs} and {rhs.limbs} limbs"
+        )
+    if isinstance(rhs, MDComplexArray) and not isinstance(matrices, MDComplexArray):
+        raise ValueError(
+            "a complex right-hand side needs a complex matrix; "
+            "promote the matrix to MDComplexArray"
+        )

@@ -385,6 +385,7 @@ def track_paths(
         raise ValueError("start points need at least one component")
     if any(len(start) != n for start in starts):
         raise ValueError("all start points must have the same dimension")
+    resolve_tile_sizes(n, tile_size, bs_tile_size)
 
     from ..perf.costmodel import path_fleet_trace, path_step_trace
     from ..perf.model import PerformanceModel

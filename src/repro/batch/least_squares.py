@@ -3,10 +3,11 @@
 The combination reported in Table 11 of the paper — blocked Householder
 QR plus tiled back substitution — executed over a ``(b, rows, cols)``
 batch of matrices and ``(b, rows)`` right-hand sides, with the two
-phases' traces kept separate exactly like
-:func:`repro.core.least_squares.lstsq`.  Launches stay flat in ``b``;
-every batch slice of the solution is bit-identical to the unbatched
-solver.
+phases' traces kept separate
+(:func:`repro.core.least_squares.lstsq` runs it on a batch of one).
+Launches stay flat in ``b``; every batch slice of the solution is
+bit-identical to the unbatched solver of the test oracle
+``tests/oracles/dense.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..obs.profile import profiled
 from ..vec import batched as vb
 from ..vec.complexmd import MDComplexArray, finite_mask
 from ..vec.mdarray import MDArray
-from .back_substitution import batched_back_substitution
+from .back_substitution import _check_rhs, batched_back_substitution
 from .qr import batched_blocked_qr
 from .tracing import add_batched_launch
 
@@ -72,15 +73,17 @@ def batched_least_squares(
     Parameters mirror :func:`repro.core.least_squares.lstsq`;
     ``matrices`` has shape ``(b, rows, cols)`` (``rows >= cols``, shared
     by the whole batch) and ``rhs`` shape ``(b, rows)``.  Tile defaults
-    resolve through the same rule as the unbatched solver, so the
-    launch sequence (and hence the numerics) match a loop over
-    :func:`~repro.core.least_squares.lstsq` bit for bit.
+    resolve through the same rule for every batch size, so the launch
+    sequence (and hence the numerics) of each slice match solving that
+    system alone bit for bit.  A complex right-hand side needs a
+    complex matrix; both must share the precision.
     """
     if matrices.ndim != 3:
         raise ValueError("batched_least_squares expects a (b, rows, cols) batch")
     batch, rows, cols = matrices.shape
     if rhs.ndim != 2 or rhs.shape != (batch, rows):
         raise ValueError("right-hand sides must have shape (b, rows)")
+    _check_rhs(matrices, rhs)
     tile_size, bs_tile_size = resolve_tile_sizes(cols, tile_size, bs_tile_size)
 
     qr = batched_blocked_qr(matrices, tile_size, device=device)

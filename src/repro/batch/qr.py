@@ -1,19 +1,21 @@
 """Batched blocked Householder QR: ``b`` factorizations per launch.
 
-:func:`batched_blocked_qr` is Algorithm 2 of the paper
-(:func:`repro.core.blocked_qr.blocked_qr`) executed on a
-``(b, rows, cols)`` batch of matrices: every stage — Householder
-vectors, panel updates, WY accumulation, ``Q``/trailing-column updates
-— runs as **one** vectorized limb operation over all ``b`` systems, so
-the kernel launch count is flat in the batch size while the work per
-launch scales linearly (the launch records say exactly that).
+:func:`batched_blocked_qr` is the library's one implementation of
+Algorithm 2 of the paper, executed on a ``(b, rows, cols)`` batch of
+matrices (:func:`repro.core.blocked_qr.blocked_qr` runs it on a batch
+of one): every stage — Householder vectors, panel updates, WY
+accumulation, ``Q``/trailing-column updates — runs as **one**
+vectorized limb operation over all ``b`` systems, so the kernel launch
+count is flat in the batch size while the work per launch scales
+linearly (the launch records say exactly that).
 
-The arithmetic per batch slice is bit-identical to a Python loop over
-the unbatched driver: the batched kernels of :mod:`repro.vec.batched`
-reuse the same generic limb operations and the same pairwise reduction
-trees, and the panel logic below mirrors the unbatched control flow
-statement for statement (there is no data-dependent branching in the
-blocked QR other than the zero-column degeneracy, which
+The arithmetic per batch slice is bit-identical to the unbatched panel
+loop kept as the test oracle ``tests/oracles/dense.py``: the batched
+kernels of :mod:`repro.vec.batched` reuse the same generic limb
+operations and the same pairwise reduction trees, and the panel logic
+below follows the oracle's control flow statement for statement (there
+is no data-dependent branching in the blocked QR other than the
+zero-column degeneracy, which
 :func:`repro.vec.batched.batched_householder_vector` patches per batch
 member).
 
@@ -82,8 +84,8 @@ def batched_blocked_qr(matrices, tile_size, device="V100", trace=None) -> Batche
 
     Parameters mirror :func:`repro.core.blocked_qr.blocked_qr`;
     ``matrices`` carries one extra leading batch axis.  Each batch
-    slice of the result is bit-identical to the unbatched driver on the
-    corresponding matrix.
+    slice of the result is bit-identical to factoring the corresponding
+    matrix alone.
     """
     batch, rows, cols = _check_batch(matrices)
     n = tile_size
@@ -276,9 +278,12 @@ def _batched_accumulate_wy(
 ):
     """WY accumulation over the batch (formula 16, one launch per column).
 
-    Mirrors :func:`repro.core.wy.accumulate_wy` on ``(b, r)`` vectors
-    and ``(b,)`` betas (Hermitian transpose on complex data); each
-    slice is bit-identical to the unbatched accumulation.
+    Aggregates the panel reflectors into ``P_1 ... P_n = I + W Y^H``
+    [Bischof & Van Loan 1987] from ``(b, r)`` vectors and ``(b,)``
+    betas, with the columns of ``W`` following formula (16) of the
+    paper, ``z = -beta (v + W Y^H v)`` (Hermitian transpose on complex
+    data); each slice is bit-identical to the unbatched accumulation
+    of the test oracle ``tests/oracles/dense.py``.
     """
     r = vectors[0].shape[1]
     n = len(vectors)

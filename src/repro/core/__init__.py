@@ -8,6 +8,14 @@
   solver of Table 11.
 * :mod:`repro.core.baseline` — unblocked QR, classical back
   substitution and the double precision NumPy reference.
+
+The three drivers are each a batch of one over :mod:`repro.batch`, which
+holds the library's one implementation of Algorithms 1 and 2: they run
+the batched driver on a leading batch axis of 1 and return slice 0.
+Unlike the batched drivers, the triangular solves here raise
+``ZeroDivisionError`` on a zero diagonal entry.  The unbatched code the
+batched drivers were built from is the test oracle
+``tests/oracles/dense.py``.
 """
 
 from . import baseline, normal_equations, stages
@@ -17,11 +25,9 @@ from .back_substitution import (
     tiled_back_substitution,
 )
 from .blocked_qr import QRResult, blocked_qr
-from .householder import apply_reflector_left, householder_vector, reflector_matrix
 from .least_squares import LeastSquaresResult, lstsq, solve
 from .normal_equations import cholesky_factor, solve_normal_equations
-from .tile_inverse import invert_upper_triangular, solve_upper_triangular_dense
-from .wy import accumulate_wy, wy_product
+from .tile_inverse import solve_upper_triangular_dense
 
 __all__ = [
     "blocked_qr",
@@ -32,13 +38,7 @@ __all__ = [
     "lstsq",
     "solve",
     "LeastSquaresResult",
-    "householder_vector",
-    "apply_reflector_left",
-    "reflector_matrix",
-    "invert_upper_triangular",
     "solve_upper_triangular_dense",
-    "accumulate_wy",
-    "wy_product",
     "cholesky_factor",
     "solve_normal_equations",
     "baseline",

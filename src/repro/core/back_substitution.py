@@ -8,11 +8,15 @@ and updating every remaining right-hand side block
 ``b_j := b_j - A_{j,i} x_i`` with one block each, for a total of
 ``1 + N(N+1)/2`` kernel launches.
 
-The implementation really performs the arithmetic (on
-:class:`~repro.vec.mdarray.MDArray` / complex data) and simultaneously
-records one :class:`~repro.gpu.kernel.KernelLaunch` per (simulated)
-kernel with the operation tally and global memory traffic the paper's
-instrumentation would report.
+:func:`tiled_back_substitution` is a batch of one: it runs
+:func:`repro.batch.back_substitution.batched_back_substitution`, the
+library's one implementation of Algorithm 1, on a leading batch axis of
+1 and returns slice 0.  That driver performs the arithmetic (on
+:class:`~repro.vec.mdarray.MDArray` / complex data) and records one
+:class:`~repro.gpu.kernel.KernelLaunch` per (simulated) kernel with the
+operation tally and global memory traffic the paper's instrumentation
+would report.  Where the batched driver lets a singular system poison
+its own slice, this entry point raises ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -20,12 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..obs.profile import profiled
-from ..vec.complexmd import MDComplexArray
-from ..vec.mdarray import MDArray
-from . import stages
-from .tile_inverse import invert_upper_triangular
+from .tile_inverse import check_nonsingular
 
 __all__ = [
     "BackSubstitutionResult",
@@ -90,7 +90,8 @@ def tiled_back_substitution(matrix, rhs, tile_size, device="V100", trace=None):
         Upper triangular ``(dim, dim)`` multiple double matrix (real or
         complex).  Entries below the diagonal are ignored.
     rhs:
-        Right-hand side of length ``dim``.
+        Right-hand side of length ``dim``; real on a real matrix, real
+        or complex on a complex one.
     tile_size:
         Size ``n`` of the diagonal tiles; must divide ``dim``.
     device:
@@ -102,83 +103,25 @@ def tiled_back_substitution(matrix, rhs, tile_size, device="V100", trace=None):
     Returns
     -------
     BackSubstitutionResult
+
+    Raises
+    ------
+    ZeroDivisionError
+        When a diagonal entry of ``matrix`` has a zero leading limb.
     """
-    dim = _check_inputs(matrix, rhs)
-    if tile_size <= 0 or dim % tile_size != 0:
-        raise ValueError(f"tile size {tile_size} must divide the dimension {dim}")
-    n = tile_size
-    tiles = dim // n
-    complex_data = isinstance(matrix, MDComplexArray)
-    limbs = matrix.limbs
-    if trace is None:
-        trace = KernelTrace(device, label=f"back substitution dim={dim} {n}x{tiles}")
+    from ..batch.back_substitution import batched_back_substitution
 
-    # ------------------------------------------------------------------
-    # stage 1: invert all diagonal tiles (one launch, N blocks of n threads)
-    # ------------------------------------------------------------------
-    inverses = []
-    for i in range(tiles):
-        lo, hi = i * n, (i + 1) * n
-        inverses.append(invert_upper_triangular(matrix[lo:hi, lo:hi]))
-    trace.add(
-        "invert_tiles",
-        stages.STAGE_INVERT_TILES,
-        blocks=tiles,
-        threads_per_block=n,
-        limbs=limbs,
-        tally=stages.tally_tile_inverse(n, complex_data).scaled(tiles),
-        bytes_read=md_bytes(tiles * n * n, limbs, complex_data),
-        bytes_written=md_bytes(tiles * n * n, limbs, complex_data),
-        efficiency=TILE_INVERSION_EFFICIENCY,
+    bs = batched_back_substitution(
+        matrix.reshape(1, *matrix.shape),
+        rhs.reshape(1, *rhs.shape),
+        tile_size,
+        device=device,
+        trace=trace,
     )
-
-    # ------------------------------------------------------------------
-    # stage 2: back substitution over the tiles
-    # ------------------------------------------------------------------
-    x = (
-        MDComplexArray.zeros((dim,), limbs)
-        if complex_data
-        else MDArray.zeros((dim,), limbs)
+    check_nonsingular(matrix)
+    return BackSubstitutionResult(
+        x=bs.x[0], trace=bs.trace, tile_size=bs.tile_size, tiles=bs.tiles
     )
-    b = rhs.copy()
-    from ..vec import linalg  # local import to avoid cycles at module load
-
-    for i in range(tiles - 1, -1, -1):
-        lo, hi = i * n, (i + 1) * n
-        # x_i := U_i^{-1} b_i, one block of n threads
-        xi = linalg.matvec(inverses[i], b[lo:hi])
-        x[lo:hi] = xi
-        trace.add(
-            "multiply_inverse",
-            stages.STAGE_MULTIPLY_INVERSE,
-            blocks=1,
-            threads_per_block=n,
-            limbs=limbs,
-            tally=stages.tally_matvec(n, n, complex_data),
-            bytes_read=md_bytes(n * n + n, limbs, complex_data),
-            bytes_written=md_bytes(n, limbs, complex_data),
-            efficiency=BS_MULTIPLY_EFFICIENCY,
-        )
-        # b_j := b_j - A_{j,i} x_i for all j < i simultaneously, one launch
-        # with i-1 blocks of n threads (Algorithm 1, step 2b)
-        if i > 0:
-            for j in range(i):
-                jlo, jhi = j * n, (j + 1) * n
-                update = linalg.matvec(matrix[jlo:jhi, lo:hi], xi)
-                b[jlo:jhi] = b[jlo:jhi] - update
-            trace.add(
-                "update_rhs",
-                stages.STAGE_BACK_SUBSTITUTION,
-                blocks=i,
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_update_rhs(n, complex_data).scaled(i),
-                bytes_read=md_bytes(i * (n * n + 2 * n), limbs, complex_data),
-                bytes_written=md_bytes(i * n, limbs, complex_data),
-                efficiency=BS_UPDATE_EFFICIENCY,
-            )
-
-    return BackSubstitutionResult(x=x, trace=trace, tile_size=n, tiles=tiles)
 
 
 def solve_upper_triangular(matrix, rhs, tile_size=None, device="V100", trace=None):
@@ -188,9 +131,8 @@ def solve_upper_triangular(matrix, rhs, tile_size=None, device="V100", trace=Non
     of the dimension (rounded to a divisor) is chosen, mirroring the
     paper's observation that the two stages balance when ``n ~ N``.
     """
-    dim = _check_inputs(matrix, rhs)
     if tile_size is None:
-        tile_size = _default_tile_size(dim)
+        tile_size = _default_tile_size(matrix.shape[0])
     return tiled_back_substitution(matrix, rhs, tile_size, device=device, trace=trace).x
 
 
@@ -201,13 +143,3 @@ def _default_tile_size(dim: int) -> int:
         if dim % candidate == 0 and abs(candidate - target) < abs(best - target):
             best = candidate
     return best
-
-
-def _check_inputs(matrix, rhs) -> int:
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("the coefficient matrix must be square")
-    if rhs.ndim != 1 or rhs.shape[0] != matrix.shape[0]:
-        raise ValueError("right-hand side length does not match the matrix")
-    if matrix.limbs != rhs.limbs:
-        raise ValueError("matrix and right-hand side must share the precision")
-    return matrix.shape[0]

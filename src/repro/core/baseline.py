@@ -18,11 +18,11 @@ import numpy as np
 
 from ..gpu.kernel import KernelTrace
 from ..gpu.memory import md_bytes
+from ..vec import batched as vb
 from ..vec import linalg
 from ..vec.complexmd import MDComplexArray
 from ..vec.mdarray import MDArray
 from . import stages
-from .householder import householder_vector
 from .tile_inverse import solve_upper_triangular_dense
 
 __all__ = [
@@ -55,7 +55,8 @@ def unblocked_householder_qr(matrix, device="V100", trace=None):
 
     for j in range(cols):
         length = rows - j
-        v, beta, _ = householder_vector(R[j:rows, j])
+        v, beta, _ = vb.batched_householder_vector(R[j:rows, j].reshape(1, length))
+        v, beta = v[0], beta[0]
         trace.add(
             "householder",
             stages.STAGE_BETA_V,

@@ -10,8 +10,11 @@ updated with matrix-matrix products (stages ``Q*WY^T``, ``YWT*C``) and
 matrix additions (``Q + QWY``, ``R + YWTC``) — the staging, the stage
 names and the kernel launch geometry follow Section 3 of the paper.
 
-The numerics are executed for real on limb-major multiple double
-arrays; every (simulated) kernel is recorded in a
+:func:`blocked_qr` is a batch of one: it runs
+:func:`repro.batch.qr.batched_blocked_qr`, the library's one
+implementation of Algorithm 2, on a leading batch axis of 1 and returns
+slice 0.  The numerics are executed for real on limb-major multiple
+double arrays; every (simulated) kernel is recorded in a
 :class:`~repro.gpu.kernel.KernelTrace` with its operation tally and
 memory traffic so the performance model can attribute times at any
 device, and so the per-stage breakdown of the paper's tables can be
@@ -23,14 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..obs.profile import profiled
-from ..vec import linalg
-from ..vec.complexmd import MDComplexArray
-from ..vec.mdarray import MDArray
-from . import stages
-from .householder import householder_vector
-from .wy import accumulate_wy, wy_product
 
 __all__ = ["QRResult", "blocked_qr"]
 
@@ -73,165 +69,11 @@ def blocked_qr(matrix, tile_size, device="V100", trace=None):
     QRResult with ``Q`` of shape ``(M, M)`` and ``R`` of shape
     ``(M, cols)`` (upper triangular).
     """
-    rows, cols = _check_matrix(matrix)
-    n = tile_size
-    if n <= 0 or cols % n != 0:
-        raise ValueError(f"tile size {tile_size} must divide the column count {cols}")
-    tiles = cols // n
-    complex_data = isinstance(matrix, MDComplexArray)
-    limbs = matrix.limbs
-    if trace is None:
-        trace = KernelTrace(device, label=f"blocked QR {rows}x{cols}, {tiles}x{n}")
+    from ..batch.qr import batched_blocked_qr
 
-    R = matrix.copy()
-    Q = linalg.identity(rows, limbs, complex_data=complex_data)
-
-    for k in range(tiles):
-        col0 = k * n
-        r = rows - col0  # panel height, from the diagonal block downwards
-
-        # --------------------------------------------------------------
-        # 1. panel factorization: Householder vectors column by column
-        # --------------------------------------------------------------
-        vectors, betas = [], []
-        for l in range(n):
-            j = col0 + l
-            length = rows - j
-            column = R[j:rows, j]
-            v, beta, _ = householder_vector(column)
-            trace.add(
-                "householder",
-                stages.STAGE_BETA_V,
-                blocks=max(1, -(-length // n)),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_householder_vector(length, complex_data),
-                bytes_read=md_bytes(length, limbs, complex_data),
-                bytes_written=md_bytes(length + 1, limbs, complex_data),
-            )
-
-            # t = beta * (panel block)^H v   (stage beta*R^T*v)
-            panel_cols = col0 + n - j
-            block = R[j:rows, j : col0 + n]
-            if complex_data:
-                t = linalg.matvec(linalg.transpose(block), v.conj())
-            else:
-                t = linalg.matvec(linalg.transpose(block), v)
-            w = t * beta
-            tally_matvec = stages.tally_matvec(panel_cols, length, complex_data)
-            tally_scale = stages.tally_matvec(panel_cols, 1, complex_data)
-            trace.add(
-                "beta_rtv",
-                stages.STAGE_BETA_RTV,
-                blocks=max(1, -(-length // n)),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=tally_matvec + tally_scale,
-                bytes_read=md_bytes(length * panel_cols + length, limbs, complex_data),
-                bytes_written=md_bytes(panel_cols, limbs, complex_data),
-            )
-
-            # rank-1 update of the panel (stage update R)
-            R[j:rows, j : col0 + n] = block - linalg.outer(v, w)
-            trace.add(
-                "update_r",
-                stages.STAGE_UPDATE_R,
-                blocks=max(1, panel_cols),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_rank1_update(length, panel_cols, complex_data),
-                bytes_read=md_bytes(length * panel_cols + length + panel_cols, limbs, complex_data),
-                bytes_written=md_bytes(length * panel_cols, limbs, complex_data),
-            )
-
-            # the reflector annihilates the subdiagonal of column j exactly
-            if length > 1:
-                zero_tail = (
-                    MDComplexArray.zeros((length - 1,), limbs)
-                    if complex_data
-                    else MDArray.zeros((length - 1,), limbs)
-                )
-                R[j + 1 : rows, j] = zero_tail
-
-            # embed v into the panel-height vector stored in Y
-            padded = (
-                MDComplexArray.zeros((r,), limbs)
-                if complex_data
-                else MDArray.zeros((r,), limbs)
-            )
-            padded[l:] = v
-            vectors.append(padded)
-            betas.append(beta)
-
-        # --------------------------------------------------------------
-        # 2. aggregate the panel reflectors: W, Y and YWT = Y W^H
-        # --------------------------------------------------------------
-        W, Y = accumulate_wy(vectors, betas, trace=trace, threads_per_block=n)
-        YWT = wy_product(W, Y, trace=trace, threads_per_block=n)
-
-        # --------------------------------------------------------------
-        # 3. update Q in two stages: QWY := Q * WY^H, then Q += QWY
-        # --------------------------------------------------------------
-        WYH = linalg.conjugate_transpose(YWT)
-        QWY = linalg.matmul(Q[:, col0:rows], WYH)
-        trace.add(
-            "q_wyt",
-            stages.STAGE_QWYT,
-            blocks=max(1, -(-(rows * r) // n)),
-            threads_per_block=n,
-            limbs=limbs,
-            tally=stages.tally_matmul(rows, r, r, complex_data),
-            bytes_read=md_bytes(rows * r + r * r, limbs, complex_data),
-            bytes_written=md_bytes(rows * r, limbs, complex_data),
-        )
-        Q[:, col0:rows] = Q[:, col0:rows] + QWY
-        trace.add(
-            "q_add",
-            stages.STAGE_Q_ADD,
-            blocks=max(1, -(-(rows * r) // n)),
-            threads_per_block=n,
-            limbs=limbs,
-            tally=stages.tally_matrix_add(rows, r, complex_data),
-            bytes_read=md_bytes(2 * rows * r, limbs, complex_data),
-            bytes_written=md_bytes(rows * r, limbs, complex_data),
-        )
-
-        # --------------------------------------------------------------
-        # 4. update the trailing columns: YWTC := YWT * C, then R += YWTC
-        # --------------------------------------------------------------
-        if k < tiles - 1:
-            c = cols - (col0 + n)
-            C = R[col0:rows, col0 + n : cols]
-            YWTC = linalg.matmul(YWT, C)
-            trace.add(
-                "ywt_c",
-                stages.STAGE_YWTC,
-                blocks=max(1, -(-(r * c) // n)),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_matmul(r, r, c, complex_data),
-                bytes_read=md_bytes(r * r + r * c, limbs, complex_data),
-                bytes_written=md_bytes(r * c, limbs, complex_data),
-            )
-            R[col0:rows, col0 + n : cols] = C + YWTC
-            trace.add(
-                "r_add",
-                stages.STAGE_R_ADD,
-                blocks=max(1, -(-(r * c) // n)),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_matrix_add(r, c, complex_data),
-                bytes_read=md_bytes(2 * r * c, limbs, complex_data),
-                bytes_written=md_bytes(r * c, limbs, complex_data),
-            )
-
-    return QRResult(Q=Q, R=R, trace=trace, tile_size=n, tiles=tiles)
-
-
-def _check_matrix(matrix) -> tuple:
-    if matrix.ndim != 2:
-        raise ValueError("blocked_qr expects a matrix")
-    rows, cols = matrix.shape
-    if rows < cols:
-        raise ValueError("blocked_qr expects rows >= cols (least squares shape)")
-    return rows, cols
+    qr = batched_blocked_qr(
+        matrix.reshape(1, *matrix.shape), tile_size, device=device, trace=trace
+    )
+    return QRResult(
+        Q=qr.Q[0], R=qr.R[0], trace=qr.trace, tile_size=qr.tile_size, tiles=qr.tiles
+    )

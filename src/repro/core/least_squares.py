@@ -5,20 +5,23 @@ triangular solve ``R x = Q^H b``, the combination reported in Table 11
 of the paper.  The kernel traces of the two phases are kept separate
 (the paper reports "QR" and "BS" rows independently) and are also
 available combined.
+
+:func:`lstsq` is a batch of one: it runs
+:func:`repro.batch.least_squares.batched_least_squares` on a leading
+batch axis of 1 and returns slice 0.  This module keeps the tile-size
+rule (:func:`resolve_tile_sizes`) that every dense solver and its
+cost-model twin share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..obs.profile import profiled
 from ..vec import linalg
-from ..vec.complexmd import MDComplexArray
-from .back_substitution import tiled_back_substitution
-from .blocked_qr import blocked_qr
-from . import stages
+from .tile_inverse import check_nonsingular
 
 __all__ = ["LeastSquaresResult", "lstsq", "solve", "resolve_tile_sizes"]
 
@@ -59,7 +62,8 @@ def lstsq(matrix, rhs, tile_size=None, bs_tile_size=None, device="V100"):
     matrix:
         ``(M, p)`` real or complex multiple double matrix, ``M >= p``.
     rhs:
-        Right-hand side of length ``M``.
+        Right-hand side of length ``M``, of the matrix's precision; real
+        on a real matrix, real or complex on a complex one.
     tile_size:
         Panel width of the QR factorization (defaults to ``p // 8`` as in
         the paper's 1,024 = 8 x 128 runs, clamped to at least 1 and to a
@@ -68,40 +72,31 @@ def lstsq(matrix, rhs, tile_size=None, bs_tile_size=None, device="V100"):
         Tile size of the back substitution (defaults to ``tile_size``).
     device:
         Simulated device for both traces.
+
+    Raises
+    ------
+    ZeroDivisionError
+        When a diagonal entry of ``R`` has a zero leading limb, as for
+        a matrix with a zero column.
     """
-    rows, cols = matrix.shape
-    if rhs.shape[0] != rows:
-        raise ValueError("right-hand side length does not match the matrix")
-    tile_size, bs_tile_size = resolve_tile_sizes(cols, tile_size, bs_tile_size)
+    from ..batch.least_squares import batched_least_squares
 
-    qr = blocked_qr(matrix, tile_size, device=device)
-
-    bs_trace = KernelTrace(device, label=f"least squares back substitution dim={cols}")
-    complex_data = isinstance(matrix, MDComplexArray)
-    qhb = linalg.matvec(linalg.conjugate_transpose(qr.Q), rhs)
-    bs_trace.add(
-        "apply_qt",
-        STAGE_APPLY_QT,
-        blocks=max(1, -(-rows // tile_size)),
-        threads_per_block=tile_size,
-        limbs=matrix.limbs,
-        tally=stages.tally_matvec(rows, rows, complex_data),
-        bytes_read=md_bytes(rows * rows + rows, matrix.limbs, complex_data),
-        bytes_written=md_bytes(rows, matrix.limbs, complex_data),
-    )
-
-    upper = qr.R[:cols, :cols]
-    bs = tiled_back_substitution(
-        upper, qhb[:cols], bs_tile_size, device=device, trace=bs_trace
-    )
-
-    return LeastSquaresResult(
-        x=bs.x,
-        Q=qr.Q,
-        R=qr.R,
-        qr_trace=qr.trace,
-        bs_trace=bs.trace,
+    solution = batched_least_squares(
+        matrix.reshape(1, *matrix.shape),
+        rhs.reshape(1, *rhs.shape),
         tile_size=tile_size,
+        bs_tile_size=bs_tile_size,
+        device=device,
+    )
+    cols = matrix.shape[1]
+    check_nonsingular(solution.R[0, :cols, :cols])
+    return LeastSquaresResult(
+        x=solution.x[0],
+        Q=solution.Q[0],
+        R=solution.R[0],
+        qr_trace=solution.qr_trace,
+        bs_trace=solution.bs_trace,
+        tile_size=solution.tile_size,
     )
 
 
@@ -131,7 +126,12 @@ def resolve_tile_sizes(cols: int, tile_size=None, bs_tile_size=None) -> tuple:
     series solvers (:mod:`repro.series`) and their analytic cost-model
     twins (:mod:`repro.perf.costmodel`) — keeping it in one place is
     what preserves the launch-identical numeric/analytic contract.
+    A given tile size must be a positive integer (``ValueError``
+    otherwise); whether it divides ``cols`` is left to the drivers.
     """
+    for name, value in (("tile_size", tile_size), ("bs_tile_size", bs_tile_size)):
+        if value is not None and (not isinstance(value, Integral) or value < 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if tile_size is None:
         tile_size = _default_tile_size(cols)
     if bs_tile_size is None:

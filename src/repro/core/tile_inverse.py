@@ -1,15 +1,12 @@
-"""Inversion of upper triangular tiles (stage 1 of Algorithm 1).
+"""Direct triangular solves and the nonsingularity test of Algorithm 1.
 
-Every diagonal tile of the tiled back substitution is replaced by its
-inverse before the substitution proper starts; on the GPU one block of
-``n`` threads handles one tile and the ``k``-th thread solves the upper
-triangular system ``U v = e_k`` for the ``k``-th unit vector, so all
-columns of the inverse are computed independently.  The vectorized
-implementation below solves all columns simultaneously: row ``i`` of the
-inverse is obtained from rows ``i+1 .. n-1`` with one fused
-multiply-subtract per previously solved row followed by one division by
-the diagonal entry, which is exactly the per-thread work of the paper's
-kernel.
+Stage 1 of the tiled back substitution replaces every diagonal tile by
+its inverse; that inversion is implemented once, over a batch of tiles,
+by :func:`repro.batch.back_substitution.batched_invert_upper_triangular`
+(its unbatched form lives on as a test oracle).  What stays here is the
+row-oriented direct solve of the classical baseline and the test that
+decides when an unbatched triangular solve raises: a zero leading limb
+on the diagonal.
 """
 
 from __future__ import annotations
@@ -20,34 +17,7 @@ from ..vec import linalg
 from ..vec.complexmd import MDComplexArray
 from ..vec.mdarray import MDArray
 
-__all__ = ["invert_upper_triangular", "solve_upper_triangular_dense"]
-
-
-def invert_upper_triangular(tile):
-    """Invert an upper triangular tile in multiple double precision.
-
-    The diagonal entries must be nonzero (the paper's test matrices are
-    generated well conditioned, see
-    :func:`repro.vec.random.random_well_conditioned_upper_triangular`).
-    """
-    n = _check_square(tile)
-    complex_data = isinstance(tile, MDComplexArray)
-    inverse = (
-        MDComplexArray.zeros((n, n), tile.limbs)
-        if complex_data
-        else MDArray.zeros((n, n), tile.limbs)
-    )
-    identity = linalg.identity(n, tile.limbs, complex_data=complex_data)
-    for i in range(n - 1, -1, -1):
-        rhs = identity[i, :]
-        if i < n - 1:
-            # subtract U[i, i+1:] times the already computed rows
-            contribution = linalg.matvec(
-                linalg.transpose(inverse[i + 1 :, :]), tile[i, i + 1 :]
-            )
-            rhs = rhs - contribution
-        inverse[i, :] = rhs / tile[i, i]
-    return inverse
+__all__ = ["solve_upper_triangular_dense", "check_nonsingular"]
 
 
 def solve_upper_triangular_dense(tile, rhs):
@@ -70,10 +40,20 @@ def solve_upper_triangular_dense(tile, rhs):
     return x
 
 
+def check_nonsingular(upper) -> None:
+    """Raise ``ZeroDivisionError`` when a diagonal entry of the square
+    triangular matrix ``upper`` has a zero leading limb.
+
+    The batched drivers let such a system poison its own batch slice
+    with non-finite entries; the unbatched entry points raise instead.
+    """
+    head = upper.to_complex() if isinstance(upper, MDComplexArray) else upper.to_double()
+    if np.any(np.diag(head) == 0.0):
+        raise ZeroDivisionError("singular triangular factor: zero on the diagonal")
+
+
 def _check_square(tile) -> int:
     if tile.ndim != 2 or tile.shape[0] != tile.shape[1]:
         raise ValueError("expected a square tile")
-    head = tile.to_complex() if isinstance(tile, MDComplexArray) else tile.to_double()
-    if np.any(np.diag(head) == 0.0):
-        raise ZeroDivisionError("singular tile: zero on the diagonal")
+    check_nonsingular(tile)
     return tile.shape[0]

@@ -48,7 +48,8 @@ def _ceil_div(a: int, b: int) -> int:
 def qr_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False, trace=None):
     """Analytic trace of Algorithm 2 (blocked Householder QR).
 
-    Mirrors :func:`repro.core.blocked_qr.blocked_qr` launch for launch.
+    Mirrors :func:`repro.core.blocked_qr.blocked_qr` launch for launch,
+    that is :func:`repro.batch.qr.batched_blocked_qr` at batch 1.
     """
     if rows < cols:
         raise ValueError("expected rows >= cols")
@@ -177,7 +178,9 @@ def qr_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False, tr
 def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data=False, trace=None):
     """Analytic trace of Algorithm 1 (tiled back substitution).
 
-    Mirrors :func:`repro.core.back_substitution.tiled_back_substitution`.
+    Mirrors :func:`repro.core.back_substitution.tiled_back_substitution`,
+    that is :func:`repro.batch.back_substitution.batched_back_substitution`
+    at batch 1.
     """
     n = tile_size
     if n <= 0 or tiles <= 0:
@@ -226,8 +229,10 @@ def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data
 def lstsq_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False):
     """Analytic traces of the least squares solver (QR trace, BS trace).
 
-    Mirrors :func:`repro.core.least_squares.lstsq`: the back substitution
-    trace includes the ``Q^H b`` product that links the two phases.
+    Mirrors :func:`repro.core.least_squares.lstsq`, that is
+    :func:`repro.batch.least_squares.batched_least_squares` at batch 1:
+    the back substitution trace includes the ``Q^H b`` product that
+    links the two phases.
     """
     qr = qr_trace(rows, cols, tile_size, limbs, device, complex_data)
     bs = KernelTrace(device, label=f"least squares BS model dim={cols}")

@@ -202,14 +202,18 @@ def batched_householder_vector(x):
     """Householder vectors and betas for a ``(b, n)`` batch of columns.
 
     Returns ``(v, beta, s)`` with ``v`` of shape ``(b, n)`` and
-    ``beta`` of shape ``(b,)`` (always real), such that every slice
-    matches :func:`repro.core.householder.householder_vector` on the
-    corresponding column bit for bit — including the zero-column
-    degeneracy, which is patched per batch member (``beta = 0``,
-    ``v = e_1``, ``s = 0``) without disturbing its batch mates.  On
-    complex data the sign choice becomes the phase choice of the core
-    kernel (``s = -phase(x_0) ||x||``), with zero-modulus heads patched
-    to phase 1 per member.
+    ``beta`` of shape ``(b,)`` (always real), such that every reflector
+    ``P_i = I - beta_i v_i v_i^H`` maps column ``x_i`` to ``s_i e_1``
+    with ``beta_i = 2 / (v_i^H v_i)`` — the formulation of Section 3 of
+    the paper, with the sign choice ``s = -sign(x_0) ||x||`` of Golub &
+    Van Loan, Algorithm 5.1.1, so that ``v_0 = x_0 - s`` never cancels.
+    A zero column degenerates to the identity reflector (``beta = 0``,
+    ``v = e_1``, ``s = 0``), patched per batch member without disturbing
+    its batch mates.  On complex data the sign choice becomes a phase
+    choice (``s = -phase(x_0) ||x||``), with zero-modulus heads patched
+    to phase 1 per member.  Every slice matches the unbatched
+    Householder vector of the test oracle ``tests/oracles/dense.py``
+    bit for bit.
     """
     if x.ndim != 2:
         raise ValueError("batched_householder_vector expects a (b, n) batch")
@@ -248,8 +252,7 @@ def batched_householder_vector(x):
 
 
 def _batched_householder_complex(x):
-    """Complex branch of :func:`batched_householder_vector`, mirroring
-    the complex branch of the core kernel per batch member."""
+    """Complex branch of :func:`batched_householder_vector`."""
     b, _ = x.shape
     limbs = x.limbs
 

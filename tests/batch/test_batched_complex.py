@@ -1,10 +1,11 @@
-"""Complex batched kernels: bit-identical per slice to the core complex
-drivers.
+"""Complex batched kernels: bit-identical per slice to the unbatched
+complex drivers.
 
 The batching contract of :mod:`repro.batch`, lifted to complex
-(separated-plane) data: every batched solver slice must equal a loop
-over its unbatched :mod:`repro.core` / :mod:`repro.series` counterpart
-bit for bit — the property the native complex path fleets inherit.
+(separated-plane) data: every batched dense solver slice must equal the
+unbatched dense oracle (``tests/oracles/dense.py``) and every batched
+Padé slice its :mod:`repro.series` counterpart, bit for bit — the
+property the native complex path fleets inherit.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from repro.batch.back_substitution import batched_back_substitution
 from repro.batch.least_squares import batched_least_squares
 from repro.batch.pade import batched_pade
 from repro.batch.qr import batched_blocked_qr
-from repro.core.back_substitution import tiled_back_substitution
-from repro.core.blocked_qr import blocked_qr
-from repro.core.least_squares import lstsq
 from repro.series.complexvec import ComplexTruncatedSeries
 from repro.series.pade import pade
 from repro.vec import batched as vb
 from repro.vec import linalg
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
+
+from ..oracles import dense
 
 BATCH = 4
 
@@ -85,12 +85,10 @@ class TestBatchedComplexLinalg:
             assert batched[i].equals(mats[i].H)
 
     def test_householder_bit_identical(self, rng, climbs):
-        from repro.core.householder import householder_vector
-
         columns = _complex_vectors(5, climbs, rng)
         v, beta, s = vb.batched_householder_vector(vb.stack(columns))
         for i, column in enumerate(columns):
-            v_i, beta_i, s_i = householder_vector(column)
+            v_i, beta_i, s_i = dense.householder_vector(column)
             assert v[i].equals(v_i)
             assert np.array_equal(beta.data[:, i], beta_i.data)
             assert s[i].equals(s_i)
@@ -102,9 +100,7 @@ class TestBatchedComplexLinalg:
         assert np.all(beta.data[:, 1] == 0.0)
         assert complex(v[1].to_scalar(0)) == 1.0
         # the healthy members keep their bits
-        from repro.core.householder import householder_vector
-
-        v_0, beta_0, _ = householder_vector(columns[0])
+        v_0, beta_0, _ = dense.householder_vector(columns[0])
         assert v[0].equals(v_0)
 
 
@@ -113,7 +109,7 @@ class TestBatchedComplexQR:
         mats = _complex_matrices(4, 4, climbs, rng)
         batched = batched_blocked_qr(vb.stack(mats), 2)
         for i, mat in enumerate(mats):
-            solo = blocked_qr(mat, 2)
+            solo = dense.blocked_qr(mat, 2)
             assert batched.Q[i].equals(solo.Q)
             assert batched.R[i].equals(solo.R)
 
@@ -133,7 +129,7 @@ class TestBatchedComplexBackSubstitution:
         batched = batched_back_substitution(vb.stack(uppers), vb.stack(rhs), 2)
         assert batched.finite_systems().all()
         for i in range(BATCH):
-            solo = tiled_back_substitution(uppers[i], rhs[i], 2)
+            solo = dense.tiled_back_substitution(uppers[i], rhs[i], 2)
             assert batched.x[i].equals(solo.x)
 
 
@@ -144,7 +140,7 @@ class TestBatchedComplexLeastSquares:
         batched = batched_least_squares(vb.stack(mats), vb.stack(rhs), tile_size=2)
         assert batched.finite_systems().all()
         for i in range(BATCH):
-            solo = lstsq(mats[i], rhs[i], tile_size=2)
+            solo = dense.lstsq(mats[i], rhs[i], tile_size=2)
             assert batched.x[i].equals(solo.x)
 
     def test_solves_the_systems(self, rng):

@@ -1,16 +1,18 @@
-"""The batched kernels are bit-identical to loops over the unbatched ones."""
+"""The batched kernels are bit-identical to loops over the unbatched ones
+(the Householder kernel to the dense oracle's)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.householder import householder_vector
 from repro.vec import batched as vb
 from repro.vec import linalg
 from repro.vec import random as mdrandom
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
+
+from ..oracles.dense import householder_vector
 
 BATCH = 5
 

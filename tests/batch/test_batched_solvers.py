@@ -2,8 +2,11 @@
 
 Two contracts are pinned here, at every paper precision (d/dd/qd/od):
 
-* **bit-identity** — every batch slice equals the unbatched driver's
-  result limb for limb;
+* **bit-identity** — every batch slice equals the unbatched dense
+  oracle (``tests/oracles/dense.py``) limb for limb.  The
+  :mod:`repro.core` drivers are batches of one, so comparing a slice
+  against them checks only that a slice does not depend on its batch
+  mates;
 * **launch-identity** — the numeric batched traces match the analytic
   batch-aware cost model launch for launch, with the launch count flat
   in the batch size.
@@ -33,9 +36,22 @@ from repro.perf.costmodel import (
 from repro.series import TruncatedSeries, pade
 from repro.vec import batched as vb
 from repro.vec import random as mdrandom
+from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
 
+from ..oracles import dense
+
 BATCH = 4
+
+
+def assert_slice_matches(batched, index, reference, *fields):
+    """Assert that batch slice ``index`` of every named result field
+    equals the unbatched ``reference`` result limb for limb."""
+    for field in fields:
+        got = getattr(batched, field).data[:, index]
+        expected = getattr(reference, field).data
+        if not np.array_equal(got, expected):
+            raise AssertionError(f"slice {index} of {field} differs from the reference")
 
 
 def assert_traces_match(analytic, numeric):
@@ -58,17 +74,14 @@ class TestBatchedQR:
         matrices = [mdrandom.random_matrix(8, 8, limbs, rng) for _ in range(BATCH)]
         result = batched_blocked_qr(vb.stack(matrices), 4)
         for index, matrix in enumerate(matrices):
-            reference = blocked_qr(matrix, 4)
-            assert np.array_equal(result.Q.data[:, index], reference.Q.data)
-            assert np.array_equal(result.R.data[:, index], reference.R.data)
+            assert_slice_matches(result, index, dense.blocked_qr(matrix, 4), "Q", "R")
         assert result.finite_systems().all()
 
     def test_rectangular(self, rng):
         matrices = [mdrandom.random_matrix(10, 6, 2, rng) for _ in range(3)]
         result = batched_blocked_qr(vb.stack(matrices), 3)
         for index, matrix in enumerate(matrices):
-            reference = blocked_qr(matrix, 3)
-            assert np.array_equal(result.R.data[:, index], reference.R.data)
+            assert_slice_matches(result, index, dense.blocked_qr(matrix, 3), "R")
 
     def test_trace_matches_batched_cost_model(self, rng):
         matrices = vb.stack(
@@ -117,8 +130,8 @@ class TestBatchedBackSubstitution:
         rhs = [mdrandom.random_vector(8, limbs, rng) for _ in range(BATCH)]
         result = batched_back_substitution(vb.stack(uppers), vb.stack(rhs), 4)
         for index in range(BATCH):
-            reference = tiled_back_substitution(uppers[index], rhs[index], 4)
-            assert np.array_equal(result.x.data[:, index], reference.x.data)
+            reference = dense.tiled_back_substitution(uppers[index], rhs[index], 4)
+            assert_slice_matches(result, index, reference, "x")
         assert result.finite_systems().all()
 
     def test_trace_matches_batched_cost_model(self, rng):
@@ -157,6 +170,14 @@ class TestBatchedBackSubstitution:
                 MDArray.zeros((2, 4, 4), 2), MDArray.zeros((2, 4), 2), 3
             )
 
+    def test_complex_rhs_on_real_matrices_is_rejected(self, rng):
+        uppers = vb.stack(
+            [mdrandom.random_well_conditioned_upper_triangular(4, 2, rng)] * 2
+        )
+        rhs = MDComplexArray.zeros((2, 4), 2)
+        with pytest.raises(ValueError, match="complex right-hand side"):
+            batched_back_substitution(uppers, rhs, 2)
+
 
 class TestBatchedLeastSquares:
     def test_bit_identical_to_loop(self, rng, limbs):
@@ -164,8 +185,8 @@ class TestBatchedLeastSquares:
         rhs = [mdrandom.random_vector(10, limbs, rng) for _ in range(BATCH)]
         result = batched_least_squares(vb.stack(matrices), vb.stack(rhs))
         for index in range(BATCH):
-            reference = lstsq(matrices[index], rhs[index])
-            assert np.array_equal(result.x.data[:, index], reference.x.data)
+            reference = dense.lstsq(matrices[index], rhs[index])
+            assert_slice_matches(result, index, reference, "x")
             assert result.tile_size == reference.tile_size
 
     def test_traces_match_batched_cost_model(self, rng):
@@ -180,6 +201,60 @@ class TestBatchedLeastSquares:
         assert numeric.combined_trace.kernel_launch_count == len(qr_model) + len(
             bs_model
         )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tile_size": 0}, {"tile_size": -1}, {"bs_tile_size": 0}],
+        ids=str,
+    )
+    def test_tile_sizes_must_be_positive(self, kwargs, rng):
+        (name,) = kwargs
+        matrices = vb.stack([mdrandom.random_matrix(4, 4, 2, rng)] * 2)
+        rhs = vb.stack([mdrandom.random_vector(4, 2, rng)] * 2)
+        with pytest.raises(ValueError, match=name):
+            batched_least_squares(matrices, rhs, **kwargs)
+
+    def test_bad_right_hand_sides_raise_before_factoring(self, rng, monkeypatch):
+        def no_factoring(*args, **kwargs):
+            raise RuntimeError("the batch was factored")
+
+        monkeypatch.setattr(
+            "repro.batch.least_squares.batched_blocked_qr", no_factoring
+        )
+        matrices = vb.stack([mdrandom.random_matrix(4, 4, 2, rng)] * 2)
+        with pytest.raises(ValueError, match="complex right-hand side"):
+            batched_least_squares(matrices, MDComplexArray.zeros((2, 4), 2))
+        with pytest.raises(ValueError, match="share the precision"):
+            batched_least_squares(matrices, MDArray.zeros((2, 4), 4))
+
+
+class TestDenseOracle:
+    """The dense identity comparisons are gates, so they must be able to
+    fail, and the oracle must not reach the drivers it checks."""
+
+    def test_other_tile_size_is_caught(self, rng):
+        matrix = mdrandom.random_matrix(8, 8, 2, rng)
+        result = batched_blocked_qr(vb.stack([matrix]), 4)
+        assert_slice_matches(result, 0, dense.blocked_qr(matrix, 4), "Q", "R")
+        with pytest.raises(AssertionError):
+            assert_slice_matches(result, 0, dense.blocked_qr(matrix, 2), "Q", "R")
+
+    def test_oracle_does_not_call_the_batched_qr(self, rng, monkeypatch):
+        def broken_qr(*args, **kwargs):
+            raise RuntimeError("the batched QR was called")
+
+        # patch every binding: batch.least_squares imports the name
+        monkeypatch.setattr("repro.batch.qr.batched_blocked_qr", broken_qr)
+        monkeypatch.setattr("repro.batch.least_squares.batched_blocked_qr", broken_qr)
+        matrix = mdrandom.random_matrix(6, 6, 2, rng)
+        rhs = mdrandom.random_vector(6, 2, rng)
+        # the patch is live: the library's unbatched drivers go through it
+        with pytest.raises(RuntimeError, match="batched QR was called"):
+            blocked_qr(matrix, 3)
+        with pytest.raises(RuntimeError, match="batched QR was called"):
+            lstsq(matrix, rhs, tile_size=3)
+        reference = dense.lstsq(matrix, rhs, tile_size=3)
+        assert reference.residual_norm(matrix, rhs) < 1e-26
 
 
 class TestBatchedPade:

@@ -294,6 +294,8 @@ class TestValidation:
             {"initial_step": float("inf")},
             {"precision_ladder": (2, 1)},
             {"precision_ladder": (2, 2)},
+            {"tile_size": 0},
+            {"tile_size": -1},
         ],
         ids=str,
     )
@@ -306,6 +308,11 @@ class TestValidation:
             track_paths(untrackable_system, sqrt_jacobian, [[1.0]], **kwargs)
         with pytest.raises(ValueError, match=name):
             track_path(untrackable_system, sqrt_jacobian, [1.0], **kwargs)
+
+    def test_bad_bs_tile_size_raises_before_tracking(self):
+        """``track_path`` has no ``bs_tile_size``; the fleet checks it."""
+        with pytest.raises(ValueError, match="bs_tile_size"):
+            track_paths(untrackable_system, sqrt_jacobian, [[1.0]], bs_tile_size=0)
 
 
 class TestReferenceOracle:

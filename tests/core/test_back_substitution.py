@@ -1,19 +1,24 @@
-"""Tests for Algorithm 1 (tiled back substitution) and tile inversion."""
+"""Tests for Algorithm 1 (tiled back substitution) and the tile inversion
+of the dense oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.batch import batched_back_substitution
 from repro.core import stages
 from repro.core.back_substitution import (
     solve_upper_triangular,
     tiled_back_substitution,
 )
 from repro.core.baseline import classical_back_substitution
-from repro.core.tile_inverse import invert_upper_triangular, solve_upper_triangular_dense
+from repro.core.tile_inverse import solve_upper_triangular_dense
 from repro.vec import MDArray, MDComplexArray, linalg
+from repro.vec import batched as vb
 from repro.vec import random as mdrandom
+
+from ..oracles.dense import invert_upper_triangular
 
 
 def residual_level(limbs: int) -> float:
@@ -166,6 +171,48 @@ class TestTiledBackSubstitution:
         assert trace.total_flops() > 0
         assert trace.total_bytes() > 0
         assert all(launch.threads_per_block == 4 for launch in trace.launches)
+
+
+class TestSingularFactors:
+    """A zero leading limb on the diagonal: the unbatched entry points
+    raise, the batched driver poisons only that system's slice."""
+
+    @pytest.fixture
+    def singular(self, rng):
+        u = mdrandom.random_well_conditioned_upper_triangular(6, 2, rng)
+        u[4, 4] = 0.0  # in the second of two tiles
+        return u, mdrandom.random_vector(6, 2, rng)
+
+    def test_tiled_back_substitution_raises(self, singular):
+        u, b = singular
+        with pytest.raises(ZeroDivisionError):
+            tiled_back_substitution(u, b, 3)
+
+    def test_solve_upper_triangular_raises(self, singular):
+        u, b = singular
+        with pytest.raises(ZeroDivisionError):
+            solve_upper_triangular(u, b, 3)
+
+    def test_batched_poisons_only_its_slice(self, singular, rng):
+        u, b = singular
+        good = mdrandom.random_well_conditioned_upper_triangular(6, 2, rng)
+        result = batched_back_substitution(vb.stack([u, good]), vb.stack([b, b]), 3)
+        assert result.finite_systems().tolist() == [False, True]
+
+
+class TestMixedKinds:
+    def test_complex_rhs_on_real_matrix_is_rejected(self, rng):
+        u = mdrandom.random_well_conditioned_upper_triangular(4, 2, rng)
+        b = mdrandom.random_complex_vector(4, 2, rng)
+        with pytest.raises(ValueError, match="complex right-hand side"):
+            tiled_back_substitution(u, b, 2)
+
+    def test_real_rhs_on_complex_matrix_is_promoted(self, rng):
+        u = mdrandom.random_well_conditioned_upper_triangular(4, 2, rng, complex_data=True)
+        b = mdrandom.random_vector(4, 2, rng)
+        promoted = MDComplexArray(b, MDArray.zeros((4,), 2))
+        x = tiled_back_substitution(u, b, 2).x
+        assert x.equals(tiled_back_substitution(u, promoted, 2).x)
 
 
 class TestSolveUpperTriangularWrapper:

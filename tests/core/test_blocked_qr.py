@@ -1,4 +1,5 @@
-"""Tests for Algorithm 2 (blocked Householder QR) and the WY helpers."""
+"""Tests for Algorithm 2 (blocked Householder QR) and the WY helpers of
+the dense oracle."""
 
 from __future__ import annotations
 
@@ -8,10 +9,16 @@ import pytest
 from repro.core import stages
 from repro.core.baseline import unblocked_householder_qr
 from repro.core.blocked_qr import blocked_qr
-from repro.core.householder import householder_vector
-from repro.core.wy import accumulate_wy, wy_product
 from repro.vec import MDArray, MDComplexArray, linalg
 from repro.vec import random as mdrandom
+
+from ..oracles.dense import (
+    accumulate_wy,
+    apply_reflector_left,
+    householder_vector,
+    reflector_matrix,
+    wy_product,
+)
 
 
 def orthogonality_error(Q):
@@ -37,13 +44,9 @@ class TestWY:
             padded[l:] = v
             vectors.append(padded)
             betas.append(beta)
-            from repro.core.householder import apply_reflector_left
-
             work[l:, l:] = apply_reflector_left(work[l:, l:], v, beta)
         W, Y = accumulate_wy(vectors, betas)
         # P = P1 P2 P3 = I + W Y^T
-        from repro.core.householder import reflector_matrix
-
         P = linalg.identity(8, 2)
         for v, beta in zip(vectors, betas):
             P = linalg.matmul(P, reflector_matrix(v, beta))

@@ -1,17 +1,15 @@
-"""Tests for Householder vectors and reflectors."""
+"""Tests for the Householder vectors and reflectors of the dense oracle,
+the reference the batched Householder kernel is pinned against."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.householder import (
-    apply_reflector_left,
-    householder_vector,
-    reflector_matrix,
-)
 from repro.vec import MDArray, MDComplexArray, linalg
 from repro.vec import random as mdrandom
+
+from ..oracles.dense import apply_reflector_left, householder_vector, reflector_matrix
 
 
 def md_eps(limbs: int) -> float:

@@ -10,6 +10,8 @@ from repro.core.least_squares import STAGE_APPLY_QT, lstsq, solve
 from repro.vec import MDArray, MDComplexArray, linalg
 from repro.vec import random as mdrandom
 
+from ..oracles import dense
+
 
 class TestSquareSystems:
     @pytest.mark.parametrize("limbs,tol", [(2, 1e-27), (4, 1e-58), (8, 1e-110)])
@@ -79,6 +81,43 @@ class TestOverdeterminedSystems:
         a, _ = mdrandom.random_lstsq_problem(10, 5, 2, rng)
         with pytest.raises(ValueError):
             lstsq(a, MDArray.zeros((9,), 2))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tile_size": 0}, {"tile_size": -1}, {"bs_tile_size": 0}],
+        ids=str,
+    )
+    def test_tile_sizes_must_be_positive(self, kwargs, rng):
+        (name,) = kwargs
+        a, b = mdrandom.random_lstsq_problem(8, 4, 2, rng)
+        with pytest.raises(ValueError, match=name):
+            lstsq(a, b, **kwargs)
+
+    def test_complex_rhs_on_real_matrix_is_rejected(self, rng):
+        a, _ = mdrandom.random_lstsq_problem(8, 4, 2, rng)
+        b = mdrandom.random_complex_vector(8, 2, rng)
+        with pytest.raises(ValueError, match="complex right-hand side"):
+            lstsq(a, b)
+
+    def test_rhs_precision_must_match(self, rng):
+        a, _ = mdrandom.random_lstsq_problem(8, 4, 2, rng)
+        with pytest.raises(ValueError, match="share the precision"):
+            lstsq(a, mdrandom.random_vector(8, 4, rng))
+
+    def test_real_rhs_on_complex_matrix_still_works(self, rng):
+        a, _ = mdrandom.random_lstsq_problem(8, 4, 2, rng, complex_data=True)
+        b = mdrandom.random_vector(8, 2, rng)
+        result = lstsq(a, b, tile_size=2)
+        assert result.x.equals(dense.lstsq(a, b, tile_size=2).x)
+
+    def test_zero_column_raises(self, rng):
+        a = mdrandom.random_matrix(8, 8, 2, rng)
+        a[:, 5] = 0.0
+        b = mdrandom.random_vector(8, 2, rng)
+        with pytest.raises(ZeroDivisionError):
+            lstsq(a, b, tile_size=4)
 
 
 class TestTracesAndDefaults:
