@@ -5,8 +5,8 @@ one shared-monomial evaluation + Jacobian pass of **katsura-8** (9
 equations, 74 monomials, 54 distinct power products) at double double
 precision must run at least **5x** faster through the vectorized
 limb-major kernels of :class:`repro.poly.system.PolynomialSystem` than
-through the scalar loop-per-monomial reference of
-:mod:`repro.poly.reference` — while producing **bit-identical** values,
+through the scalar loop-per-monomial reference, the test oracle
+``tests/oracles/poly.py`` — while producing **bit-identical** values,
 which is asserted before any timing (a speedup over a wrong kernel is
 worthless).  Measured 15-18x on the development machine; the plain
 evaluation (without the Jacobian reuse) is recorded alongside without
@@ -27,13 +27,13 @@ import pytest
 
 import harness
 from repro.poly import cyclic, katsura, noon
-from repro.poly.reference import (
+from repro.series.truncated import TruncatedSeries
+from tests.oracles.poly import (
     reference_evaluate,
     reference_evaluate_series,
     reference_jacobian,
 )
-from repro.series.reference import ScalarSeries
-from repro.series.truncated import TruncatedSeries
+from tests.oracles.series import ScalarSeries
 
 #: The acceptance-contract floor: katsura-8 evaluation + Jacobian at dd.
 POLY_SPEEDUP_FLOOR = 5.0

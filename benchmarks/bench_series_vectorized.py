@@ -2,9 +2,10 @@
 
 The series subsystem stores coefficients in the limb-major
 structure-of-arrays layout of :class:`repro.vec.mdarray.MDArray`; the
-scalar loop-per-coefficient implementation survives as
-:class:`repro.series.reference.ScalarSeries`, bit-identical by
-construction.  This file measures what the layout buys:
+scalar loop-per-coefficient implementation survives as the test oracle
+``ScalarSeries`` in ``tests/oracles/series.py`` (with its scalar Newton
+staircase), bit-identical by construction.  This file measures what the
+layout buys:
 
 * ``test_cauchy_product`` sweeps the hot kernel — series
   multiplication — over truncation order × precision for both
@@ -28,13 +29,17 @@ import pytest
 
 import harness
 from repro.md.opcounts import series_flops, series_launches
-from repro.series import ScalarSeries, TruncatedSeries, newton_series
+from repro.series import TruncatedSeries, newton_series
+from tests.oracles import series as scalar_oracle
+from tests.oracles.series import ScalarSeries
 
 #: Truncation orders of the sweep; the acceptance contract is pinned at
 #: order >= 32.
 ORDERS = (8, 16, 32, 64)
 
 _BACKENDS = {"scalar": ScalarSeries, "vectorized": TruncatedSeries}
+
+_STAIRCASES = {"scalar": scalar_oracle.newton_series, "vectorized": newton_series}
 
 
 def _random_pair(series_cls, order, limbs, seed=20220320):
@@ -68,18 +73,13 @@ def test_cauchy_product(benchmark, backend, order, limbs):
 
 @pytest.mark.parametrize("limbs", [2], ids=["2d"])
 @pytest.mark.parametrize("order", [8, 32])
-@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+@pytest.mark.parametrize("backend", sorted(_STAIRCASES))
 def test_newton_staircase(benchmark, backend, order, limbs):
     """The full order-by-order staircase on the examples' system."""
+    staircase = _STAIRCASES[backend]
     result = benchmark(
-        lambda: newton_series(
-            sqrt_system,
-            sqrt_jacobian,
-            [1, 1],
-            order,
-            limbs,
-            tile_size=1,
-            backend="reference" if backend == "scalar" else backend,
+        lambda: staircase(
+            sqrt_system, sqrt_jacobian, [1, 1], order, limbs, tile_size=1
         )
     )
     assert result.order == order
@@ -156,8 +156,8 @@ def test_newton_staircase_speedup():
     run_vectorized = lambda: newton_series(
         sqrt_system, sqrt_jacobian, [1, 1], 32, 2, tile_size=1
     )
-    run_reference = lambda: newton_series(
-        sqrt_system, sqrt_jacobian, [1, 1], 32, 2, tile_size=1, backend="reference"
+    run_reference = lambda: scalar_oracle.newton_series(
+        sqrt_system, sqrt_jacobian, [1, 1], 32, 2, tile_size=1
     )
     reference_seconds = harness.best_seconds(run_reference, repeats=2)
     vectorized_seconds = harness.best_seconds(run_vectorized, repeats=2)

@@ -9,8 +9,19 @@ at reduced dimensions.  Run with ``pytest benchmarks/ --benchmark-only``.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The scalar baselines of bench_series_vectorized.py and
+# bench_poly_eval.py are the test oracles in tests/oracles/.  Plain
+# `pytest` puts only this directory on sys.path (`python -m pytest`
+# also adds the working directory), so add the repo root for both.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 def pytest_addoption(parser):

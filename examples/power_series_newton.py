@@ -23,10 +23,11 @@ solution lives in one limb-major structure-of-arrays coefficient array
 (:class:`repro.series.VectorSeries`, the same staggered layout the
 paper uses for matrices of multiple doubles), so the residual
 convolutions run as vectorized limb operations; the scalar
-loop-per-coefficient reference backend (``backend="reference"``)
-produces bit-identical tables.  The error of the computed coefficients
-is then compared against the exact rational values for hardware
-double, double double, quad double and octo double precision.
+loop-per-coefficient staircase the test suite checks it against
+(``tests/oracles/series.py``) produces bit-identical tables.  The error
+of the computed coefficients is then compared against the exact
+rational values for hardware double, double double, quad double and
+octo double precision.
 
 Run with:  python examples/power_series_newton.py
 """
@@ -65,15 +66,14 @@ def exact_binomial_series(alpha: Fraction, order: int) -> list:
     return coefficients
 
 
-def series_solve(limbs: int, order: int, backend: str = "vectorized"):
+def series_solve(limbs: int, order: int):
     """Compute the series coefficients with one linear solve per order.
 
     The coefficients come back as scalar multiple doubles by iterating
     the limb-major coefficient arrays of the result's series.
     """
     result = newton_series(
-        polynomial_system, jacobian_head, [1, 1], order, limbs,
-        tile_size=1, backend=backend,
+        polynomial_system, jacobian_head, [1, 1], order, limbs, tile_size=1
     )
     x1, x2 = result.series
     return list(x1.coefficients), list(x2.coefficients)

@@ -75,7 +75,6 @@ __all__ = [
     "solve_upper_triangular",
     "TruncatedSeries",
     "VectorSeries",
-    "ScalarSeries",
     "ComplexTruncatedSeries",
     "ComplexVectorSeries",
     "pade",
@@ -120,7 +119,6 @@ def __getattr__(name):
         "solve_upper_triangular": ("repro.core", "solve_upper_triangular"),
         "TruncatedSeries": ("repro.series", "TruncatedSeries"),
         "VectorSeries": ("repro.series", "VectorSeries"),
-        "ScalarSeries": ("repro.series", "ScalarSeries"),
         "ComplexTruncatedSeries": ("repro.series", "ComplexTruncatedSeries"),
         "ComplexVectorSeries": ("repro.series", "ComplexVectorSeries"),
         "pade": ("repro.series", "pade"),

@@ -45,7 +45,6 @@ LIMB_TYPES = frozenset(
         "MDArray",
         "MDComplexArray",
         "TruncatedSeries",
-        "ScalarSeries",
         "VectorSeries",
         "ComplexTruncatedSeries",
         "ComplexVectorSeries",

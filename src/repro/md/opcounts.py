@@ -187,10 +187,10 @@ class SeriesOperationCounts:
     by a zero-padded pairwise reduction tree per output coefficient
     (see :func:`repro.vec.linalg.cauchy_product`) — the padded zero
     additions are counted, because the kernels really execute them.
-    The scalar reference (:class:`repro.series.reference.ScalarSeries`)
-    replays the same reduction trees (its additions match these
-    counts) but forms only the ``(K+1)(K+2)/2`` products it actually
-    needs, so the ``mul`` entry of the Cauchy product describes the
+    The scalar series of the test oracle ``tests/oracles/series.py``
+    replay the same reduction trees (their additions match these
+    counts) but form only the ``(K+1)(K+2)/2`` products they actually
+    need, so the ``mul`` entry of the Cauchy product describes the
     vectorized kernel's grid, not the reference loop.  ``launches``
     tallies the vectorized limb-kernel launches of the batched path
     (data-movement gathers and the scalar head operations of the
@@ -534,8 +534,8 @@ class PolynomialOperationCounts:
     the same power products** (they are computed once; ``shared``
     carries their cost exactly once).  Padded slots (multiplications by
     the exact one, additions of the exact zero) are counted because the
-    kernels really execute them; the scalar reference evaluator of
-    :mod:`repro.poly.reference` replays the identical operations.
+    kernels really execute them; the scalar test oracle
+    ``tests/oracles/poly.py`` replays the identical operations.
 
     At ``order == 0`` the counts describe point evaluation; at
     ``order == K`` every multiplication is a truncated Cauchy product

@@ -12,9 +12,9 @@
   :meth:`~Homotopy.track` / :meth:`~Homotopy.track_fleet` drivers.
 * :mod:`repro.poly.families` — reproducible benchmark families
   (:func:`katsura`, :func:`cyclic`, :func:`noon`).
-* :mod:`repro.poly.reference` — the scalar loop-per-monomial reference
-  evaluator, bit-identical to the vectorized path at every paper
-  precision.
+
+Evaluation is checked bit for bit at every paper precision against the
+scalar loop-per-monomial test oracle ``tests/oracles/poly.py``.
 """
 
 from .families import cyclic, katsura, noon
@@ -25,12 +25,6 @@ from .homotopy import (
     realify_terms,
     roots_of_unity,
     total_degree_start,
-)
-from .reference import (
-    instrumented_counts,
-    reference_evaluate,
-    reference_evaluate_series,
-    reference_jacobian,
 )
 from .system import PolynomialSystem
 
@@ -45,8 +39,4 @@ __all__ = [
     "katsura",
     "cyclic",
     "noon",
-    "reference_evaluate",
-    "reference_jacobian",
-    "reference_evaluate_series",
-    "instrumented_counts",
 ]

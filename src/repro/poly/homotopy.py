@@ -21,7 +21,8 @@ realified system, and the complex ``gamma`` acts as a 2x2 rotation
 block mixing the real and imaginary equation parts.  The expansion is
 performed once, symbolically, at construction
 (:func:`realify_terms`); evaluation then runs entirely on the
-vectorized real kernels, bit-identical to the scalar reference.
+vectorized real kernels, bit-identical to the scalar test oracle
+``tests/oracles/poly.py``.
 
 ``backend="complex"`` skips the detour entirely: the systems keep
 their ``n`` complex variables and evaluate natively on the
@@ -387,14 +388,11 @@ class Homotopy:
     def __call__(self, x, t):
         """``H(x, t)`` on truncated series arguments.
 
-        ``x`` is the list of ``2n`` unknown series, ``t`` the parameter
-        series.  Vectorized
-        (:class:`~repro.series.truncated.TruncatedSeries`) and scalar
-        reference (:class:`~repro.series.reference.ScalarSeries`)
-        arguments produce bit-identical coefficients: the start and
-        target systems are evaluated with the shared-monomial kernels
-        of their backend, and the gamma combination replays the same
-        operand order on both sides.
+        ``x`` is the list of :attr:`tracking_dimension` unknown series
+        (``2n`` real ones realified, ``n`` complex ones natively), ``t``
+        the parameter series.  The start and target systems are
+        evaluated with the shared-monomial kernels of the backend, then
+        combined with ``gamma`` and ``1 - t``.
         """
         values = list(x)
         if len(values) != self.tracking_dimension:
@@ -404,10 +402,6 @@ class Homotopy:
             )
         if self._backend == "complex":
             return self._complex_call(values, t)
-        from ..series.reference import ScalarSeries
-
-        if isinstance(values[0], ScalarSeries):
-            return self._reference_call(values, t)
         return self._vectorized_call(values, t)
 
     def _complex_call(self, values, t):
@@ -438,8 +432,8 @@ class Homotopy:
                 t = TruncatedSeries.from_mdarray(t.coefficients.real)
         elif not isinstance(t, TruncatedSeries):
             raise TypeError(
-                "the complex backend evaluates vectorized series only; "
-                "use the realified backend for the scalar reference"
+                "the complex backend takes a TruncatedSeries or "
+                "ComplexTruncatedSeries parameter"
             )
         gamma = ComplexMultiDouble(
             MultiDouble(self.gamma.real, prec), MultiDouble(self.gamma.imag, prec)
@@ -648,26 +642,6 @@ class Homotopy:
             f_im, t_data
         )
         return MDArray(np.concatenate([h_re.data, h_im.data], axis=2))
-
-    def _reference_call(self, values, t):
-        from .reference import reference_evaluate_series
-
-        n = self._dimension
-        order = max(series.order for series in values)
-        t = t.pad(order).truncate(order)
-        prec = values[0].precision
-        a = MultiDouble(self.gamma.real, prec)
-        b = MultiDouble(self.gamma.imag, prec)
-        g = reference_evaluate_series(self._start, values)
-        f = reference_evaluate_series(self._target, values)
-        s = 1 - t
-        out_re, out_im = [], []
-        for i in range(n):
-            left_re = g[i].scale(a) - g[n + i].scale(b)
-            left_im = g[i].scale(b) + g[n + i].scale(a)
-            out_re.append(left_re * s + f[i] * t)
-            out_im.append(left_im * s + f[n + i] * t)
-        return out_re + out_im
 
     # ------------------------------------------------------------------
     # Jacobian (one shared power-product pass per system)

@@ -33,12 +33,11 @@ multiplication is a batched Cauchy product through
 :func:`repro.batch.fleet.track_paths` fleet (they generate the
 residual/Jacobian adapters from the object).
 
-The scalar loop-per-monomial reference evaluator
-(:mod:`repro.poly.reference`) replays the identical power table,
-product trees and term reductions on :class:`~repro.md.number.MultiDouble`
-/ :class:`~repro.series.reference.ScalarSeries` elements, and is
-**bit-identical** to this vectorized path at every paper precision —
-the same contract :class:`~repro.series.reference.ScalarSeries` holds
+The scalar loop-per-monomial test oracle (``tests/oracles/poly.py``)
+replays the identical power table, product trees and term reductions on
+:class:`~repro.md.number.MultiDouble` and scalar-series elements, and
+is **bit-identical** to this vectorized path at every paper precision —
+the same contract its scalar series (``tests/oracles/series.py``) hold
 against :class:`~repro.series.truncated.TruncatedSeries`.  Operation
 counts live in :func:`repro.md.opcounts.polynomial_counts`; the
 analytic launch trace in
@@ -956,11 +955,7 @@ class PolynomialSystem:
         tracker supplies; ``t`` (the parameter series) is appended as
         the last variable when the system carries one more variable
         than unknowns, and ignored otherwise (a plain ``F(x)`` does not
-        depend on it).  Scalar-series arguments
-        (:class:`~repro.series.reference.ScalarSeries`) dispatch to the
-        loop-per-monomial reference evaluator, so
-        ``newton_series(..., backend="reference")`` replays the
-        bit-identical scalar path.
+        depend on it).
         """
         values = list(x)
         if t is not None and len(values) + 1 == self._variables:
@@ -970,20 +965,6 @@ class PolynomialSystem:
                 f"expected {self._variables} (or {self._variables - 1}) "
                 f"arguments, got {len(values)}"
             )
-        from ..series.complexvec import ComplexTruncatedSeries
-        from ..series.reference import ScalarSeries
-
-        if any(isinstance(v, ScalarSeries) for v in values):
-            if self._complex_coefficients or any(
-                isinstance(v, ComplexTruncatedSeries) for v in values
-            ):
-                raise TypeError(
-                    "complex systems have no scalar-series reference "
-                    "evaluator; the realified backend is the cross-check"
-                )
-            from .reference import reference_evaluate_series
-
-            return reference_evaluate_series(self, values)
         return self.evaluate_series(values).components()
 
     # ------------------------------------------------------------------

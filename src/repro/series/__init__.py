@@ -11,10 +11,8 @@ Python loops:
   limb-major ``(m, K+1)`` coefficient array (Cauchy products through
   :func:`repro.vec.linalg.cauchy_product`, Newton-iteration
   reciprocal / sqrt / exp / log, calculus, evaluation, convergence
-  diagnostics);
-* :mod:`repro.series.reference` — the scalar loop-per-coefficient
-  :class:`~repro.series.reference.ScalarSeries` reference that the
-  vectorized arithmetic is cross-checked against **bit for bit** (the
+  diagnostics), cross-checked **bit for bit** against the scalar
+  loop-per-coefficient test oracle ``tests/oracles/series.py`` (the
   role :mod:`repro.md.number` plays for :mod:`repro.vec`);
 * :mod:`repro.series.vector` — batched systems of series
   (:class:`~repro.series.vector.VectorSeries`, one ``(m, n, K+1)``
@@ -50,14 +48,12 @@ from .matrix_series import (
 )
 from .newton import NewtonSeriesResult, newton_series, newton_series_quadratic
 from .pade import PadeApproximant, pade
-from .reference import ScalarSeries
 from .tracker import PathResult, PathStep, track_path
 from .truncated import TruncatedSeries
 from .vector import VectorSeries
 
 __all__ = [
     "TruncatedSeries",
-    "ScalarSeries",
     "VectorSeries",
     "ComplexTruncatedSeries",
     "ComplexVectorSeries",

@@ -22,10 +22,9 @@ side is one column gather from the residual coefficient arrays, and the
 solved update is written back as one column store — no per-coefficient
 scalar juggling anywhere on the staircase.
 
-``backend="reference"`` runs the identical staircase on the scalar
-loop-per-coefficient :class:`~repro.series.reference.ScalarSeries`
-arithmetic instead; both backends share the linear solves and produce
-**bit-identical** coefficients (the cross-check of
+The scalar loop-per-coefficient staircase this one was built from is
+the test oracle ``tests/oracles/series.py``; it shares the linear
+solves and produces **bit-identical** coefficients (the cross-check of
 ``tests/series/test_vectorized_cross.py`` and the baseline of
 ``benchmarks/bench_series_vectorized.py``).
 
@@ -40,6 +39,7 @@ solve (:mod:`repro.series.matrix_series`) per pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -64,7 +64,6 @@ from .complexvec import (
     is_complex_scalar,
 )
 from .matrix_series import solve_matrix_series
-from .reference import ScalarSeries
 from .truncated import TruncatedSeries
 from .vector import VectorSeries
 
@@ -74,10 +73,6 @@ __all__ = [
     "newton_series_quadratic",
     "resolve_system_arguments",
 ]
-
-#: Series arithmetic backends of :func:`newton_series`.
-_BACKENDS = {"vectorized": TruncatedSeries, "reference": ScalarSeries}
-
 
 @dataclass
 class NewtonSeriesResult:
@@ -170,6 +165,14 @@ def _coerce_start(start, prec, system=None) -> list:
     return heads
 
 
+def _check_order(order) -> int:
+    """The truncation order as a non-negative ``int`` (``ValueError``
+    for a negative, ``bool`` or non-integer value)."""
+    if isinstance(order, bool) or not isinstance(order, Integral) or order < 0:
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    return int(order)
+
+
 def _coerce_jacobian(value, n: int, limbs: int):
     """Accept an MDArray/MDComplexArray, a nested list of scalars, or a
     flat list (complex scalar entries produce a complex matrix)."""
@@ -259,7 +262,6 @@ def newton_series(
     tile_size=None,
     bs_tile_size=None,
     device="V100",
-    backend="vectorized",
 ) -> NewtonSeriesResult:
     """Power series solution of ``F(x, t) = 0`` around ``t = 0``.
 
@@ -283,21 +285,14 @@ def newton_series(
     start:
         The solution at ``t = 0`` (one scalar per unknown).
     order:
-        Truncation order ``K`` of the series solution.
+        Truncation order ``K`` of the series solution, a non-negative
+        integer (``ValueError`` otherwise).
     precision:
         Limb count (or precision name) of the computation.
     tile_size, bs_tile_size, device:
         Passed to the QR factorization and the per-order back
         substitutions, as in :func:`repro.core.least_squares.lstsq`.
-    backend:
-        ``"vectorized"`` (default) evaluates the residuals with the
-        limb-major :class:`TruncatedSeries` arithmetic;
-        ``"reference"`` replays the staircase on the scalar
-        :class:`~repro.series.reference.ScalarSeries` arithmetic.  The
-        two produce bit-identical coefficients.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}")
     if jacobian is not None and not callable(jacobian):
         # called as newton_series(polynomial_system, start, ...): the
         # start point sits in the jacobian slot — shift each *positional*
@@ -311,18 +306,12 @@ def newton_series(
     system, jacobian, start = resolve_system_arguments(system, jacobian, start)
     if order is None:
         raise TypeError("a truncation order is required")
-    series_cls = _BACKENDS[backend]
+    order = _check_order(order)
     prec = get_precision(precision)
     limbs = prec.limbs
     heads = _coerce_start(start, prec, system)
     complex_data = isinstance(heads[0], ComplexMultiDouble)
-    if complex_data:
-        if backend != "vectorized":
-            raise ValueError(
-                "complex expansions run on the vectorized backend only; the "
-                "realified homotopy backend is the scalar-levelable cross-check"
-            )
-        series_cls = ComplexTruncatedSeries
+    series_cls = ComplexTruncatedSeries if complex_data else TruncatedSeries
     n = len(heads)
     tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
 
@@ -350,29 +339,14 @@ def newton_series(
         solution = VectorSeries.zeros(n, order, prec)
         solution.set_coefficient(0, MDArray.from_multidoubles(heads, limbs))
     for k in range(1, order + 1):
-        if backend == "vectorized":
-            # partial series through order k-1 (column k still zero)
-            partial = [
-                series_cls.from_mdarray(solution.coefficients[i, : k + 1])
-                for i in range(n)
-            ]
-        else:
-            partial = [
-                ScalarSeries(
-                    [solution.coefficient(j).to_multidouble(i) for j in range(k)]
-                    + [MultiDouble(0, prec)],
-                    prec,
-                )
-                for i in range(n)
-            ]
+        # partial series through order k-1 (column k still zero)
+        partial = [
+            series_cls.from_mdarray(solution.coefficients[i, : k + 1])
+            for i in range(n)
+        ]
         t = series_cls.variable(k, prec)
         residuals = _coerce_residual(system(partial, t), n, k, prec, series_cls)
-        if backend == "vectorized":
-            rhs = _residual_column(residuals, k)
-        else:
-            rhs = MDArray.from_multidoubles(
-                [-r.coefficient(k) for r in residuals], limbs
-            )
+        rhs = _residual_column(residuals, k)
         qhb = linalg.matvec(q_conjugate, rhs)
         trace.add(
             "apply_qt",
@@ -426,10 +400,18 @@ def newton_series_quadratic(
     a callable ``jacobian_series(x, t) -> rows`` returning the
     ``n``-by-``n`` Jacobian as a nested list whose entries are
     :class:`TruncatedSeries` (or scalars), evaluated at a series ``x``.
+    The iteration expands real systems only: a complex start point
+    raises ``ValueError``.
     """
+    order = _check_order(order)
     prec = get_precision(precision)
     limbs = prec.limbs
     heads = _coerce_start(start, prec)
+    if isinstance(heads[0], ComplexMultiDouble):
+        raise ValueError(
+            "newton_series_quadratic expands real systems only; use "
+            "newton_series for a complex start point"
+        )
     n = len(heads)
 
     trace = KernelTrace(

@@ -32,9 +32,9 @@ workload needs:
   (:mod:`repro.series.tracker`) monitors to decide when a computed
   series has hit the working precision's noise floor.
 
-The scalar loop-per-coefficient implementation lives on as
-:class:`repro.series.reference.ScalarSeries` — the reference this
-class is cross-checked against **bit for bit** (the same role
+The scalar loop-per-coefficient implementation lives on as the test
+oracle ``tests/oracles/series.py`` — the reference this class is
+cross-checked against **bit for bit** (the same role
 :mod:`repro.md.number` plays for :mod:`repro.vec`).  Both sides share
 the identical product grid and zero-padded pairwise reduction tree, so
 agreement is exact, not approximate.  :meth:`from_mdarray` /

@@ -229,10 +229,9 @@ def cauchy_product(a, b, order=None):
     grid), the products are gathered onto anti-diagonals, and each
     output coefficient is reduced with the same zero-padded pairwise
     (binary tree) summation as :meth:`MDArray.sum` — the parallel sum
-    reduction of the paper's kernels.  The scalar reference
-    implementation (:mod:`repro.series.reference`) replays exactly this
-    product grid and reduction tree, which is what makes the two paths
-    bit-identical.
+    reduction of the paper's kernels.  The scalar test oracle
+    (``tests/oracles/series.py``) replays exactly this product grid and
+    reduction tree, which is what makes the two paths bit-identical.
     """
     if _is_complex(a) or _is_complex(b):
         return _cauchy_product_complex(a, b, order)

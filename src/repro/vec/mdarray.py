@@ -46,9 +46,9 @@ def pairwise_reduce(data, axis, combine, pad):
 
     :meth:`MDArray.sum`, :meth:`MDArray.prod` and
     :func:`repro.vec.linalg.cauchy_product_reduce` all run through this
-    single helper, and the scalar reference world replays the same tree
-    (:func:`repro.series.reference.pairwise_sum`,
-    :func:`repro.poly.reference.pairwise_product`) — which is what
+    single helper, and the scalar test oracles replay the same tree
+    (``pairwise_sum`` in ``tests/oracles/series.py``,
+    ``pairwise_product`` in ``tests/oracles/poly.py``) — which is what
     makes vectorized and reference results **bit-identical**.  Keeping
     one copy of the tree shape is part of that contract.
     """

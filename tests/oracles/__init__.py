@@ -10,8 +10,20 @@ function under test, so a bitwise comparison against it can fail.
 * ``dense`` — the unbatched Householder QR, WY accumulation, tile
   inversion, tiled back substitution and least squares, the reference
   for the batched dense drivers of ``repro.batch`` (which the
-  ``repro.core`` drivers run as a batch of one).
+  ``repro.core`` drivers run as a batch of one);
+* ``series`` — ``ScalarSeries``, one ``MultiDouble`` per coefficient
+  with loop-per-coefficient arithmetic, and the scalar Newton
+  staircase, the reference for ``repro.series.TruncatedSeries`` and
+  ``repro.series.newton_series``;
+* ``poly`` — the loop-per-monomial evaluation of polynomial systems
+  (values, Jacobians, scalar series, operation counts) and of the
+  realified homotopy, the reference for ``repro.poly``.
 
 Test modules import these relatively (``from ..oracles.dense import
-...``), which works with or without ``src`` on ``PYTHONPATH``.
+...``), which works with or without ``src`` on ``PYTHONPATH``.  The
+benchmarks ``bench_series_vectorized.py`` and ``bench_poly_eval.py``
+time the library against ``series`` and ``poly`` through
+``tests.oracles``; ``benchmarks/conftest.py`` puts the repo root on
+``sys.path`` for that.  The library itself never imports this package
+(``tests/analysis/test_no_tests_imports.py``).
 """

@@ -1,9 +1,10 @@
-"""Scalar loop-per-monomial reference evaluator for polynomial systems.
+"""Scalar loop-per-monomial evaluation of polynomial systems and
+homotopies: the reference for every polynomial identity test.
 
 The vectorized limb-major evaluation of
-:class:`~repro.poly.system.PolynomialSystem` is cross-checked, **bit
-for bit**, against the loops in this module — the same role
-:class:`~repro.series.reference.ScalarSeries` plays for
+:class:`~repro.poly.system.PolynomialSystem` is checked, **bit for
+bit**, against the loops in this module — the role
+:class:`~tests.oracles.series.ScalarSeries` plays for
 :class:`~repro.series.truncated.TruncatedSeries`.  Every function here
 replays the numeric structure of the vectorized kernels exactly:
 
@@ -17,15 +18,22 @@ replays the numeric structure of the vectorized kernels exactly:
   multiplications by one are really executed;
 * each equation weights its padded term slots (zero-coefficient slots
   included) in the same operand order and reduces them with the same
-  zero-padded :func:`~repro.series.reference.pairwise_sum` tree as the
-  vectorized :meth:`MDArray.sum <repro.vec.mdarray.MDArray.sum>`.
+  zero-padded :func:`~tests.oracles.series.pairwise_sum` tree as the
+  vectorized :meth:`MDArray.sum <repro.vec.mdarray.MDArray.sum>`;
+* :func:`reference_homotopy` combines the realified start and target
+  residuals with ``gamma`` and ``1 - t`` in the operand order of
+  :class:`~repro.poly.homotopy.Homotopy`, reading only its public
+  ``start_system``, ``target_system``, ``gamma`` and ``dimension``.
 
 Because scalar :class:`~repro.md.number.MultiDouble` /
-:class:`~repro.series.reference.ScalarSeries` arithmetic and the
+:class:`~tests.oracles.series.ScalarSeries` arithmetic and the
 vectorized arrays share the generic expansion kernels of
 :mod:`repro.md.generic`, matching the operation structure makes the
 results identical to the last bit at every paper precision
-(``tests/poly/`` enforces d/dd/qd/od).
+(``tests/poly/`` enforces d/dd/qd/od).  Nothing here calls
+:meth:`PolynomialSystem.evaluate_series
+<repro.poly.system.PolynomialSystem.evaluate_series>` or
+:func:`repro.vec.linalg.cauchy_product`.
 
 The same replay, run on counting elements, is what
 :func:`instrumented_counts` uses to verify the analytic operation
@@ -35,15 +43,17 @@ kernels as executed.
 
 from __future__ import annotations
 
-from ..md.constants import get_precision
-from ..md.number import MultiDouble
-from ..series.reference import ScalarSeries, pairwise_sum
+from repro.md.constants import get_precision
+from repro.md.number import MultiDouble
+
+from .series import ScalarSeries, pairwise_sum
 
 __all__ = [
     "pairwise_product",
     "reference_evaluate",
     "reference_jacobian",
     "reference_evaluate_series",
+    "reference_homotopy",
     "instrumented_counts",
 ]
 
@@ -52,7 +62,7 @@ def pairwise_product(values, one):
     """Ones-padded pairwise (binary tree) product.
 
     The multiplicative twin of
-    :func:`repro.series.reference.pairwise_sum`, replaying
+    :func:`~tests.oracles.series.pairwise_sum`, replaying
     :meth:`MDArray.prod <repro.vec.mdarray.MDArray.prod>` /
     :func:`repro.vec.linalg.cauchy_product_reduce` on scalars: halves
     of ``ceil(n/2)`` and ``floor(n/2)`` elements, the shorter second
@@ -153,8 +163,15 @@ def reference_evaluate_series(system, x) -> list:
     :func:`repro.vec.linalg.cauchy_product` exactly — so the result is
     bit-identical to
     :meth:`PolynomialSystem.evaluate_series
-    <repro.poly.system.PolynomialSystem.evaluate_series>`.
+    <repro.poly.system.PolynomialSystem.evaluate_series>`.  Systems
+    with complex coefficients have no scalar-series reference and raise
+    :class:`TypeError`.
     """
+    if system.complex_coefficients:
+        raise TypeError(
+            "complex systems have no scalar-series reference evaluator; "
+            "the realified homotopy is the cross-check"
+        )
     xs = [
         value
         if isinstance(value, ScalarSeries)
@@ -177,6 +194,32 @@ def reference_evaluate_series(system, x) -> list:
         )
         for i in range(system.equations)
     ]
+
+
+def reference_homotopy(homotopy, x, t) -> list:
+    """``H(x, t) = gamma (1 - t) G(x) + t F(x)`` of a realified
+    :class:`~repro.poly.homotopy.Homotopy` on the ``2n``
+    :class:`ScalarSeries` components ``x`` (real parts, then imaginary
+    parts): ``gamma`` acts as a rotation mixing the real and imaginary
+    equation parts, then each part is convolved with ``1 - t`` and
+    ``t``."""
+    values = list(x)
+    n = homotopy.dimension
+    order = max(series.order for series in values)
+    t = t.pad(order).truncate(order)
+    prec = values[0].precision
+    a = MultiDouble(homotopy.gamma.real, prec)
+    b = MultiDouble(homotopy.gamma.imag, prec)
+    g = reference_evaluate_series(homotopy.start_system, values)
+    f = reference_evaluate_series(homotopy.target_system, values)
+    s = 1 - t
+    out_re, out_im = [], []
+    for i in range(n):
+        left_re = g[i].scale(a) - g[n + i].scale(b)
+        left_im = g[i].scale(b) + g[n + i].scale(a)
+        out_re.append(left_re * s + f[i] * t)
+        out_im.append(left_im * s + f[n + i] * t)
+    return out_re + out_im
 
 
 class _CoefficientWeight:

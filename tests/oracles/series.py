@@ -1,11 +1,14 @@
-"""Scalar reference implementation of truncated series arithmetic.
+"""Scalar truncated series and the scalar Newton staircase: the
+reference for every vectorized series identity test.
 
 :class:`ScalarSeries` stores one :class:`~repro.md.number.MultiDouble`
 per coefficient and runs pure-Python loops per coefficient — the
-original storage layout of this subsystem, kept as the *reference* the
-vectorized limb-major :class:`~repro.series.truncated.TruncatedSeries`
-is checked against, exactly the role :mod:`repro.md.number` plays for
-:mod:`repro.vec.mdarray`.
+original storage layout of the series subsystem, kept as the reference
+the vectorized limb-major :class:`~repro.series.truncated.TruncatedSeries`
+is checked against, the role :mod:`repro.md.number` plays for
+:mod:`repro.vec.mdarray`.  :func:`newton_series` runs the order-by-order
+Newton staircase of :func:`repro.series.newton.newton_series` on these
+scalar series.
 
 The contract is **bit-for-bit identity**, not closeness: every
 operation here replays the numeric structure of the vectorized kernel
@@ -20,27 +23,46 @@ it mirrors —
   :func:`~repro.md.opcounts.series_newton_orders` schedule with the
   identical operand order in every ring operation;
 * calculus and Horner evaluation perform the same
-  :mod:`repro.md.generic` limb operations element by element.
+  :mod:`repro.md.generic` limb operations element by element;
+* the staircase shares the library's QR, back substitution and
+  ``Q^H b`` product, and gathers each right-hand side from scalar
+  residual coefficients instead of limb-major columns.
 
 Because scalar :class:`MultiDouble` arithmetic and the vectorized
 arrays share the generic expansion arithmetic of
 :mod:`repro.md.generic`, matching the operation *structure* makes the
-results identical to the last bit; the property tests in
-``tests/series/test_vectorized_cross.py`` enforce this at every paper
-precision.  Conversion helpers (:meth:`from_truncated`,
-:meth:`to_truncated`) round-trip between the two worlds.
+results identical to the last bit; ``tests/series/test_vectorized_cross.py``
+enforces this at every paper precision.  Nothing here calls
+:func:`repro.vec.linalg.cauchy_product`, so a bug in the vectorized
+series kernels cannot hide in its own reference.  Conversion helpers
+(:meth:`ScalarSeries.from_truncated`, :meth:`ScalarSeries.to_truncated`)
+round-trip between the two worlds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..md import functions as md_functions
-from ..md.constants import Precision, get_precision
-from ..md.number import MultiDouble
-from ..md.opcounts import series_newton_orders
+from repro.core import stages
+from repro.core.back_substitution import tiled_back_substitution
+from repro.core.blocked_qr import blocked_qr
+from repro.core.least_squares import STAGE_APPLY_QT, resolve_tile_sizes
+from repro.gpu.kernel import KernelTrace
+from repro.gpu.memory import md_bytes
+from repro.md import functions as md_functions
+from repro.md.constants import Precision, get_precision
+from repro.md.number import MultiDouble
+from repro.md.opcounts import series_newton_orders
+from repro.series.newton import (
+    NewtonSeriesResult,
+    _coerce_jacobian,
+    _coerce_residual,
+)
+from repro.series.truncated import TruncatedSeries
+from repro.vec import linalg
+from repro.vec.mdarray import MDArray
 
-__all__ = ["ScalarSeries", "pairwise_sum"]
+__all__ = ["ScalarSeries", "pairwise_sum", "newton_series"]
 
 #: Types accepted wherever a scalar coefficient is expected.
 _SCALAR_TYPES = (int, float, Fraction, str, MultiDouble)
@@ -138,8 +160,6 @@ class ScalarSeries:
 
     def to_truncated(self):
         """Convert to the vectorized limb-major representation."""
-        from .truncated import TruncatedSeries
-
         return TruncatedSeries(list(self._coefficients), self._precision)
 
     # ------------------------------------------------------------------
@@ -428,3 +448,75 @@ class ScalarSeries:
             f"ScalarSeries([{head}{ellipsis}], order={self.order}, "
             f"precision={self._precision.name!r})"
         )
+
+
+def newton_series(
+    system, jacobian, start, order, precision=2, *, tile_size=None,
+    bs_tile_size=None, device="V100",
+) -> NewtonSeriesResult:
+    """The order-by-order Newton staircase on :class:`ScalarSeries`.
+
+    ``system(x, t)`` is evaluated on scalar series; the Jacobian head
+    is factored once with :func:`repro.core.blocked_qr.blocked_qr` and
+    every order runs one ``Q^H b`` product and one
+    :func:`repro.core.back_substitution.tiled_back_substitution`,
+    recording the same launches as
+    :func:`repro.series.newton.newton_series`.  Real start points only.
+    The result carries one :class:`ScalarSeries` per unknown and no
+    ``vector``.
+    """
+    prec = get_precision(precision)
+    limbs = prec.limbs
+    heads = [MultiDouble(value, prec) for value in start]
+    n = len(heads)
+    tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
+    head_matrix = _coerce_jacobian(jacobian(list(heads)), n, limbs)
+
+    t_head = ScalarSeries([MultiDouble(0, prec)], prec)
+    x_head = [ScalarSeries([h], prec) for h in heads]
+    head_residuals = _coerce_residual(
+        system(x_head, t_head), n, 0, prec, ScalarSeries
+    )
+    head_residual = max(float(abs(r.coefficient(0))) for r in head_residuals)
+
+    qr = blocked_qr(head_matrix, tile_size, device=device)
+    q_conjugate = linalg.conjugate_transpose(qr.Q)
+    upper = qr.R[:n, :n]
+    trace = KernelTrace(
+        device, label=f"newton series dim={n} order={order} {prec.name}"
+    )
+    trace.extend(qr.trace)
+
+    columns = [[h] for h in heads]
+    zero = MultiDouble(0, prec)
+    for k in range(1, order + 1):
+        partial = [ScalarSeries(column + [zero], prec) for column in columns]
+        t = ScalarSeries.variable(k, prec)
+        residuals = _coerce_residual(system(partial, t), n, k, prec, ScalarSeries)
+        rhs = MDArray.from_multidoubles(
+            [-r.coefficient(k) for r in residuals], limbs
+        )
+        qhb = linalg.matvec(q_conjugate, rhs)
+        trace.add(
+            "apply_qt",
+            STAGE_APPLY_QT,
+            blocks=max(1, stages.ceil_div(n, tile_size)),
+            threads_per_block=tile_size,
+            limbs=limbs,
+            tally=stages.tally_matvec(n, n, False),
+            bytes_read=md_bytes(n * n + n, limbs, False),
+            bytes_written=md_bytes(n, limbs, False),
+        )
+        bs = tiled_back_substitution(
+            upper, qhb[:n], bs_tile_size, device=device, trace=trace
+        )
+        for i, column in enumerate(columns):
+            column.append(bs.x.to_multidouble(i))
+
+    return NewtonSeriesResult(
+        series=[ScalarSeries(column, prec) for column in columns],
+        trace=trace,
+        tile_size=tile_size,
+        bs_tile_size=bs_tile_size,
+        head_residual=head_residual,
+    )

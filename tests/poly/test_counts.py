@@ -8,7 +8,8 @@ from repro.gpu.kernel import KernelTrace
 from repro.md.opcounts import polynomial_counts
 from repro.perf.costmodel import polynomial_evaluation_trace
 from repro.poly import PolynomialSystem, cyclic, katsura
-from repro.poly.reference import instrumented_counts
+
+from ..oracles.poly import instrumented_counts
 
 
 def example_system() -> PolynomialSystem:

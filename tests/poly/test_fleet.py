@@ -26,9 +26,10 @@ import pytest
 from repro.batch.fleet import track_paths
 from repro.poly import Homotopy, cyclic
 from repro.poly.homotopy import extract_complex
-from repro.series.reference import ScalarSeries
 from repro.series.truncated import TruncatedSeries
 
+from ..oracles.poly import reference_homotopy
+from ..oracles.series import ScalarSeries
 from ..oracles.solo_tracker import solo_track_path
 
 
@@ -144,7 +145,8 @@ class TestCyclic4Fleet:
             ],
             TruncatedSeries.variable(3, limbs, head=step.t + step.step),
         )
-        reference = homotopy(
+        reference = reference_homotopy(
+            homotopy,
             [
                 ScalarSeries([x, *tail], limbs)
                 for x, tail in zip(point, tails)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,11 @@ from repro.poly import (
     roots_of_unity,
     total_degree_start,
 )
-from repro.series.reference import ScalarSeries
 from repro.series.truncated import TruncatedSeries
 from repro.vec.mdarray import MDArray
+
+from ..oracles.poly import reference_evaluate_series, reference_homotopy
+from ..oracles.series import ScalarSeries
 
 
 def complex_evaluate(terms, point):
@@ -167,25 +172,82 @@ class TestEndpointIdentities:
         assert j_end == pytest.approx(jf)
 
 
+def _series_arguments(homotopy, limbs):
+    """Random ``2n`` unknown series and the parameter ``0.3 + t``, as
+    vectorized and as scalar series with the same coefficients."""
+    rng = np.random.default_rng(6)
+    coefficients = rng.standard_normal((homotopy.real_dimension, 5))
+    vectorized = (
+        [TruncatedSeries(list(row), limbs) for row in coefficients],
+        TruncatedSeries.variable(4, limbs, head=0.3),
+    )
+    scalar = (
+        [ScalarSeries(list(row), limbs) for row in coefficients],
+        ScalarSeries.variable(4, limbs, head=0.3),
+    )
+    return vectorized, scalar
+
+
+def _same_bits(vectorized, reference) -> bool:
+    return all(
+        np.array_equal(
+            a.coefficients.data, np.array([c.limbs for c in b.coefficients]).T
+        )
+        for a, b in zip(vectorized, reference)
+    )
+
+
 class TestBitIdentity:
     def test_vectorized_vs_reference_at_every_precision(self, limbs):
         """The tracker-visible residual H(x, t): vectorized
         TruncatedSeries arguments against the scalar reference, exact
         limb equality at d/dd/qd/od."""
         homotopy = Homotopy.total_degree(cyclic(3), seed=7)
-        rng = np.random.default_rng(6)
-        coefficients = rng.standard_normal((homotopy.real_dimension, 5))
-        vectorized = homotopy(
-            [TruncatedSeries(list(row), limbs) for row in coefficients],
-            TruncatedSeries.variable(4, limbs, head=0.3),
+        vectorized, scalar = _series_arguments(homotopy, limbs)
+        assert _same_bits(
+            homotopy(*vectorized), reference_homotopy(homotopy, *scalar)
         )
-        reference = homotopy(
-            [ScalarSeries(list(row), limbs) for row in coefficients],
-            ScalarSeries.variable(4, limbs, head=0.3),
+
+
+class TestReferenceOracle:
+    """The homotopy identity is a gate, so it must be able to fail, and
+    the oracle must not reach the kernels it checks."""
+
+    def test_one_ulp_in_gamma_is_caught(self, limbs):
+        homotopy = Homotopy.total_degree(cyclic(3), seed=7)
+        vectorized, scalar = _series_arguments(homotopy, limbs)
+        nudged = copy.copy(homotopy)
+        nudged.gamma = complex(
+            math.nextafter(homotopy.gamma.real, math.inf), homotopy.gamma.imag
         )
-        for a, b in zip(vectorized, reference):
-            expected = np.array([c.limbs for c in b.coefficients]).T
-            assert np.array_equal(a.coefficients.data, expected)
+        assert not _same_bits(
+            homotopy(*vectorized), reference_homotopy(nudged, *scalar)
+        )
+
+    def test_oracle_does_not_call_the_series_kernels(self, monkeypatch):
+        homotopy = Homotopy.total_degree(cyclic(3), seed=7)
+        target = homotopy.target_system
+        vectorized, scalar = _series_arguments(homotopy, 2)
+        expected = homotopy(*vectorized)
+        expected_target = target(vectorized[0])
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a vectorized series kernel was called")
+
+        monkeypatch.setattr("repro.vec.linalg.cauchy_product", broken)
+        monkeypatch.setattr(PolynomialSystem, "evaluate_series", broken)
+        # the patches are live: the library's series evaluation goes
+        # through them
+        with pytest.raises(RuntimeError, match="series kernel was called"):
+            homotopy(*vectorized)
+        with pytest.raises(RuntimeError, match="series kernel was called"):
+            target(vectorized[0])
+        with pytest.raises(RuntimeError, match="series kernel was called"):
+            vectorized[1] * vectorized[1]
+        assert _same_bits(
+            expected_target, reference_evaluate_series(target, scalar[0])
+        )
+        assert _same_bits(expected, reference_homotopy(homotopy, *scalar))
 
 
 class TestValidation:

@@ -9,14 +9,17 @@ import pytest
 
 from repro.md.number import MultiDouble
 from repro.poly import PolynomialSystem
-from repro.poly.reference import (
-    pairwise_product,
-    reference_evaluate,
-    reference_jacobian,
-)
-from repro.series.reference import ScalarSeries
 from repro.series.truncated import TruncatedSeries
 from repro.vec.mdarray import MDArray
+
+from ..oracles import series as scalar_oracle
+from ..oracles.poly import (
+    pairwise_product,
+    reference_evaluate,
+    reference_evaluate_series,
+    reference_jacobian,
+)
+from ..oracles.series import ScalarSeries
 
 
 def example_system() -> PolynomialSystem:
@@ -147,8 +150,8 @@ class TestBitIdentity:
         vectorized = system(
             [TruncatedSeries(list(row), limbs) for row in coefficients]
         )
-        reference = system(
-            [ScalarSeries(list(row), limbs) for row in coefficients]
+        reference = reference_evaluate_series(
+            system, [ScalarSeries(list(row), limbs) for row in coefficients]
         )
         assert all(isinstance(s, ScalarSeries) for s in reference)
         for a, b in zip(vectorized, reference):
@@ -216,8 +219,39 @@ class TestSeriesOverloads:
         expected = [1.0, 0.5, -0.125, 0.0625]
         observed = [float(c) for c in result.series[0].coefficients][:4]
         assert observed == pytest.approx(expected, rel=1e-12)
-        reference = newton_series(system, [1.0], 6, 2, backend="reference")
-        assert result.vector.equals(reference.vector)
+        reference = scalar_oracle.newton_series(
+            lambda x, t: reference_evaluate_series(system, [*x, t]),
+            system.jacobian,
+            [1.0],
+            6,
+            2,
+        )
+        for a, b in zip(result.series, reference.series):
+            assert [c.limbs for c in a] == [c.limbs for c in b]
+
+    def test_oracle_staircase_does_not_call_the_series_kernels(self, monkeypatch):
+        from repro.series import newton_series
+
+        system = PolynomialSystem([[(1, (2, 0)), (-1, (0, 0)), (-1, (0, 1))]], 2)
+        expected = newton_series(system, [1.0], 6, 2)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a vectorized series kernel was called")
+
+        monkeypatch.setattr("repro.vec.linalg.cauchy_product", broken)
+        monkeypatch.setattr(PolynomialSystem, "evaluate_series", broken)
+        # the patches are live: the library staircase goes through them
+        with pytest.raises(RuntimeError, match="series kernel was called"):
+            newton_series(system, [1.0], 6, 2)
+        reference = scalar_oracle.newton_series(
+            lambda x, t: reference_evaluate_series(system, [*x, t]),
+            system.jacobian,
+            [1.0],
+            6,
+            2,
+        )
+        for a, b in zip(expected.series, reference.series):
+            assert [c.limbs for c in a] == [c.limbs for c in b]
 
     def test_track_path_accepts_system_directly(self):
         from repro.series.tracker import track_path

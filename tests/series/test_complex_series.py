@@ -181,12 +181,6 @@ class TestComplexNewtonSeries:
         assert isinstance(result.vector, ComplexVectorSeries)
         assert result.head_residual == 0.0
 
-    def test_reference_backend_rejected_for_complex(self):
-        with pytest.raises(ValueError):
-            newton_series(
-                self._system, self._jacobian, [1j], 4, 2, backend="reference"
-            )
-
 
 class TestComplexPade:
     def test_three_pole_rational_function(self, md_limbs):

@@ -128,3 +128,29 @@ def test_residual_length_validation():
         newton_series(
             lambda x, t: [x[0]], sqrt_jacobian, [1, 1], 2, 2, tile_size=1
         )
+
+
+def _unreachable_jacobian(x0):
+    raise AssertionError("the Jacobian was evaluated")
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, True], ids=["negative", "float", "bool"])
+def test_bad_order_rejected_before_the_jacobian(order):
+    with pytest.raises(ValueError, match="order"):
+        newton_series(sqrt_system, _unreachable_jacobian, [1, 1], order, 2)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, True], ids=["negative", "float", "bool"])
+def test_quadratic_bad_order_rejected(order):
+    def unreachable_system(x, t):
+        raise AssertionError("the system was evaluated")
+
+    with pytest.raises(ValueError, match="order"):
+        newton_series_quadratic(
+            unreachable_system, sqrt_jacobian_series, [1, 1], order, 2
+        )
+
+
+def test_quadratic_rejects_a_complex_start():
+    with pytest.raises(ValueError, match="real systems only"):
+        newton_series_quadratic(sqrt_system, sqrt_jacobian_series, [1j, 1], 4, 2)

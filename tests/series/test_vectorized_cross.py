@@ -3,22 +3,27 @@
 The contract of the structure-of-arrays refactor: every series
 operation computed on the limb-major :class:`TruncatedSeries` storage
 must be **bit-identical** — not merely close — to the scalar
-loop-per-coefficient :class:`ScalarSeries` reference, at every paper
-precision.  Both paths share :mod:`repro.md.generic` and the same
-product grid / pairwise reduction tree, so any bit of divergence is a
-structural bug, not harmless roundoff.
+loop-per-coefficient :class:`ScalarSeries` oracle
+(``tests/oracles/series.py``), at every paper precision.  Both paths
+share :mod:`repro.md.generic` and the same product grid / pairwise
+reduction tree, so any bit of divergence is a structural bug, not
+harmless roundoff.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repro.md import MultiDouble, get_precision
-from repro.series import ScalarSeries, TruncatedSeries, newton_series
+from repro.series import TruncatedSeries, newton_series
 from repro.vec import MDArray
+
+from ..oracles import series as scalar_oracle
+from ..oracles.series import ScalarSeries
 
 ORDER = 12
 
@@ -161,32 +166,21 @@ def sqrt_jacobian(x0):
 @pytest.mark.parametrize("order", [8, 32])
 def test_newton_staircase_backends_bit_identical(md_limbs, order):
     """The acceptance contract: the vectorized Newton staircase equals
-    the scalar-reference staircase coefficient for coefficient, bit for
+    the scalar-oracle staircase coefficient for coefficient, bit for
     bit (order 32 at dd is the acceptance scenario)."""
     if order == 32 and md_limbs > 2:
         pytest.skip("order 32 is exercised at dd; qd/od covered at order 8")
     vectorized = newton_series(
         sqrt_system, sqrt_jacobian, [1, 1], order, md_limbs, tile_size=1
     )
-    reference = newton_series(
-        sqrt_system,
-        sqrt_jacobian,
-        [1, 1],
-        order,
-        md_limbs,
-        tile_size=1,
-        backend="reference",
+    reference = scalar_oracle.newton_series(
+        sqrt_system, sqrt_jacobian, [1, 1], order, md_limbs, tile_size=1
     )
     for i in range(2):
         assert limb_tuples(vectorized.series[i]) == limb_tuples(reference.series[i])
-    # the traces are identical too: the backends share the solves
+    # the traces are identical too: the two staircases share the solves
     assert len(vectorized.trace) == len(reference.trace)
     assert vectorized.head_residual == reference.head_residual
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        newton_series(sqrt_system, sqrt_jacobian, [1, 1], 2, 2, backend="gpu")
 
 
 def test_quadratic_newton_accepts_mixed_order_jacobian_entries(md_limbs):
@@ -223,3 +217,41 @@ def test_scalar_reference_eq_hash(limbs):
     w = TruncatedSeries([1, 2, 3], limbs)
     assert v == w and hash(v) == hash(w)
     assert np.array_equal(v.coefficients.data, w.coefficients.data)
+
+
+class TestScalarOracle:
+    """The identity comparisons above are gates, so they must be able
+    to fail, and the oracle must not reach the kernels it checks."""
+
+    def test_one_ulp_in_the_head_is_caught(self, pair, limbs):
+        vectorized, scalar, other_vec, other_ref = pair
+        coefficients = list(other_ref.coefficients)
+        head = list(coefficients[0].limbs)
+        head[0] = math.nextafter(head[0], math.inf)
+        coefficients[0] = MultiDouble.from_limbs(head, limbs)
+        nudged = ScalarSeries(coefficients, limbs)
+        assert limb_tuples(vectorized * other_vec) == limb_tuples(scalar * other_ref)
+        assert limb_tuples(vectorized * other_vec) != limb_tuples(scalar * nudged)
+
+    def test_oracle_does_not_call_the_cauchy_kernel(self, monkeypatch):
+        vectorized = newton_series(sqrt_system, sqrt_jacobian, [1, 1], 6, 2, tile_size=1)
+
+        def broken_cauchy(*args, **kwargs):
+            raise RuntimeError("the Cauchy kernel was called")
+
+        monkeypatch.setattr("repro.vec.linalg.cauchy_product", broken_cauchy)
+        a = TruncatedSeries([1.0, 2.0, 3.0], 2)
+        # the patch is live: the library's products go through it
+        with pytest.raises(RuntimeError, match="Cauchy kernel was called"):
+            a * a
+        with pytest.raises(RuntimeError, match="Cauchy kernel was called"):
+            newton_series(sqrt_system, sqrt_jacobian, [1, 1], 6, 2, tile_size=1)
+        scalar = ScalarSeries.from_truncated(a)
+        assert limb_tuples(scalar * scalar) == [
+            c.limbs for c in ScalarSeries([1.0, 4.0, 10.0], 2)
+        ]
+        reference = scalar_oracle.newton_series(
+            sqrt_system, sqrt_jacobian, [1, 1], 6, 2, tile_size=1
+        )
+        for i in range(2):
+            assert limb_tuples(reference.series[i]) == limb_tuples(vectorized.series[i])
