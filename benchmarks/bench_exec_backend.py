@@ -27,6 +27,11 @@ a d launch run as plain IEEE double arithmetic against the
 identity asserted first, at least **3x** on 64- and 4096-element
 launches.
 
+Narrow od launches get a floor too: od ``mul`` on a one-element plane,
+a batch of one like the od rung's norms and betas, where the fused
+renormalization scans its head chains with one ``accumulate`` call
+instead of one add per term, at least **5x** over ``generic``.
+
 All assertions run in the CI ``perf-smoke`` job; records land in
 ``BENCH_exec.json`` through :mod:`harness`.
 """
@@ -60,6 +65,11 @@ POLY_SPEEDUP_FLOOR = 0.85
 #: Floor for one-limb d launches over the md.generic tuple path.
 ONE_LIMB_SPEEDUP_FLOOR = 3.0
 
+#: Floor for od launches on a one-element plane, fused over generic
+#: (measured on a 2-vCPU Xeon VM: 2.8-2.9x with one add per head-chain
+#: term, 8.7-9.0x with one scan per chain).
+NARROW_OD_SPEEDUP_FLOOR = 5.0
+
 LIMBS = 2  # double double — the paper's headline precision
 
 ELEMENTWISE_N = 262144
@@ -67,6 +77,7 @@ CAUCHY_BATCH, CAUCHY_ORDER = 256, 32
 QR_BATCH, QR_DIM, QR_TILE = 32, 8, 4
 ONE_LIMB_SIZES = (64, 4096)
 ONE_LIMB_CALLS = 200  # launches per timed repeat
+NARROW_OD_LIMBS, NARROW_OD_CALLS = 8, 20
 
 
 def _dd_stack(shape, seed):
@@ -301,3 +312,53 @@ def test_exec_one_limb_floor(op, n):
         f"one-limb {onelimb_seconds * 1e3:.2f} ms, speedup {speedup:.2f}x"
     )
     assert speedup >= ONE_LIMB_SPEEDUP_FLOOR
+
+
+def test_exec_fused_narrow_od_floor():
+    """od ``mul`` on a one-element plane ``(8, 1)``, in batches of
+    ``NARROW_OD_CALLS`` launches: fused >= 5x generic.  Call overhead is
+    the whole cost at this width, so this floor fails if the head chain
+    goes back to one NumPy call per term."""
+    rng = np.random.default_rng(50)
+    x, y = rng.standard_normal((2, NARROW_OD_LIMBS, 1))
+    for k in range(1, NARROW_OD_LIMBS):  # normalized od expansions
+        x[k] = x[k - 1] * 2.0**-53 * rng.standard_normal(1)
+        y[k] = y[k - 1] * 2.0**-53 * rng.standard_normal(1)
+    generic, fused = GenericBackend(), FusedBackend()
+    assert np.array_equal(
+        fused.mul(x, y).view(np.int64), generic.mul(x, y).view(np.int64)
+    )
+
+    calls = range(NARROW_OD_CALLS)
+
+    def generic_batch():
+        return [generic.mul(x, y) for _ in calls]
+
+    def fused_batch():
+        return [fused.mul(x, y) for _ in calls]
+
+    # interleaved repeats: a busy stretch of a shared runner then slows
+    # both sides, not every repeat of the ~10 ms fused batch
+    times = [
+        (harness.best_seconds(generic_batch, 1), harness.best_seconds(fused_batch, 1))
+        for _ in range(15)
+    ]
+    generic_seconds = min(pair[0] for pair in times)
+    fused_seconds = min(pair[1] for pair in times)
+    speedup = generic_seconds / fused_seconds
+    harness.record(
+        "exec",
+        f"narrow_mul_od_n1_x{NARROW_OD_CALLS}",
+        shape=harness.problem_shape(n=1),
+        limbs=NARROW_OD_LIMBS,
+        calls=NARROW_OD_CALLS,
+        generic_seconds=generic_seconds,
+        fused_seconds=fused_seconds,
+        speedup=speedup,
+        floor=NARROW_OD_SPEEDUP_FLOOR,
+    )
+    print(
+        f"\nod mul n=1 x{NARROW_OD_CALLS}: generic {generic_seconds * 1e3:.2f} ms, "
+        f"fused {fused_seconds * 1e3:.2f} ms, speedup {speedup:.2f}x"
+    )
+    assert speedup >= NARROW_OD_SPEEDUP_FLOOR

@@ -20,8 +20,9 @@ Quickstart::
     # or per process, before the first operation:
     #   REPRO_EXEC_BACKEND=generic python ...
 
-Both backends produce bitwise identical results; ``fused`` is the fast
-one and the default.  ``register_backend`` accepts new factories (e.g. a
+Both backends produce the same results: every non-NaN bit is equal and
+NaNs sit at the same positions.  ``fused`` is the fast one and the
+default.  ``register_backend`` accepts new factories (e.g. a
 ``FusedBackend(xp=cupy)``) for array modules that turn the simulated
 kernel launches into real device launches.
 """

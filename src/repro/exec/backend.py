@@ -8,7 +8,9 @@ fresh ``(m,) + broadcast_shape`` stack.  Two implementations ship:
 
 * ``fused`` (:class:`repro.exec.fused.FusedBackend`) — the default.
   The float operation sequence of ``generic`` (same EFT formulas, same
-  renormalization chains, so results are **bitwise identical**)
+  renormalization chains, so every non-NaN bit is equal and NaNs sit
+  at the same positions; only a NaN's sign or payload can differ,
+  because NumPy picks between two NaN operands by launch width)
   executed as fused array kernels: ``out=`` into scratch carved from
   one bounded workspace per thread, whole ``(k,) + shape`` workspace
   stacks for the renormalization passes, and stacked limb-parallel EFTs

@@ -1,12 +1,18 @@
 """Fused NumPy execution backend: same float sequence, array-level kernels.
 
-Every method of :class:`FusedBackend` computes **bitwise identical**
-results to the generic backend (and therefore to the scalar reference
-world) because IEEE double arithmetic is deterministic: an operation
-reorganization changes results only if it changes *which* elementwise
-float operations feed which.  The kernels below keep the generic term
-orders, EFT formulas and renormalization chains exactly, and only
-change how the work is issued:
+Every method of :class:`FusedBackend` computes the generic backend's
+results (and therefore the scalar reference world's): every non-NaN
+bit is equal and NaNs sit at the same positions.  IEEE double
+arithmetic is deterministic, so an operation reorganization changes
+results only if it changes *which* elementwise float operations feed
+which.  The one thing it leaves open is which NaN a NaN result
+carries: of two NaN operands NumPy keeps one by operand order, and its
+SIMD body and scalar tail choose differently (``np.add`` of +NaN and
+-NaN over 257 elements gives +NaN in the first 256 and -NaN in the
+last), so the sign or payload of a NaN can depend on launch width.
+The kernels below keep the generic term orders, EFT formulas and
+renormalization chains exactly, and only change how the work is
+issued:
 
 * every micro-op writes into scratch via ``out=`` instead of
   allocating a temporary; a kernel carves its scratch as views of one
@@ -27,10 +33,14 @@ change how the work is issued:
   them, deterministically producing the same halves (no value change);
 * the renormalization runs in place on one term-major workspace stack:
   the sequential head chain ``s_i = fl(a_i + s_{i+1})`` is the only
-  data-dependent part of :func:`repro.md.renorm.vecsum`, so the chain
-  runs as ``n-1`` adds and the error terms — each depending only on
-  ``(a_i, s_i, s_{i+1})`` — follow as five stacked ufuncs (no value
-  change);
+  data-dependent part of :func:`repro.md.renorm.vecsum`.  On planes of
+  at most ``_SCAN_MAX_PLANE`` elements the chain runs as one
+  ``np.add.accumulate`` scan, on wider ones as ``n-1`` adds, and the
+  error terms — each depending only on ``(a_i, s_i, s_{i+1})`` — follow
+  as five stacked ufuncs.  The scan adds in the other operand order,
+  which changes no bit unless both operands are NaN; a scanned chain
+  that ends in a NaN is recomputed by the loop (no value change, NaN
+  bits included);
 * launch *configuration* that depends only on sizes — pairwise
   reduction halves, Cauchy anti-diagonal gather indices — is resolved
   to views / cached index arrays instead of being recomputed and
@@ -42,7 +52,7 @@ generic backend does; the kernels below run the launches those decline.
 
 The oracle for all of this is the existing bit-identity suite: the
 vectorized-vs-scalar-reference tests plus ``tests/exec`` compare the
-two backends limb for limb.
+two backends limb for limb, NaNs by position.
 
 On a CuPy array module the same kernels become real device launches;
 the workspace is then device memory.  (NumPy is the only module
@@ -71,8 +81,14 @@ _div = np.divide
 _neg = np.negative
 _eq = np.equal
 _sqrt = np.sqrt
+_isnan = np.isnan
+_accumulate = np.add.accumulate
 _copyto = np.copyto
 _empty = np.empty
+
+# the widest plane whose renormalization head chains run as one scan
+# (see FusedBackend._vecsum_window)
+_SCAN_MAX_PLANE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +202,8 @@ def _cut(op, axis, ndim, n, part):
 
 class FusedBackend(GenericBackend):
     """Fused ``out=`` kernels on one bounded scratch workspace per thread,
-    bit-identical to :class:`GenericBackend`."""
+    equal to :class:`GenericBackend` in every non-NaN bit and in where
+    the NaNs are."""
 
     name = "fused"
 
@@ -378,14 +395,35 @@ class FusedBackend(GenericBackend):
     def _vecsum_window(self, work, lo, hi, chain, bb, t1, t2):
         """One :func:`~repro.md.renorm.vecsum` pass over ``work[lo:hi]``.
 
-        The head chain is sequential (each sum feeds the next); the
-        error terms depend only on chain values already computed, so
-        they run as five stacked ufuncs over the whole window.
+        The head chain ``chain[k] = fl(work[lo + k] + chain[k + 1])`` is
+        sequential (each sum feeds the next).  Issued as one add per
+        term, it costs one call per term, which is the whole cost on a
+        small plane; so on planes of at most ``_SCAN_MAX_PLANE`` elements
+        it runs as one ``_accumulate`` of the reversed term rows into
+        the reversed chain rows.  Above that the per-term loop is faster,
+        because ``accumulate`` runs its inner loop once per element.
+
+        The scan adds the running sum first where the loop adds the term
+        first.  IEEE addition commutes, so the bits agree unless both
+        operands are NaN, when NumPy keeps one of the two NaNs by
+        operand order.  A NaN anywhere in the chain reaches
+        ``chain[0]``, so a scanned chain whose ``chain[0]`` holds a NaN
+        is recomputed by the loop, and every output bit, NaN signs and
+        payloads included, is the loop's.
+
+        The error terms depend only on chain values already computed,
+        so they run as five stacked ufuncs over the whole window.
         """
         length = hi - lo  # >= 2
-        chain[length - 1] = work[hi - 1]
-        for k in range(length - 2, -1, -1):
-            _add(work[lo + k], chain[k + 1], out=chain[k])
+        head = chain[0]
+        scanned = head.size <= _SCAN_MAX_PLANE
+        if scanned:
+            _accumulate(work[lo:hi][::-1], axis=0, out=chain[length - 1 :: -1])
+            scanned = not _isnan(head).any()
+        if not scanned:
+            chain[length - 1] = work[hi - 1]
+            for k in range(length - 2, -1, -1):
+                _add(work[lo + k], chain[k + 1], out=chain[k])
         terms = work[lo : hi - 1]
         heads = chain[: length - 1]
         prev = chain[1:length]  # the running sum each term was added to

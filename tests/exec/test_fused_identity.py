@@ -1,12 +1,15 @@
-"""Bitwise identity of the fused backend against the generic reference.
+"""Identity of the fused backend against the generic reference.
 
 The whole point of :mod:`repro.exec.fused` is that it reorganizes
 *execution* (scratch buffers, ``out=`` chains, stacked limb EFTs,
-cached index grids, L2 tiling) without touching a single float
-*operation* — same EFT formulas, same reduction trees, same
-renormalization order.  IEEE arithmetic is deterministic, so every
-result must match the generic backend bit for bit, at every precision,
-on every shape, zeros and broadcasts included.
+cached index grids, L2 tiling, head-chain scans) without touching a
+single float *operation* — same EFT formulas, same reduction trees,
+same renormalization order.  IEEE arithmetic is deterministic, so every
+result must match the generic backend at every precision, on every
+shape, zeros and broadcasts included: every non-NaN bit equal and NaNs
+at the same positions (``equal_nan=True``).  A NaN's sign or payload is
+not compared: of two NaN operands NumPy keeps one by operand order and
+by launch width, so the two backends can carry different NaNs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from repro.exec import FusedBackend, GenericBackend, use_backend
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray, pairwise_reduce
 
-SHAPES = [(), (5,), (32, 8), (7, 1), (3, 4, 2)]
+# (17, 19) is the one shape past the fused head-chain scan threshold
+# (repro.exec.fused._SCAN_MAX_PLANE): every op meets both chain sides
+SHAPES = [(), (5,), (32, 8), (7, 1), (3, 4, 2), (17, 19)]
 
 
 @pytest.fixture(scope="module")
