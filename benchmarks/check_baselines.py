@@ -1,4 +1,5 @@
-"""Validate committed ``BENCH_*.json`` baselines and police their drift.
+"""Validate ``BENCH_*.json`` baselines, police their drift, and compare
+fresh speedups against the committed ones.
 
 Every benchmark suite records its floor-gated measurements through
 ``harness.record``, which writes one ``BENCH_<suite>.json`` per suite.
@@ -11,10 +12,10 @@ CI runs this checker on every push to keep them honest:
 ``environment`` block is newer than the oldest baselines, so it is
 *null-tolerant*: absent is fine, but when present it must be a mapping
 (and ``exec_backend`` inside it may be missing on pre-exec suites).
-Per-entry ``git_sha``/``recorded_at`` stamps (the trend store orders
-run history by them) are validated the same way: entries recorded
-before the stamps existed may omit them, but a present stamp must be a
-non-empty string.
+Per-entry ``git_sha``/``recorded_at`` stamps (the comparison below
+names the committed entry's ``git_sha``) are validated the same way:
+entries recorded before the stamps existed may omit them, but a present
+stamp must be a non-empty string.
 
 **Drift** — with ``--diff-range`` the checker asks git which files a
 change touched.  Editing a committed baseline without touching any
@@ -22,10 +23,20 @@ benchmark *code* (a non-baseline file under ``benchmarks/``) is how
 silent goalpost-moving happens, so that combination fails: a baseline
 refresh must ride with the bench change that motivated it.
 
+**Comparison** — with ``--committed DIR`` (a snapshot of the committed
+baselines taken before a sweep rewrote them) every entry present in
+both the snapshot and ``--bench-dir`` is compared on each numeric field
+named ``speedup`` or ending in ``_speedup``.  Speedups are ratios of
+two timings on the same machine, so they carry across machines where
+raw seconds do not.  A fresh value below :data:`MIN_SPEEDUP_RATIO`
+times the committed one fails, and so does a comparison that finds no
+shared field at all: a gate that compared nothing cannot pass.
+
 Usage::
 
     python benchmarks/check_baselines.py
     python benchmarks/check_baselines.py --diff-range origin/main...HEAD
+    python benchmarks/check_baselines.py --committed /tmp/committed
 """
 
 from __future__ import annotations
@@ -43,6 +54,12 @@ BENCH_DIR = Path(__file__).resolve().parent
 REQUIRED_KEYS = ("suite", "git_sha", "python", "updated", "entries")
 
 _BASELINE_RE = re.compile(r"^BENCH_[A-Za-z0-9_]+\.json$")
+
+#: A fresh speedup below this fraction of its committed value fails
+#: the comparison.  Three quick sweeps on a 2-vCPU VM read
+#: fresh/committed between 0.68 and 1.60 over 18 fields, so a 2x drop
+#: fails while that run-to-run spread passes.
+MIN_SPEEDUP_RATIO = 0.5
 
 
 def baseline_paths(bench_dir: Path = BENCH_DIR) -> list[Path]:
@@ -107,6 +124,52 @@ def validate_baseline(path: Path) -> list[str]:
     return problems
 
 
+def _speedups(entry) -> dict:
+    """The numeric ``speedup``/``*_speedup`` fields of one entry."""
+    if not isinstance(entry, dict):
+        return {}
+    return {
+        key: value
+        for key, value in entry.items()
+        if (key == "speedup" or key.endswith("_speedup"))
+        and isinstance(value, (int, float))
+        and not isinstance(value, bool)
+    }
+
+
+def compare_speedups(committed_dir: Path, bench_dir: Path) -> tuple[int, list[str]]:
+    """Fresh speedups under ``bench_dir`` against the snapshot in
+    ``committed_dir``; returns ``(fields compared, problems)``.
+
+    Suites, entries and fields present on only one side are skipped.
+    Both directories must hold schema-valid baselines.
+    """
+    compared = 0
+    problems: list[str] = []
+    for committed_path in baseline_paths(committed_dir):
+        fresh_path = bench_dir / committed_path.name
+        if not fresh_path.exists():
+            continue
+        committed = json.loads(committed_path.read_text())
+        fresh_entries = json.loads(fresh_path.read_text())["entries"]
+        for name, entry in committed["entries"].items():
+            fresh = _speedups(fresh_entries.get(name))
+            for field, old in _speedups(entry).items():
+                if field not in fresh:
+                    continue
+                compared += 1
+                new = fresh[field]
+                # written so that a NaN on either side fails too
+                if not new >= MIN_SPEEDUP_RATIO * old:
+                    sha = entry.get("git_sha") or committed["git_sha"]
+                    problems.append(
+                        f"suite {committed['suite']!r} entry {name!r}: "
+                        f"{field} {new:.4g} is below {MIN_SPEEDUP_RATIO} x "
+                        f"the committed {old:.4g} (measured at {sha})"
+                    )
+    return compared, problems
+
+
 def changed_files(diff_range: str, repo_root: Path) -> list[str]:
     out = subprocess.run(
         ["git", "diff", "--name-only", diff_range],
@@ -147,6 +210,12 @@ def main(argv=None) -> int:
         default=BENCH_DIR,
         help="directory holding the BENCH_*.json baselines",
     )
+    parser.add_argument(
+        "--committed",
+        type=Path,
+        help="snapshot of the committed BENCH_*.json files to compare the "
+        "speedups under --bench-dir against",
+    )
     args = parser.parse_args(argv)
 
     paths = baseline_paths(args.bench_dir)
@@ -157,6 +226,18 @@ def main(argv=None) -> int:
     problems: list[str] = []
     for path in paths:
         problems.extend(validate_baseline(path))
+    compared = 0
+    if args.committed:
+        for path in baseline_paths(args.committed):
+            problems.extend(validate_baseline(path))
+        if not problems:
+            compared, slower = compare_speedups(args.committed, args.bench_dir)
+            problems.extend(slower)
+            if not compared:
+                problems.append(
+                    f"no speedup field shared between {args.committed} and "
+                    f"{args.bench_dir}: nothing was compared"
+                )
 
     if args.diff_range:
         try:
@@ -175,6 +256,9 @@ def main(argv=None) -> int:
         return 1
     print(f"OK {len(paths)} baselines validated" + (
         f" (drift-checked against {args.diff_range})" if args.diff_range else ""
+    ) + (
+        f", {compared} speedups within {MIN_SPEEDUP_RATIO} x of {args.committed}"
+        if args.committed else ""
     ))
     return 0
 

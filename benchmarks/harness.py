@@ -6,9 +6,9 @@ The acceptance-contract benchmarks (``bench_batched_qr.py``,
 file — timings, speedup ratios, flop tallies and the git SHA they were
 measured at.  The first baselines are committed with the suite; the CI
 ``perf-smoke`` job regenerates the files on every push and uploads them
-as artifacts, so regressions show up both as failing floor assertions
-(the benchmarks ``assert speedup >= FLOOR``) and as a visible drop in
-the artifact history.
+as artifacts, so regressions show up as failing floor assertions (the
+benchmarks ``assert speedup >= FLOOR``) and as failing comparisons
+against the committed baselines (``check_baselines.py --committed``).
 
 Schema of one ``BENCH_<suite>.json``::
 
@@ -33,13 +33,18 @@ so the records stay self-describing as benchmarks evolve across PRs.
 Each entry is also stamped with its *own* ``git_sha``/``recorded_at``:
 the suite-level stamps only say when the file was last touched, so in
 a file mixing entries measured at different commits they misattribute
-every entry but the newest.  The trend store
-(:mod:`repro.obs.store`) orders run history by the per-entry stamps
-and falls back to the suite-level pair on baselines recorded before
-they existed — consumers must stay null-tolerant the same way.
+every entry but the newest.  The baseline comparison
+(``check_baselines.py --committed``) names the per-entry ``git_sha`` of
+the committed entry a fresh value fell below, and falls back to the
+suite-level one on baselines recorded before the stamps existed —
+consumers must stay null-tolerant the same way.
 
 Entries are keyed by a stable id and overwritten in place, so the file
-always holds the latest measurement of every benchmark that ran.
+always holds the latest measurement of every benchmark that ran.  A
+suite file that is not valid JSON makes :func:`load` (and so
+:func:`record`) raise instead of starting over, and :func:`record`
+replaces the file atomically, so an interrupted write cannot truncate
+a baseline.
 Set ``BENCH_OUTPUT_DIR`` to redirect the output (e.g. to keep a local
 run from touching the committed baselines).
 """
@@ -132,17 +137,19 @@ def load(suite: str) -> dict:
 
     Baselines committed before the environment stamp existed load with
     ``environment`` backfilled to ``None`` — consumers can rely on the
-    key being present without re-recording history.
+    key being present without re-recording history.  A file that is
+    not valid JSON raises :class:`ValueError` naming it: starting from
+    an empty skeleton would let the next :func:`record` wipe every
+    other entry.
     """
     path = results_path(suite)
-    data = None
-    if path.exists():
+    if not path.exists():
+        data = {"suite": suite, "entries": {}}
+    else:
         try:
             data = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            pass
-    if data is None:
-        data = {"suite": suite, "entries": {}}
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     data.setdefault("environment", None)
     return data
 
@@ -179,7 +186,11 @@ def record(suite: str, entry: str, telemetry=None, **fields) -> dict:
         "recorded_at": data["updated"],
     }
     path = results_path(suite)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    # write beside the target, then rename over it: os.replace is atomic,
+    # so a reader or a crash sees either the old file or the new one
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
     return entries[entry]
 
 

@@ -14,7 +14,7 @@ Two directions are checked:
   handed: assignments, augmented assignments, deletions or known
   mutating method calls (:data:`MUTATORS`) whose target is rooted at a
   function parameter are flagged (``self``/``cls`` excluded — obs
-  objects own their own state).  Sinks and monitors receive the
+  objects own their own state).  Exporters and reports receive the
   tracker's live records and spans; one stray ``record.fields[...] =``
   would silently rewrite history for every other consumer.
 * **outside** ``repro.obs`` — instrumented numeric code may import
@@ -62,8 +62,6 @@ OBS_SEAMS = frozenset(
         "Recorder",
         "profiled",
         "attach_trace",
-        "attach_monitor",
-        "LiveMonitor",
         "get_logger",
         "configure_logging",
     }

@@ -48,7 +48,6 @@ fleet path is bit-identical to the unbatched complex reference.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,6 @@ from ..gpu.memory import md_bytes
 from ..md.constants import get_precision
 from ..md.number import ComplexMultiDouble, MultiDouble
 from ..obs.events import get_recorder
-from ..obs.live import attach_monitor
 from ..obs.log import get_logger
 from ..obs.profile import attach_trace
 from ..series.complexvec import (
@@ -304,7 +302,6 @@ def track_paths(
     correct: bool = True,
     pole_safety=None,
     device: str = "V100",
-    monitor=None,
 ) -> PathFleetResult:
     """Track a fleet of solution paths of ``F(x, t) = 0`` in batches.
 
@@ -329,14 +326,6 @@ def track_paths(
     the lowest occupied precision rung advance next, so retired paths
     leave the launches immediately.  Packing only changes how work is
     cut into launches — per-path results never depend on it.
-
-    ``monitor`` optionally attaches a
-    :class:`~repro.obs.live.LiveMonitor` that watches the fleet's
-    telemetry in flight — per-path progress, analytic ETA, stall
-    detection, incremental JSONL flushes.  Observe-only: the fleet
-    tracks bitwise identically with or without one.  When no recording
-    scope is active the monitor's private recorder is enabled for the
-    duration of the call.
 
     Returns a :class:`PathFleetResult`; its ``paths`` entries are
     bit-identical to tracking each start point alone, unbatched (same
@@ -426,11 +415,8 @@ def track_paths(
         if not (state.t_current < t_end - 1e-14 and max_steps > 0):
             _finalize(state, fleet.paths[index], t_end)
 
-    # Monitor enters first, exits last: the closing ``track_paths``
-    # span is still delivered to the attached monitor.
-    monitor_stack = ExitStack()
-    recorder = attach_monitor(monitor_stack, monitor)
-    with monitor_stack, recorder.span(
+    recorder = get_recorder()
+    with recorder.span(
         "track_paths",
         category="run",
         batch=len(starts),

@@ -8,11 +8,8 @@ hooks that pair every measured stage with its analytic
 (:mod:`repro.obs.profile`); schema-versioned JSONL export with a
 lossless round-trip and a p50/p90/p99 metrics aggregator
 (:mod:`repro.obs.export`); human-readable run reports on the shared
-table formatters (:mod:`repro.obs.report`); the
-``repro``-namespaced logging integration (:mod:`repro.obs.log`); the
-cross-run trend store and statistical regression verdicts
-(:mod:`repro.obs.store`, :mod:`repro.obs.regress`); and live fleet
-monitoring of in-flight runs (:mod:`repro.obs.live`).
+table formatters (:mod:`repro.obs.report`); and the
+``repro``-namespaced logging integration (:mod:`repro.obs.log`).
 
 Quickstart::
 
@@ -23,25 +20,14 @@ Quickstart::
     print(render_run_report(rec))
     write_jsonl(rec, "run.jsonl")
 
-Live monitoring and cross-run trends::
-
-    from repro.obs import LiveMonitor, TrendStore, render_trend_report
-
-    fleet = homotopy.track_fleet(tol=1e-6, monitor=LiveMonitor("live.jsonl"))
-
-    store = TrendStore(path="trend_store.jsonl")   # append-only ledger
-    store.ingest_file("benchmarks/BENCH_fleet.json")
-    print(render_trend_report(store))              # ok/warn/REGRESS verdicts
-
 With no active recorder every instrumentation point is a constant-time
 no-op and tracked results are bitwise identical to recording enabled —
 telemetry observes, it never participates.
 
-The report and trend renderers are lazily exported (PEP 562): they sit
-on top of the :mod:`repro.perf` table formatters, and loading those
-eagerly from here would cycle with the instrumented drivers
-(``repro.core`` imports :mod:`repro.obs.profile`, :mod:`repro.perf`
-imports ``repro.core``).
+The report renderers are lazily exported (PEP 562): they sit on top of
+the :mod:`repro.perf` table formatters, and loading those eagerly from
+here would cycle with the instrumented drivers (``repro.core`` imports
+:mod:`repro.obs.profile`, :mod:`repro.perf` imports ``repro.core``).
 """
 
 from __future__ import annotations
@@ -65,12 +51,6 @@ from .export import (  # noqa: F401
     read_jsonl,
     write_jsonl,
 )
-from .live import (  # noqa: F401
-    LIVE_SCHEMA_VERSION,
-    LiveMonitor,
-    PathProgress,
-    read_live_jsonl,
-)
 from .log import configure_logging, get_logger  # noqa: F401
 from .profile import (  # noqa: F401
     attach_trace,
@@ -78,38 +58,15 @@ from .profile import (  # noqa: F401
     predicted_vs_measured,
     profiled,
 )
-from .store import (  # noqa: F401
-    STORE_SCHEMA_VERSION,
-    TrendPoint,
-    TrendStore,
-    entry_point,
-    flatten_telemetry,
-)
 
-#: Report and trend renderers, resolved on first access (see the
-#: module docstring).  The regress names ride along because
-#: :mod:`repro.obs.regress` renders through :mod:`repro.perf.report`.
+#: Report renderers, resolved on first access (see the module
+#: docstring).
 _REPORT_EXPORTS = (
     "path_timeline",
     "fleet_rounds",
     "top_stages",
     "predicted_vs_measured_table",
     "render_run_report",
-)
-
-_REGRESS_EXPORTS = (
-    "VERDICT_OK",
-    "VERDICT_WARN",
-    "VERDICT_REGRESS",
-    "VERDICT_INSUFFICIENT",
-    "Thresholds",
-    "TrendVerdict",
-    "metric_direction",
-    "judge_series",
-    "evaluate_trends",
-    "worst_verdict",
-    "sparkline",
-    "render_trend_report",
 )
 
 __all__ = [
@@ -134,17 +91,7 @@ __all__ = [
     "predicted_vs_measured",
     "configure_logging",
     "get_logger",
-    "STORE_SCHEMA_VERSION",
-    "TrendPoint",
-    "TrendStore",
-    "entry_point",
-    "flatten_telemetry",
-    "LIVE_SCHEMA_VERSION",
-    "PathProgress",
-    "LiveMonitor",
-    "read_live_jsonl",
     *_REPORT_EXPORTS,
-    *_REGRESS_EXPORTS,
 ]
 
 
@@ -153,12 +100,6 @@ def __getattr__(name):
         from . import report
 
         value = getattr(report, name)
-        globals()[name] = value
-        return value
-    if name in _REGRESS_EXPORTS:
-        from . import regress
-
-        value = getattr(regress, name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

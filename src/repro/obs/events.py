@@ -19,13 +19,6 @@ The observability layer the whole tracking stack reports through.  A
   occupancy, a queue depth): :meth:`Recorder.gauge` overwrites the
   named value, so the export carries the state at the end of the run.
 
-Live consumers (:class:`repro.obs.live.LiveMonitor`) can
-:meth:`~Recorder.subscribe` a sink callable: every point event and
-every *closed* span is pushed to the sinks as it is recorded, so an
-in-flight run can be observed without polling the record list.  Sinks
-observe — they receive the shared :class:`Record` objects and must not
-mutate them.
-
 Recording is **off by default**: :func:`get_recorder` returns a shared
 :class:`NullRecorder` whose every method is a no-op (entering a null
 span is two constant-time calls — the instrumented drivers pay roughly
@@ -194,7 +187,6 @@ class Recorder:
         self.gauges: dict = {}
         self._lock = threading.Lock()
         self._next_id = 0
-        self._sinks: list = []
 
     def __bool__(self) -> bool:
         return True
@@ -223,7 +215,6 @@ class Recorder:
         record = self._new_record("event", name, category, fields)
         if _logger.isEnabledFor(logging.DEBUG):
             _logger.debug("event %s %s", record.name, record.fields)
-        self._notify(record)
         return record
 
     @contextmanager
@@ -247,7 +238,6 @@ class Recorder:
                 _logger.debug(
                     "span %s %.3f ms %s", record.name, record.measured_ms, record.fields
                 )
-            self._notify(record)
 
     def count(self, name, value=1) -> None:
         """Increment a named counter."""
@@ -266,28 +256,6 @@ class Recorder:
         value = float(value)
         with self._lock:
             self.gauges[name] = value
-
-    # -- live subscription -------------------------------------------------
-    def subscribe(self, sink):
-        """Register a sink called with every point event and every
-        closed span (:class:`Record` objects, shared — observe only).
-        Returns ``sink`` so callers can hold it for :meth:`unsubscribe`.
-        """
-        with self._lock:
-            self._sinks.append(sink)
-        return sink
-
-    def unsubscribe(self, sink) -> None:
-        """Remove a previously subscribed sink (a no-op if absent)."""
-        with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
-
-    def _notify(self, record) -> None:
-        if not self._sinks:
-            return
-        for sink in tuple(self._sinks):
-            sink(record)
 
     def clear(self) -> None:
         with self._lock:
@@ -376,12 +344,6 @@ class NullRecorder:
         return
 
     def gauge(self, name, value) -> None:
-        return
-
-    def subscribe(self, sink):
-        return sink
-
-    def unsubscribe(self, sink) -> None:
         return
 
     def clear(self) -> None:

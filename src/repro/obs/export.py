@@ -148,10 +148,9 @@ def percentile(values, q):
     — the definition the test suite checks digit for digit.
 
     An empty sample returns ``None`` (there is no observation to
-    report): live incremental summaries aggregate histograms *while* a
-    run is in flight, and a monitor flush must never crash on a
-    histogram that has not received its first observation yet.  A ``q``
-    outside ``(0, 100]`` is still a programming error and raises.
+    report): a histogram read back from a JSONL document may hold no
+    observations, and summarizing it must say so rather than raise.  A
+    ``q`` outside ``(0, 100]`` is still a programming error and raises.
     """
     if not 0.0 < q <= 100.0:
         raise ValueError(f"the percentile must lie in (0, 100], got {q}")
@@ -168,8 +167,8 @@ def histogram_summary(values) -> dict:
 
     Empty input is well-defined, not an error: ``count`` 0, ``total_ms``
     0.0 and ``None`` for every statistic that needs at least one
-    observation — the shape live monitor flushes rely on.  A single
-    observation reports itself as every statistic.
+    observation, so :func:`metrics_summary` of any document succeeds.
+    A single observation reports itself as every statistic.
     """
     values = list(values)
     total = float(sum(values))

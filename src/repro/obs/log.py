@@ -11,16 +11,12 @@ Two levels carry the telemetry:
 
 * **DEBUG** — every record of an active
   :class:`~repro.obs.events.Recorder` (spans as they close, events as
-  they are emitted), so a debug stream is a live tail of the run, plus
-  the live monitor's incremental flushes and heartbeat snapshots
-  (:mod:`repro.obs.live` — routine "still moving" traffic);
+  they are emitted), so a debug stream is a live tail of the run;
 * **WARNING** — path failures and precision escalations from the
   trackers (:mod:`repro.series.tracker`, :mod:`repro.batch.fleet`),
-  emitted *whether or not* a recorder is active, and **fleet stalls**
-  from an attached :class:`~repro.obs.live.LiveMonitor` (no path
-  progress for the configured wall-clock window — at most one warning
-  per window).  Before this module existed a failed path was silent
-  until the caller inspected the result object.
+  emitted *whether or not* a recorder is active.  Before this module
+  existed a failed path was silent until the caller inspected the
+  result object.
 """
 
 from __future__ import annotations
@@ -60,10 +56,9 @@ def configure_logging(
 ) -> logging.Handler:
     """Attach a stream handler to the ``repro`` logger.
 
-    ``level=logging.DEBUG`` tails every recorder span/event plus live
-    monitor flushes and heartbeats; ``logging.WARNING`` surfaces only
-    path failures, precision escalations and fleet stalls.  ``stream``
-    defaults to ``sys.stderr``.  Calling again
+    ``level=logging.DEBUG`` tails every recorder span/event;
+    ``logging.WARNING`` surfaces only path failures and precision
+    escalations.  ``stream`` defaults to ``sys.stderr``.  Calling again
     replaces the previously configured handler (idempotent setup for
     notebooks and REPLs).
     """

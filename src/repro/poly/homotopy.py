@@ -690,9 +690,7 @@ class Homotopy:
         the same step loop as :meth:`track_fleet`; ``start`` defaults
         to the first seeded start solution (realified, or a complex
         ``n``-point which is embedded automatically).  All keyword
-        arguments — including ``monitor=`` for a live
-        :class:`~repro.obs.live.LiveMonitor` — pass through to the
-        tracker."""
+        arguments pass through to the tracker."""
         from ..obs.events import get_recorder
         from ..series.tracker import track_path
 
@@ -707,9 +705,8 @@ class Homotopy:
     def track_fleet(self, starts=None, **kwargs):
         """Track a whole fleet with the batched
         :func:`repro.batch.fleet.track_paths`; ``starts`` defaults to
-        every seeded start solution.  All keyword arguments — including
-        ``monitor=`` for a live :class:`~repro.obs.live.LiveMonitor`
-        watching the in-flight fleet — pass through to the tracker."""
+        every seeded start solution.  All keyword arguments pass through
+        to the tracker."""
         from ..batch.fleet import track_paths
         from ..obs.events import get_recorder
 

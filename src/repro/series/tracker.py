@@ -32,10 +32,9 @@ analytic cost model (:func:`repro.perf.costmodel.path_step_trace`).
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from ..obs.live import attach_monitor
+from ..obs.events import get_recorder
 from .newton import resolve_system_arguments
 
 __all__ = ["PathStep", "PathResult", "track_path", "track_paths"]
@@ -181,7 +180,6 @@ def track_path(
     correct: bool = True,
     pole_safety=None,
     device: str = "V100",
-    monitor=None,
 ) -> PathResult:
     """Track a solution path of ``F(x, t) = 0`` from ``t_start`` to ``t_end``.
 
@@ -238,13 +236,6 @@ def track_path(
         literature's beta = 0.5.  Must lie in ``(0, 1]``.
     device:
         Simulated device for the cost model accounting.
-    monitor:
-        Optional :class:`~repro.obs.live.LiveMonitor` that watches the
-        run's telemetry while it is in flight (progress, ETA, stall
-        detection, incremental JSONL flushes).  Observe-only: tracked
-        results are bitwise identical with or without one.  When no
-        recording scope is active the monitor's private recorder is
-        enabled for the duration of the call.
 
     Complex start points (``complex`` components or
     :class:`~repro.md.number.ComplexMultiDouble` values) track the path
@@ -254,12 +245,7 @@ def track_path(
     from ..batch.fleet import track_paths
 
     system, jacobian, start = resolve_system_arguments(system, jacobian, start)
-    # The monitor (when given) watches the active recorder for the
-    # duration of the call — enters first, exits last, so the closing
-    # ``track_path`` span is still delivered to it.
-    monitor_stack = ExitStack()
-    recorder = attach_monitor(monitor_stack, monitor)
-    with monitor_stack, recorder.span(
+    with get_recorder().span(
         "track_path",
         category="path",
         t_start=float(t_start),

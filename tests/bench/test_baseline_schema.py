@@ -1,12 +1,15 @@
-"""The baseline checker itself: schema validation and drift policing.
+"""The baseline checker itself: schema validation, drift policing and
+the speedup comparison.
 
 ``benchmarks/check_baselines.py`` gates CI on the committed
 ``BENCH_*.json`` performance baselines.  These tests pin its contract
 without invoking git or touching the real baselines: the validator on
 synthetic payloads (envelope keys, suite/filename agreement,
 null-tolerant ``environment``), the drift rule on synthetic change
-lists, and a full run over the repo's committed baselines — which must
-always validate, or CI is red before any code change.
+lists, the fresh-vs-committed speedup comparison on two tmp
+directories (with seeded failures), and a full run over the repo's
+committed baselines — which must always validate, or CI is red before
+any code change.
 """
 
 from __future__ import annotations
@@ -151,6 +154,105 @@ class TestDriftRule:
     def test_no_baseline_changes_no_drift(self):
         changed = ["src/repro/batch/fleet.py", "benchmarks/harness.py"]
         assert check_baselines.drift_problems(changed) == []
+
+
+class TestSpeedupComparison:
+    """``--committed``: a fresh speedup below half its committed value
+    fails, and so does a comparison that shares no speedup field."""
+
+    @staticmethod
+    def dirs(tmp_path, committed_entries, fresh_entries, suite="demo"):
+        committed = tmp_path / "committed"
+        fresh = tmp_path / "fresh"
+        for directory, entries in ((committed, committed_entries), (fresh, fresh_entries)):
+            directory.mkdir(exist_ok=True)
+            write_baseline(
+                directory,
+                name=f"BENCH_{suite}.json",
+                payload=envelope(suite=suite, entries=entries),
+            )
+        return committed, fresh
+
+    @staticmethod
+    def run(committed, fresh):
+        return check_baselines.main(
+            ["--committed", str(committed), "--bench-dir", str(fresh)]
+        )
+
+    def test_halved_speedup_fails_and_names_it(self, tmp_path, capsys):
+        committed, fresh = self.dirs(
+            tmp_path,
+            {"case": {"speedup": 10.0, "git_sha": "c" * 40}},
+            {"case": {"speedup": 4.0}},
+        )
+        assert self.run(committed, fresh) == 1
+        message = capsys.readouterr().err
+        for part in ("'demo'", "'case'", "speedup 4 ", "committed 10 ", "c" * 40):
+            assert part in message
+
+    def test_suite_stamp_names_a_pre_stamp_entry(self, tmp_path, capsys):
+        committed, fresh = self.dirs(
+            tmp_path, {"case": {"speedup": 10.0}}, {"case": {"speedup": 4.0}}
+        )
+        assert self.run(committed, fresh) == 1
+        assert "a" * 40 in capsys.readouterr().err
+
+    def test_speedup_above_half_passes(self, tmp_path, capsys):
+        committed, fresh = self.dirs(
+            tmp_path, {"case": {"speedup": 10.0}}, {"case": {"speedup": 6.0}}
+        )
+        assert self.run(committed, fresh) == 0
+        assert "1 speedups" in capsys.readouterr().out
+
+    def test_suffixed_speedup_is_compared(self, tmp_path):
+        committed, fresh = self.dirs(
+            tmp_path,
+            {"case": {"eval_speedup": 10.0}},
+            {"case": {"eval_speedup": 4.0}},
+        )
+        assert self.run(committed, fresh) == 1
+        _, fresh = self.dirs(
+            tmp_path,
+            {"case": {"eval_speedup": 10.0}},
+            {"case": {"eval_speedup": 6.0}},
+        )
+        assert self.run(committed, fresh) == 0
+
+    def test_nan_speedup_fails(self, tmp_path):
+        committed, fresh = self.dirs(
+            tmp_path, {"case": {"speedup": 10.0}}, {"case": {"speedup": float("nan")}}
+        )
+        assert self.run(committed, fresh) == 1
+
+    def test_one_sided_entries_and_suites_are_skipped(self, tmp_path):
+        committed, fresh = self.dirs(
+            tmp_path,
+            {"case": {"speedup": 10.0}, "gone": {"speedup": 10.0}},
+            {"case": {"speedup": 9.0}, "new": {"speedup": 0.1}},
+        )
+        # a suite only the snapshot has, and one only the fresh side has
+        write_baseline(
+            committed,
+            name="BENCH_old.json",
+            payload=envelope(suite="old", entries={"case": {"speedup": 10.0}}),
+        )
+        write_baseline(
+            fresh,
+            name="BENCH_other.json",
+            payload=envelope(suite="other", entries={"case": {"speedup": 0.1}}),
+        )
+        assert check_baselines.compare_speedups(committed, fresh) == (1, [])
+        assert self.run(committed, fresh) == 0
+
+    def test_nothing_compared_fails(self, tmp_path, capsys):
+        committed, fresh = self.dirs(
+            tmp_path, {"case": {"seconds": 1.0}}, {"case": {"seconds": 9.0}}
+        )
+        assert self.run(committed, fresh) == 1
+        assert "nothing was compared" in capsys.readouterr().err
+
+    def test_repo_baselines_against_themselves_pass(self):
+        assert self.run(BENCH_DIR, BENCH_DIR) == 0
 
 
 class TestCommittedBaselines:

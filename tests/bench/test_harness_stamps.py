@@ -3,10 +3,11 @@
 The suite-level ``git_sha``/``updated`` pair only dates the *file*;
 in a suite whose entries were measured at different commits it
 misattributes every entry but the newest.  ``harness.record`` therefore
-stamps each entry with its own ``git_sha``/``recorded_at`` — the pair
-the trend store (:mod:`repro.obs.store`) orders run history by.  These
-tests pin that contract against a ``BENCH_OUTPUT_DIR`` sandbox, never
-the committed baselines.
+stamps each entry with its own ``git_sha``/``recorded_at`` — the
+``git_sha`` that ``check_baselines.py --committed`` names when a fresh
+speedup falls below the committed one.  These tests pin that contract,
+and that a corrupt suite file is never silently replaced, against a
+``BENCH_OUTPUT_DIR`` sandbox, never the committed baselines.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -78,3 +81,20 @@ def test_telemetry_attachment_still_stamped(tmp_path, monkeypatch):
     assert entry["telemetry"] == summary
     assert entry["git_sha"]
     assert entry["recorded_at"]
+
+
+def test_truncated_suite_file_is_not_overwritten(tmp_path, monkeypatch):
+    """A suite file that no longer parses makes ``record`` raise and
+    leaves the file's bytes as they were, instead of rewriting it with
+    the one new entry."""
+    monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
+    harness.record("demo", "a", seconds=1.0)
+    harness.record("demo", "b", seconds=2.0)
+    path = tmp_path / "BENCH_demo.json"
+    truncated = path.read_bytes()[:40]
+    path.write_bytes(truncated)
+
+    with pytest.raises(ValueError, match="BENCH_demo.json"):
+        harness.record("demo", "c", seconds=3.0)
+    assert path.read_bytes() == truncated
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_demo.json"]

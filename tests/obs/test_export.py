@@ -150,8 +150,8 @@ class TestPercentiles:
             percentile([], 0)
 
     def test_empty_sample_returns_none(self):
-        # live incremental summaries hit not-yet-populated histograms;
-        # an empty sample is "no observation", not an error
+        # a read-back document may carry a histogram with no
+        # observations; an empty sample is "no observation", not an error
         assert percentile([], 50) is None
         assert percentile([], 99) is None
 

@@ -16,7 +16,7 @@ Every batched kernel is bit-identical to a loop over its unbatched
 counterpart, so each path of a fleet must equal :func:`solo_track_path`
 bit for bit: steps, escalations, model accounting, final limbs.  The
 oracle never calls the fleet, so a fleet bug cannot hide in its own
-reference.  It records no telemetry and takes no monitor.
+reference.  It records no telemetry.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def solo_track_path(
     device: str = "V100",
 ) -> PathResult:
     """Track one path unbatched; the arguments are those of
-    :func:`repro.series.tracker.track_path` without ``monitor``.
+    :func:`repro.series.tracker.track_path`.
 
     Inputs are assumed valid: the argument checks live in
     :func:`repro.batch.fleet.track_paths`.
