@@ -23,20 +23,24 @@ benchmark *code* (a non-baseline file under ``benchmarks/``) is how
 silent goalpost-moving happens, so that combination fails: a baseline
 refresh must ride with the bench change that motivated it.
 
-**Comparison** — with ``--committed DIR`` (a snapshot of the committed
-baselines taken before a sweep rewrote them) every entry present in
-both the snapshot and ``--bench-dir`` is compared on each numeric field
-named ``speedup`` or ending in ``_speedup``.  Speedups are ratios of
-two timings on the same machine, so they carry across machines where
-raw seconds do not.  A fresh value below :data:`MIN_SPEEDUP_RATIO`
-times the committed one fails, and so does a comparison that finds no
-shared field at all: a gate that compared nothing cannot pass.
+**Comparison** — with ``--committed DIR`` (the committed baselines)
+and ``--bench-dir`` pointing at the fresh results of a sweep run with
+``BENCH_OUTPUT_DIR`` set, every entry present in both is compared on
+each numeric field named ``speedup`` or ending in ``_speedup``.  The
+fresh directory holds only what the sweep measured, so an entry the
+sweep skipped (``--quick`` leaves out the heavy ones) is skipped here
+too, never compared with itself; the report counts the compared and
+the skipped fields.  Speedups are ratios of two timings on the same
+machine, so they carry across machines where raw seconds do not.  A
+fresh value below :data:`MIN_SPEEDUP_RATIO` times the committed one
+fails, and so does a comparison that finds no shared field at all: a
+gate that compared nothing cannot pass.
 
 Usage::
 
     python benchmarks/check_baselines.py
     python benchmarks/check_baselines.py --diff-range origin/main...HEAD
-    python benchmarks/check_baselines.py --committed /tmp/committed
+    python benchmarks/check_baselines.py --committed benchmarks --bench-dir /tmp/fresh
 """
 
 from __future__ import annotations
@@ -137,25 +141,30 @@ def _speedups(entry) -> dict:
     }
 
 
-def compare_speedups(committed_dir: Path, bench_dir: Path) -> tuple[int, list[str]]:
-    """Fresh speedups under ``bench_dir`` against the snapshot in
-    ``committed_dir``; returns ``(fields compared, problems)``.
+def compare_speedups(
+    committed_dir: Path, bench_dir: Path
+) -> tuple[int, int, list[str]]:
+    """Fresh speedups under ``bench_dir`` against the committed ones in
+    ``committed_dir``; returns ``(fields compared, committed fields
+    skipped, problems)``.
 
-    Suites, entries and fields present on only one side are skipped.
-    Both directories must hold schema-valid baselines.
+    A committed field whose suite, entry or field the fresh side lacks
+    is skipped; fresh-only suites and entries are ignored.  Both
+    directories must hold schema-valid baselines.
     """
-    compared = 0
+    compared = skipped = 0
     problems: list[str] = []
     for committed_path in baseline_paths(committed_dir):
-        fresh_path = bench_dir / committed_path.name
-        if not fresh_path.exists():
-            continue
         committed = json.loads(committed_path.read_text())
-        fresh_entries = json.loads(fresh_path.read_text())["entries"]
+        fresh_path = bench_dir / committed_path.name
+        fresh_entries = (
+            json.loads(fresh_path.read_text())["entries"] if fresh_path.exists() else {}
+        )
         for name, entry in committed["entries"].items():
             fresh = _speedups(fresh_entries.get(name))
             for field, old in _speedups(entry).items():
                 if field not in fresh:
+                    skipped += 1
                     continue
                 compared += 1
                 new = fresh[field]
@@ -167,7 +176,7 @@ def compare_speedups(committed_dir: Path, bench_dir: Path) -> tuple[int, list[st
                         f"{field} {new:.4g} is below {MIN_SPEEDUP_RATIO} x "
                         f"the committed {old:.4g} (measured at {sha})"
                     )
-    return compared, problems
+    return compared, skipped, problems
 
 
 def changed_files(diff_range: str, repo_root: Path) -> list[str]:
@@ -213,8 +222,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--committed",
         type=Path,
-        help="snapshot of the committed BENCH_*.json files to compare the "
-        "speedups under --bench-dir against",
+        help="directory of the committed BENCH_*.json files to compare the "
+        "fresh speedups under --bench-dir against",
     )
     args = parser.parse_args(argv)
 
@@ -226,12 +235,14 @@ def main(argv=None) -> int:
     problems: list[str] = []
     for path in paths:
         problems.extend(validate_baseline(path))
-    compared = 0
+    compared = skipped = 0
     if args.committed:
         for path in baseline_paths(args.committed):
             problems.extend(validate_baseline(path))
         if not problems:
-            compared, slower = compare_speedups(args.committed, args.bench_dir)
+            compared, skipped, slower = compare_speedups(
+                args.committed, args.bench_dir
+            )
             problems.extend(slower)
             if not compared:
                 problems.append(
@@ -258,6 +269,7 @@ def main(argv=None) -> int:
         f" (drift-checked against {args.diff_range})" if args.diff_range else ""
     ) + (
         f", {compared} speedups within {MIN_SPEEDUP_RATIO} x of {args.committed}"
+        f" ({skipped} committed speedups skipped: not measured in {args.bench_dir})"
         if args.committed else ""
     ))
     return 0

@@ -5,10 +5,11 @@ The acceptance-contract benchmarks (``bench_batched_qr.py``,
 :func:`record` merges them into ``BENCH_<suite>.json`` next to this
 file — timings, speedup ratios, flop tallies and the git SHA they were
 measured at.  The first baselines are committed with the suite; the CI
-``perf-smoke`` job regenerates the files on every push and uploads them
-as artifacts, so regressions show up as failing floor assertions (the
-benchmarks ``assert speedup >= FLOOR``) and as failing comparisons
-against the committed baselines (``check_baselines.py --committed``).
+``perf-smoke`` job re-measures them on every push into a fresh
+``BENCH_OUTPUT_DIR`` and uploads that as an artifact, so regressions
+show up as failing floor assertions (the benchmarks ``assert speedup >=
+FLOOR``) and as failing comparisons against the committed baselines
+(``check_baselines.py --committed benchmarks --bench-dir``).
 
 Schema of one ``BENCH_<suite>.json``::
 

@@ -7,10 +7,11 @@ gathers **all** Hankel systems and right-hand sides from the stacked
 limb-major coefficient array in one indexing operation, solves them
 with one :func:`~repro.batch.least_squares.batched_least_squares` call,
 and finishes numerators and defects with one batched triangular
-convolution each — the per-series results are bit-identical to
-:func:`repro.series.pade.pade` on each series alone, because the
-batched solver and the convolution kernels are bit-identical to their
-unbatched counterparts.
+convolution each.  It is the one Padé construction of the library:
+:func:`repro.series.pade.pade` runs it on a batch of one.  Batch slices
+never mix, so every approximant is bit-identical to the unbatched
+construction of the test oracle ``tests/oracles/series.py`` on its
+series alone.
 """
 
 from __future__ import annotations
@@ -31,19 +32,14 @@ from .least_squares import batched_least_squares
 __all__ = ["batched_pade"]
 
 
-def _gather_batched(data, indices) -> MDArray:
-    """Gather coefficients at ``indices`` from a limb-major ``(m, B, K+1)``
-    stack; out-of-range indices yield exact zeros (the batched analogue
-    of :func:`repro.series.pade._gather_coefficients`)."""
+def _gather(array, indices):
+    """Gather the coefficients at ``indices`` from a limb-major ``(m, B,
+    K+1)`` stack, per plane on complex stacks; out-of-range indices
+    yield exact zeros."""
     indices = np.asarray(indices)
-    valid = (indices >= 0) & (indices < data.shape[2])
+    valid = (indices >= 0) & (indices < array.shape[-1])
     safe = np.where(valid, indices, 0)
-    return MDArray(np.where(valid, data[:, :, safe], 0.0))
-
-
-def _gather_batch(array, indices):
-    """Kind-aware batched gather (per plane on complex stacks)."""
-    return map_planes(array, lambda data: _gather_batched(data, indices).data)
+    return map_planes(array, lambda data: np.where(valid, data[:, :, safe], 0.0))
 
 
 @profiled("batched_pade")
@@ -81,8 +77,9 @@ def batched_pade(
     Returns
     -------
     list of :class:`~repro.series.pade.PadeApproximant`, one per series,
-    each bit-identical to the unbatched construction (their ``trace``
-    fields are ``None``; the batched solve owns one shared trace).
+    each bit-identical to the unbatched construction of its series
+    alone (their ``trace`` fields are ``None``; the batched solve owns
+    one shared trace).
     """
     if isinstance(series_batch, (MDArray, MDComplexArray)):
         if series_batch.ndim != 2:
@@ -150,8 +147,8 @@ def batched_pade(
             denominator_array = MDComplexArray(denominator_array)
     else:
         i = np.arange(1, M + 1)
-        systems = _gather_batch(coefficients, L + i[:, None] - i[None, :])
-        rhs = -_gather_batch(coefficients, L + i)
+        systems = _gather(coefficients, L + i[:, None] - i[None, :])
+        rhs = -_gather(coefficients, L + i)
         tile_size, _ = resolve_tile_sizes(M, tile_size, None)
         solution = batched_least_squares(
             systems, rhs, tile_size=tile_size, device=device
@@ -189,7 +186,7 @@ def batched_pade(
     else:
         q_padded = MDArray(_pad_q(denominator_array.data))
     numerator_array = linalg.cauchy_product(
-        _gather_batch(coefficients, np.arange(L + 1)), q_padded
+        _gather(coefficients, np.arange(L + 1)), q_padded
     )
 
     # defects: coefficient of t**(L+M+1) in q f - p, batched over B

@@ -636,7 +636,8 @@ def overhead_factors(devices=("RTX2080", "P100", "V100")) -> ExperimentResult:
     return result
 
 
-#: Registry used by the benchmark drivers and the EXPERIMENTS.md generator.
+#: Registry of every experiment, by table/figure name (the
+#: ``examples/gpu_performance_study.py`` runs them by name).
 ALL_EXPERIMENTS = {
     "table1": table1_operation_counts,
     "table2": table2_devices,

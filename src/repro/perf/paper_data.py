@@ -3,8 +3,8 @@
 Only the aggregate rows needed to compare the reproduction against the
 paper (total kernel time, wall clock time, kernel/wall flop rates, and
 the per-stage times of the back substitution tables) are transcribed;
-they are used by the experiment harness and by ``EXPERIMENTS.md`` to
-report paper-vs-measured side by side.  All times are milliseconds, all
+the experiment harness (:mod:`repro.perf.experiments`) reports them
+paper-vs-measured side by side.  All times are milliseconds, all
 rates gigaflops, exactly as printed in the paper.
 """
 

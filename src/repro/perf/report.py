@@ -106,8 +106,8 @@ def format_experiment(result) -> str:
 
 
 def render_all(experiments=None) -> str:
-    """Render every registered experiment (used by ``examples`` and the
-    EXPERIMENTS.md generator)."""
+    """Render every registered experiment (or the given ``{name:
+    function}`` mapping) as one text block each."""
     from .experiments import ALL_EXPERIMENTS
 
     selected = experiments or ALL_EXPERIMENTS

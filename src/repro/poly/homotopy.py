@@ -37,9 +37,12 @@ cross-backend tests).
 
 A :class:`Homotopy` is itself the residual/Jacobian object the
 trackers consume: ``homotopy(x, t)`` evaluates the combination with
-truncated series arithmetic, ``homotopy.jacobian(x0, t0)`` assembles
-the real ``2n x 2n`` Jacobian from the realified start and target
-Jacobians (one shared power-product pass each), and
+truncated series arithmetic — one path is a batch of one through the
+residual core of its backend, the code :meth:`Homotopy.residual_fleet`
+runs for a whole fleet, and the unbatched twin of each core is the test
+oracle ``tests/oracles/poly.py`` — ``homotopy.jacobian(x0, t0)``
+assembles the real ``2n x 2n`` Jacobian from the realified start and
+target Jacobians (one shared power-product pass each), and
 :meth:`Homotopy.track` / :meth:`Homotopy.track_fleet` seed the start
 solutions (products of roots of unity for the total-degree start
 system ``x_i^{d_i} - 1``) and hand the whole fleet to
@@ -57,9 +60,9 @@ import numpy as np
 from ..md.constants import get_precision
 from ..md.number import ComplexMultiDouble, MultiDouble
 from ..vec import linalg
-from ..vec.complexmd import MDComplexArray
+from ..vec.complexmd import MDComplexArray, map_planes
 from ..vec.mdarray import MDArray
-from .system import PolynomialSystem, _normalize_exponents
+from .system import PolynomialSystem, _normalize_exponents, _parameter_planes
 
 __all__ = [
     "realify_terms",
@@ -390,147 +393,47 @@ class Homotopy:
 
         ``x`` is the list of :attr:`tracking_dimension` unknown series
         (``2n`` real ones realified, ``n`` complex ones natively), ``t``
-        the parameter series.  The start and target systems are
-        evaluated with the shared-monomial kernels of the backend, then
-        combined with ``gamma`` and ``1 - t``.
+        the parameter series: a :class:`TruncatedSeries`, or a
+        :class:`ComplexTruncatedSeries` with zero imaginary part (what
+        :func:`~repro.series.newton.newton_series` passes for a complex
+        start), at the precision of ``x``.  A parameter with a nonzero
+        imaginary part raises ``ValueError``: every tracked path runs
+        along real ``t``.  One
+        path is a batch of one through the fleet's residual core
+        (:meth:`residual_fleet`).
         """
+        from ..series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
+        from ..series.truncated import TruncatedSeries
+        from ..series.vector import VectorSeries
+
         values = list(x)
         if len(values) != self.tracking_dimension:
             raise ValueError(
                 f"expected {self.tracking_dimension} component series, "
                 f"got {len(values)}"
             )
-        if self._backend == "complex":
-            return self._complex_call(values, t)
-        return self._vectorized_call(values, t)
-
-    def _complex_call(self, values, t):
-        """Native complex residual: ``n`` complex component series in,
-        ``n`` complex residual series out — the start and target are
-        evaluated with the separated-plane shared-monomial kernels and
-        the gamma combination is one complex scale plus the ``1 - t`` /
-        ``t`` convolutions (4x-real-multiply arithmetic instead of the
-        realified detour's doubled dimension).
-
-        The homotopy parameter is real on every tracked path, so the
-        hot path convolves all four result planes against the broadcast
-        real ``1 - t`` / ``t`` series in **one** batched real Cauchy
-        launch; a genuinely complex ``t`` falls back to the two complex
-        convolutions.
-        """
-        from ..series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
-        from ..series.truncated import TruncatedSeries
-
-        vector = ComplexVectorSeries.from_components(values)
-        order = vector.order
-        prec = vector.precision
-        t_imag = None
         if isinstance(t, ComplexTruncatedSeries):
             if t.coefficients.imag.data.any():
-                t_imag = t
-            else:
-                t = TruncatedSeries.from_mdarray(t.coefficients.real)
+                raise ValueError(
+                    "the homotopy parameter t must be real; got a series "
+                    "with a nonzero imaginary part"
+                )
+            t = TruncatedSeries.from_mdarray(t.coefficients.real)
         elif not isinstance(t, TruncatedSeries):
             raise TypeError(
-                "the complex backend takes a TruncatedSeries or "
-                "ComplexTruncatedSeries parameter"
+                "the homotopy parameter must be a TruncatedSeries or a "
+                "ComplexTruncatedSeries with zero imaginary part"
             )
-        gamma = ComplexMultiDouble(
-            MultiDouble(self.gamma.real, prec), MultiDouble(self.gamma.imag, prec)
-        )
-        g = self._start.evaluate_series(vector)
-        f = self._target.evaluate_series(vector)
-        if not isinstance(g, ComplexVectorSeries):  # real-coefficient start
-            g = ComplexVectorSeries.from_components(g.components())
-        if not isinstance(f, ComplexVectorSeries):
-            f = ComplexVectorSeries.from_components(f.components())
-        left = g.scale(gamma)
-        n = self._dimension
-
-        if t_imag is not None:  # general complex parameter (rare)
-            t_c = t_imag.pad(order).truncate(order)
-            s_c = ComplexTruncatedSeries.one(order, prec) - t_c
-            shape = left.coefficients.real.data.shape
-
-            def _broadcast(series) -> MDComplexArray:
-                return MDComplexArray(
-                    MDArray(
-                        np.broadcast_to(
-                            series.coefficients.real.data[:, None, :], shape
-                        )
-                    ),
-                    MDArray(
-                        np.broadcast_to(
-                            series.coefficients.imag.data[:, None, :], shape
-                        )
-                    ),
-                )
-
-            h = linalg.cauchy_product(left.coefficients, _broadcast(s_c)) + (
-                linalg.cauchy_product(f.coefficients, _broadcast(t_c))
+        vector_cls = ComplexVectorSeries if self._backend == "complex" else VectorSeries
+        vector = vector_cls.from_components(values)
+        if t.limbs != vector.limbs:
+            raise ValueError(
+                f"the parameter t has {t.limbs} limbs, the unknowns {vector.limbs}"
             )
-            return ComplexVectorSeries(h).components()
-
-        t = t.pad(order).truncate(order)
-        s = 1 - t
-        # stack [left_re, left_im, f_re, f_im] against [s, s, t, t]:
-        # one real batched Cauchy launch covers all four planes
-        planes = np.concatenate(
-            [
-                left.coefficients.real.data,
-                left.coefficients.imag.data,
-                f.coefficients.real.data,
-                f.coefficients.imag.data,
-            ],
-            axis=1,
-        )
-        s_data = np.broadcast_to(
-            s.coefficients.data[:, None, :], (prec.limbs, 2 * n, order + 1)
-        )
-        t_data = np.broadcast_to(
-            t.coefficients.data[:, None, :], (prec.limbs, 2 * n, order + 1)
-        )
-        factors = np.concatenate([s_data, t_data], axis=1)
-        product = linalg.cauchy_product(MDArray(planes), MDArray(factors))
-        h = MDArray(product.data[:, : 2 * n]) + MDArray(product.data[:, 2 * n :])
-        return ComplexVectorSeries(
-            MDComplexArray(MDArray(h.data[:, :n]), MDArray(h.data[:, n:]))
-        ).components()
-
-    def _vectorized_call(self, values, t):
-        from ..series.vector import VectorSeries
-
-        vector = VectorSeries.from_components(values)
-        n = self._dimension
-        order = vector.order
-        t = t.pad(order).truncate(order)
-        prec = vector.precision
-        a = MultiDouble(self.gamma.real, prec)
-        b = MultiDouble(self.gamma.imag, prec)
-        g = self._start.evaluate_series(vector)
-        f = self._target.evaluate_series(vector)
-        g_re = MDArray(g.coefficients.data[:, :n])
-        g_im = MDArray(g.coefficients.data[:, n:])
-        f_re = MDArray(f.coefficients.data[:, :n])
-        f_im = MDArray(f.coefficients.data[:, n:])
-        # gamma acts as a rotation mixing real and imaginary parts
-        left_re = g_re * a - g_im * b
-        left_im = g_re * b + g_im * a
-        s = 1 - t
-        s_data = MDArray(
-            np.broadcast_to(s.coefficients.data[:, None, :], g_re.data.shape)
-        )
-        t_data = MDArray(
-            np.broadcast_to(t.coefficients.data[:, None, :], g_re.data.shape)
-        )
-        h_re = linalg.cauchy_product(left_re, s_data) + linalg.cauchy_product(
-            f_re, t_data
-        )
-        h_im = linalg.cauchy_product(left_im, s_data) + linalg.cauchy_product(
-            f_im, t_data
-        )
-        out = np.concatenate([h_re.data, h_im.data], axis=1)
-        return VectorSeries(MDArray(out)).components()
+        t = t.pad(vector.order).truncate(vector.order)
+        planes = map_planes(vector.coefficients, lambda data: data[:, None])
+        residual = self._residual(planes, MDArray(t.coefficients.data[:, None]))
+        return vector_cls(map_planes(residual, lambda data: data[:, 0])).components()
 
     def residual_fleet(self, coefficients, t_heads, *, trace=None, device="V100"):
         """Fleet-wide batched residual evaluation for the path fleet
@@ -542,25 +445,36 @@ class Homotopy:
         backend, an :class:`~repro.vec.mdarray.MDArray` on the
         realified one; ``t_heads`` gives each path's expansion point of
         the homotopy parameter (the local shift the per-path residual
-        adapters of :func:`repro.batch.fleet.track_paths` apply).
-        Returns the residual planes, element shape ``(b,
-        tracking_dimension, K+1)``, with slice ``p`` bit-identical to
-        ``self(x_p, t_p + s)`` on path ``p``'s own series — the start
-        and target systems evaluate through **one** shared batched
-        power table each, and the gamma / ``1 - t`` combination replays
-        the single-path operand order on batched planes.
+        adapters of :func:`repro.batch.fleet.track_paths` apply), one
+        per path (``ValueError`` otherwise).  Returns the residual
+        planes, element shape ``(b, tracking_dimension, K+1)``, with
+        slice ``p`` bit-identical to ``self(x_p, t_p + s)`` on path
+        ``p``'s own series: both run the same residual core, where the
+        start and target systems evaluate through **one** shared
+        batched power table each.
         """
+        batch, _, terms = coefficients.shape
+        t_series = _parameter_planes(
+            t_heads, batch, terms - 1, get_precision(coefficients.limbs)
+        )
+        return self._residual(coefficients, t_series, trace=trace, device=device)
+
+    def _residual(self, coefficients, t_series, *, trace=None, device="V100"):
+        """The residual core of the backend: unknown planes of element
+        shape ``(b, tracking_dimension, K+1)`` and real parameter planes
+        ``t_series`` of element shape ``(b, K+1)`` in, residual planes
+        out.  ``gamma`` scales (complex) or rotates (realified) the start
+        residual, then batched Cauchy products convolve it with ``1 - t``
+        and the target residual with ``t``."""
         if self._backend == "complex":
-            return self._residual_fleet_complex(
-                coefficients, t_heads, trace=trace, device=device
+            return self._complex_residual(
+                coefficients, t_series, trace=trace, device=device
             )
-        return self._residual_fleet_realified(
-            coefficients, t_heads, trace=trace, device=device
+        return self._realified_residual(
+            coefficients, t_series, trace=trace, device=device
         )
 
-    def _residual_fleet_complex(
-        self, coefficients, t_heads, *, trace=None, device="V100"
-    ):
+    def _complex_residual(self, coefficients, t_series, *, trace, device):
         if not isinstance(coefficients, MDComplexArray):
             coefficients = MDComplexArray(
                 coefficients,
@@ -580,12 +494,10 @@ class Homotopy:
         g = self._start.evaluate_series(coefficients, trace=trace, device=device)
         f = self._target.evaluate_series(coefficients, trace=trace, device=device)
         left = g * gamma
-        s_series, t_series = _parameter_factor_planes(
-            t_heads, batch, terms - 1, prec
-        )
-        # stack [left_re, left_im, f_re, f_im] against [s, s, t, t]:
-        # one real batched Cauchy launch covers all four planes, exactly
-        # as in the single-path real-parameter hot path of _complex_call
+        s_series = _one_minus(t_series)
+        # stack [left_re, left_im, f_re, f_im] against [s, s, t, t]: the
+        # parameter is real, so one real batched Cauchy launch covers
+        # all four planes
         planes = np.concatenate(
             [left.real.data, left.imag.data, f.real.data, f.imag.data], axis=2
         )
@@ -604,9 +516,7 @@ class Homotopy:
             MDArray(h.data[:, :, :n]), MDArray(h.data[:, :, n:])
         )
 
-    def _residual_fleet_realified(
-        self, coefficients, t_heads, *, trace=None, device="V100"
-    ):
+    def _realified_residual(self, coefficients, t_series, *, trace, device):
         n = self._dimension
         batch, dimension, terms = coefficients.shape
         if dimension != 2 * n:
@@ -626,9 +536,7 @@ class Homotopy:
         # gamma acts as a rotation mixing real and imaginary parts
         left_re = g_re * a - g_im * b
         left_im = g_re * b + g_im * a
-        s_series, t_series = _parameter_factor_planes(
-            t_heads, batch, terms - 1, prec
-        )
+        s_series = _one_minus(t_series)
         s_data = MDArray(
             np.broadcast_to(s_series.data[:, :, None, :], g_re.data.shape)
         )
@@ -788,26 +696,12 @@ class Homotopy:
         )
 
 
-def _parameter_factor_planes(t_heads, batch: int, order: int, prec):
-    """Per-path ``t`` and ``1 - t`` parameter series as batched limb
-    planes of element shape ``(b, K+1)``.
-
-    Path ``p`` contributes the linear series ``[t_p, 1, 0, ...]`` —
-    the coefficients of ``TruncatedSeries.variable(order, prec,
-    head=t_p)`` the per-path residual adapters build — and ``1 - t``
-    is computed with the same vectorized subtraction the scalar series
-    arithmetic performs limb for limb.
-    """
-    t_data = np.zeros((prec.limbs, batch, order + 1))
-    for p, head in enumerate(t_heads):
-        t_data[:, p, 0] = MultiDouble(float(head), prec).limbs
-    if order >= 1:
-        t_data[0, :, 1] = 1.0
-    one_data = np.zeros_like(t_data)
-    one_data[0, :, 0] = 1.0
-    t_series = MDArray(t_data)
-    s_series = MDArray(one_data) - t_series
-    return s_series, t_series
+def _one_minus(t_series: MDArray) -> MDArray:
+    """``1 - t`` on parameter planes of element shape ``(b, K+1)``: the
+    same vectorized subtraction ``1 - t`` performs on one series."""
+    one = np.zeros_like(t_series.data)
+    one[0, :, 0] = 1.0
+    return MDArray(one) - t_series
 
 
 def _coerce_terms(system, variables):

@@ -31,14 +31,19 @@ multiplication is a batched Cauchy product through
 :func:`repro.series.newton.newton_series`,
 :func:`repro.series.tracker.track_path` and the batched
 :func:`repro.batch.fleet.track_paths` fleet (they generate the
-residual/Jacobian adapters from the object).
+residual/Jacobian adapters from the object).  There is one series
+evaluator, and it carries a leading batch axis: the fleet hands it
+every path's series at once (:meth:`PolynomialSystem.residual_fleet`),
+and one series vector is a batch of one through the same code.
 
 The scalar loop-per-monomial test oracle (``tests/oracles/poly.py``)
 replays the identical power table, product trees and term reductions on
 :class:`~repro.md.number.MultiDouble` and scalar-series elements, and
 is **bit-identical** to this vectorized path at every paper precision —
 the same contract its scalar series (``tests/oracles/series.py``) hold
-against :class:`~repro.series.truncated.TruncatedSeries`.  Operation
+against :class:`~repro.series.truncated.TruncatedSeries`.  The same
+module keeps the unbatched vectorized series evaluator, real and
+complex, which every batch slice must equal bit for bit.  Operation
 counts live in :func:`repro.md.opcounts.polynomial_counts`; the
 analytic launch trace in
 :func:`repro.perf.costmodel.polynomial_evaluation_trace` (which the
@@ -561,55 +566,54 @@ class PolynomialSystem:
         return self.jacobian_matrix(values)
 
     # ------------------------------------------------------------------
-    # vectorized truncated-series evaluation
+    # vectorized truncated-series evaluation (batched; one series vector
+    # is a batch of one)
     # ------------------------------------------------------------------
-    def _series_products(self, series_coefficients, limbs: int):
-        """Power products on series arguments, shape ``(products, K+1)``
-        (complex series arguments stay complex throughout)."""
-        if isinstance(series_coefficients, MDComplexArray):
-            _, variables, terms = series_coefficients.real.data.shape
-            table_re = np.zeros((limbs, self._max_degree + 1, variables, terms))
-            table_im = np.zeros_like(table_re)
-            table_re[0, 0, :, 0] = 1.0  # the exact complex one series
-            if self._max_degree >= 1:
-                table_re[:, 1] = series_coefficients.real.data
-                table_im[:, 1] = series_coefficients.imag.data
-                power = series_coefficients
-                for degree in range(2, self._max_degree + 1):
-                    power = linalg.cauchy_product(power, series_coefficients)
-                    table_re[:, degree] = power.real.data
-                    table_im[:, degree] = power.imag.data
-            select = (self._product_exponents, np.arange(self._variables))
-            gathered = MDComplexArray(
-                MDArray(table_re[:, select[0], select[1], :]),
-                MDArray(table_im[:, select[0], select[1], :]),
-            )
-            return linalg.cauchy_product_reduce(gathered)
-        series_data = series_coefficients.data
-        m, variables, terms = series_data.shape
-        table = np.zeros((limbs, self._max_degree + 1, variables, terms))
-        table[0, 0, :, 0] = 1.0  # the exact one series
-        if self._max_degree >= 1:
-            table[:, 1] = series_data
-            power = MDArray(series_data)
-            x = MDArray(series_data)
-            for degree in range(2, self._max_degree + 1):
-                power = linalg.cauchy_product(power, x)
-                table[:, degree] = power.data
-        gathered = table[:, self._product_exponents, np.arange(self._variables), :]
-        return linalg.cauchy_product_reduce(MDArray(gathered))
+    def _series_planes(self, x):
+        """The batched limb planes of a series argument, element shape
+        ``(b, variables, K+1)``, and whether ``x`` was one series vector.
 
-    def _series_products_batched(self, series_coefficients, limbs: int):
+        Raw planes pass through; a series vector (or component list) is
+        viewed with a leading batch axis of one.  A complex-coefficient
+        system promotes real arguments with exact zero imaginary planes.
+        """
+        from ..series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
+        from ..series.vector import VectorSeries
+
+        single = not (isinstance(x, (MDArray, MDComplexArray)) and x.ndim == 3)
+        if single:
+            if not isinstance(x, (VectorSeries, ComplexVectorSeries)):
+                components = list(x)
+                if any(isinstance(c, ComplexTruncatedSeries) for c in components):
+                    x = ComplexVectorSeries.from_components(components)
+                else:
+                    x = VectorSeries.from_components(components)
+            if x.dimension != self._variables:
+                raise ValueError(
+                    f"expected {self._variables} component series, got {x.dimension}"
+                )
+            planes = map_planes(x.coefficients, lambda data: data[:, None])
+        else:
+            planes = x
+            if planes.shape[1] != self._variables:
+                raise ValueError(
+                    f"expected batched planes over {self._variables} variables, "
+                    f"got {planes.shape[1]}"
+                )
+        if self._complex_coefficients and not isinstance(planes, MDComplexArray):
+            planes = MDComplexArray(planes, MDArray.zeros(planes.shape, planes.limbs))
+        return planes, single
+
+    def _series_products(self, series_coefficients, limbs: int):
         """Power products over a leading batch axis, element shape
         ``(b, variables, K+1)`` in, ``(b, products, K+1)`` out.
 
-        The identical table build / gather / pairwise reduction as
-        :meth:`_series_products` with every kernel batched over the
-        leading axis: one shared power table serves the whole
-        sub-batch.  Slice ``p`` of the result is bit-identical to the
-        unbatched products of path ``p`` — the limb kernels are
-        elementwise over leading axes and the reduction trees have the
-        same fixed shape, so batch slices never mix.
+        One shared power table (one batched Cauchy product per degree)
+        serves the whole batch, then one gather and one ones-padded
+        pairwise product reduction over the variables axis.  Batch
+        slices never mix: the limb kernels are elementwise over leading
+        axes and the reduction trees have a fixed shape, so slice ``p``
+        does not depend on its batch mates.
         """
         if isinstance(series_coefficients, MDComplexArray):
             _, batch, variables, terms = series_coefficients.real.data.shape
@@ -647,6 +651,49 @@ class PolynomialSystem:
             :, :, self._product_exponents, np.arange(self._variables), :
         ]
         return linalg.cauchy_product_reduce(MDArray(gathered))
+
+    @staticmethod
+    def _reduce_series_slots(coefficients, index, products):
+        """Gather the ``(b, products, K+1)`` power products through a
+        padded slot table, weight each slot by its coefficient and
+        reduce the slot axis pairwise: the term pass (``index`` of shape
+        ``(equations, slots)``) and the Jacobian pass (``(equations,
+        variables, slots)``) of the series evaluator."""
+        gathered = map_planes(products, lambda data: data[:, :, index])
+        weights = map_planes(coefficients, lambda data: data[:, None, ..., None])
+        return (weights * gathered).sum(axis=index.ndim)
+
+    def _series_pass(self, x, jacobian: bool, trace, device):
+        """One shared power-product pass on a series argument, reduced to
+        the values (element shape ``(b, equations, K+1)``) or the
+        Jacobian (``(b, equations, variables, K+1)``); a single series
+        vector returns slice 0.  Returns ``(planes, single)``."""
+        planes, single = self._series_planes(x)
+        batch, _, terms = planes.shape
+        limbs = planes.limbs
+        complex_data = isinstance(planes, MDComplexArray)
+        values, jacobian_values = self._coefficient_arrays(limbs, complex_data)
+        products = self._series_products(planes, limbs)
+        if jacobian:
+            result = self._reduce_series_slots(
+                jacobian_values, self._jacobian_index, products
+            )
+        else:
+            result = self._reduce_series_slots(values, self._term_index, products)
+        if trace is not None:
+            self._record_trace(
+                trace,
+                limbs,
+                device,
+                evaluate=not jacobian,
+                jacobian=jacobian,
+                order=terms - 1,
+                complex_data=complex_data,
+                batch=batch,
+            )
+        if single:
+            result = map_planes(result, lambda data: data[:, 0])
+        return result, single
 
     def evaluate_series(self, x, *, trace=None, device="V100"):
         """Telemetry shim over :meth:`_evaluate_series_impl`.
@@ -687,122 +734,26 @@ class PolynomialSystem:
 
         An :class:`MDArray` / :class:`MDComplexArray` of element shape
         ``(b, variables, K+1)`` — raw limb planes with a **leading
-        batch axis** — dispatches to the fleet-wide batched evaluator
-        and returns raw planes of element shape ``(b, equations,
-        K+1)``; slice ``p`` is bit-identical to evaluating path ``p``
-        alone.
+        batch axis**, the path fleet's operand — returns raw planes of
+        element shape ``(b, equations, K+1)``: one shared power table
+        serves the whole batch, so the launch count is flat in ``b``.
+        A series vector is a batch of one through the same code.
         """
-        from ..series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
+        from ..series.complexvec import ComplexVectorSeries
         from ..series.vector import VectorSeries
 
-        if isinstance(x, (MDArray, MDComplexArray)) and x.ndim == 3:
-            return self._evaluate_series_batched(x, trace=trace, device=device)
-        if isinstance(x, (VectorSeries, ComplexVectorSeries)):
-            vector = x
-        else:
-            components = list(x)
-            if any(isinstance(c, ComplexTruncatedSeries) for c in components):
-                vector = ComplexVectorSeries.from_components(components)
-            else:
-                vector = VectorSeries.from_components(components)
-        if self._complex_coefficients and isinstance(vector, VectorSeries):
-            vector = ComplexVectorSeries.from_components(vector.components())
-        if vector.dimension != self._variables:
-            raise ValueError(
-                f"expected {self._variables} component series, got {vector.dimension}"
-            )
-        limbs = vector.limbs
-        complex_data = isinstance(vector, ComplexVectorSeries)
-        products = self._series_products(vector.coefficients, limbs)
-        coefficients, _ = self._coefficient_arrays(limbs, complex_data)
-        gathered = self._take(products, self._term_index)
-        if complex_data:
-            weighted = (
-                MDComplexArray(
-                    MDArray(coefficients.real.data[..., None]),
-                    MDArray(coefficients.imag.data[..., None]),
-                )
-                * gathered
-            )
-        else:
-            weighted = MDArray(coefficients.data[..., None]) * gathered
-        values = weighted.sum(axis=1)
-        if trace is not None:
-            self._record_trace(
-                trace,
-                limbs,
-                device,
-                evaluate=True,
-                order=vector.order,
-                complex_data=complex_data,
-            )
-        if complex_data:
+        values, single = self._series_pass(x, False, trace, device)
+        if not single:
+            return values
+        if isinstance(values, MDComplexArray):
             return ComplexVectorSeries(values)
         return VectorSeries(values)
 
-    def _evaluate_series_batched(self, coefficients, *, trace=None, device="V100"):
-        """Fleet-wide batched series evaluation on raw limb planes.
-
-        ``coefficients`` is an :class:`MDArray` / :class:`MDComplexArray`
-        of element shape ``(b, variables, K+1)``; the result holds the
-        ``b`` evaluations as element shape ``(b, equations, K+1)``.
-        One shared power table serves the whole batch, so the launch
-        count is flat in ``b`` (every kernel just grows its grid) —
-        and slice ``p`` is bit-identical to the loop-per-path
-        evaluation, the cross-check the test suite pins.
-        """
-        if self._complex_coefficients and not isinstance(
-            coefficients, MDComplexArray
-        ):
-            coefficients = MDComplexArray(
-                coefficients,
-                MDArray.zeros(coefficients.shape, coefficients.limbs),
-            )
-        batch, variables, terms = coefficients.shape
-        if variables != self._variables:
-            raise ValueError(
-                f"expected batched planes over {self._variables} variables, "
-                f"got {variables}"
-            )
-        limbs = coefficients.limbs
-        complex_data = isinstance(coefficients, MDComplexArray)
-        products = self._series_products_batched(coefficients, limbs)
-        values = self._reduce_series_terms_batched(products, limbs)
-        if trace is not None:
-            self._record_trace(
-                trace,
-                limbs,
-                device,
-                evaluate=True,
-                order=terms - 1,
-                complex_data=complex_data,
-                batch=batch,
-            )
-        return values
-
-    def _reduce_series_terms_batched(self, products, limbs: int):
-        """Coefficient weighting + term reduction over ``(b, products,
-        K+1)`` planes — the batched twin of the term pass inside
-        :meth:`_evaluate_series_impl`."""
-        complex_data = isinstance(products, MDComplexArray)
-        coefficients, _ = self._coefficient_arrays(limbs, complex_data)
-        gathered = map_planes(products, lambda data: data[:, :, self._term_index])
-        if complex_data:
-            weighted = (
-                MDComplexArray(
-                    MDArray(coefficients.real.data[:, None, :, :, None]),
-                    MDArray(coefficients.imag.data[:, None, :, :, None]),
-                )
-                * gathered
-            )
-        else:
-            weighted = MDArray(coefficients.data[:, None, :, :, None]) * gathered
-        return weighted.sum(axis=2)
-
     def jacobian_series(self, x, *, trace=None, device="V100"):
         """Telemetry shim over :meth:`_jacobian_series_impl` — the
-        series-argument Jacobian, unbatched or fleet-wide batched (see
-        :meth:`evaluate_series` for the span/probe mechanics)."""
+        series-argument Jacobian of one series vector or of batched
+        planes (see :meth:`evaluate_series` for the span/probe
+        mechanics)."""
         recorder = get_recorder()
         if not recorder.enabled:
             return self._jacobian_series_impl(x, trace=trace, device=device)
@@ -822,112 +773,9 @@ class PolynomialSystem:
         returns **raw limb planes**: element shape ``(equations,
         variables, K+1)`` for one series vector, ``(b, equations,
         variables, K+1)`` for batched ``(b, variables, K+1)`` input —
-        both reuse the shared power-product pass of the evaluation
-        kernels.
+        both from the power-product pass of the evaluation.
         """
-        from ..series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
-        from ..series.vector import VectorSeries
-
-        if isinstance(x, (MDArray, MDComplexArray)) and x.ndim == 3:
-            coefficients = x
-            if self._complex_coefficients and not isinstance(
-                coefficients, MDComplexArray
-            ):
-                coefficients = MDComplexArray(
-                    coefficients,
-                    MDArray.zeros(coefficients.shape, coefficients.limbs),
-                )
-            batch, variables, terms = coefficients.shape
-            if variables != self._variables:
-                raise ValueError(
-                    f"expected batched planes over {self._variables} "
-                    f"variables, got {variables}"
-                )
-            limbs = coefficients.limbs
-            complex_data = isinstance(coefficients, MDComplexArray)
-            products = self._series_products_batched(coefficients, limbs)
-            matrix = self._reduce_series_jacobian_batched(products, limbs)
-            if trace is not None:
-                self._record_trace(
-                    trace,
-                    limbs,
-                    device,
-                    evaluate=False,
-                    jacobian=True,
-                    order=terms - 1,
-                    complex_data=complex_data,
-                    batch=batch,
-                )
-            return matrix
-        if isinstance(x, (VectorSeries, ComplexVectorSeries)):
-            vector = x
-        else:
-            components = list(x)
-            if any(isinstance(c, ComplexTruncatedSeries) for c in components):
-                vector = ComplexVectorSeries.from_components(components)
-            else:
-                vector = VectorSeries.from_components(components)
-        if self._complex_coefficients and isinstance(vector, VectorSeries):
-            vector = ComplexVectorSeries.from_components(vector.components())
-        if vector.dimension != self._variables:
-            raise ValueError(
-                f"expected {self._variables} component series, got {vector.dimension}"
-            )
-        limbs = vector.limbs
-        complex_data = isinstance(vector, ComplexVectorSeries)
-        products = self._series_products(vector.coefficients, limbs)
-        matrix = self._reduce_series_jacobian(products, limbs)
-        if trace is not None:
-            self._record_trace(
-                trace,
-                limbs,
-                device,
-                evaluate=False,
-                jacobian=True,
-                order=vector.order,
-                complex_data=complex_data,
-            )
-        return matrix
-
-    def _reduce_series_jacobian(self, products, limbs: int):
-        """Jacobian weighting + term reduction over ``(products, K+1)``
-        planes, element shape ``(equations, variables, K+1)`` out."""
-        complex_data = isinstance(products, MDComplexArray)
-        _, jac_coefficients = self._coefficient_arrays(limbs, complex_data)
-        gathered = self._take(products, self._jacobian_index)
-        if complex_data:
-            weighted = (
-                MDComplexArray(
-                    MDArray(jac_coefficients.real.data[..., None]),
-                    MDArray(jac_coefficients.imag.data[..., None]),
-                )
-                * gathered
-            )
-        else:
-            weighted = MDArray(jac_coefficients.data[..., None]) * gathered
-        return weighted.sum(axis=2)
-
-    def _reduce_series_jacobian_batched(self, products, limbs: int):
-        """Batched twin of :meth:`_reduce_series_jacobian`, element
-        shape ``(b, equations, variables, K+1)`` out."""
-        complex_data = isinstance(products, MDComplexArray)
-        _, jac_coefficients = self._coefficient_arrays(limbs, complex_data)
-        gathered = map_planes(
-            products, lambda data: data[:, :, self._jacobian_index]
-        )
-        if complex_data:
-            weighted = (
-                MDComplexArray(
-                    MDArray(jac_coefficients.real.data[:, None, :, :, :, None]),
-                    MDArray(jac_coefficients.imag.data[:, None, :, :, :, None]),
-                )
-                * gathered
-            )
-        else:
-            weighted = (
-                MDArray(jac_coefficients.data[:, None, :, :, :, None]) * gathered
-            )
-        return weighted.sum(axis=3)
+        return self._series_pass(x, True, trace, device)[0]
 
     def residual_fleet(self, coefficients, t_heads, *, trace=None, device="V100"):
         """Fleet-wide batched residual evaluation for the path fleet
@@ -935,13 +783,14 @@ class PolynomialSystem:
 
         ``coefficients`` holds every path's unknown series as raw limb
         planes of element shape ``(b, n, K+1)``; ``t_heads`` gives the
-        per-path expansion points of the continuation parameter,
-        consumed only when the system carries the parameter as one
-        extra trailing variable (``variables == n + 1`` — the
-        parametric form :meth:`__call__` supports); a square system
-        ignores them.  Returns the evaluation planes, element shape
-        ``(b, equations, K+1)``, with slice ``p`` bit-identical to
-        ``self(x_p, t_p)`` on path ``p``'s own series.
+        per-path expansion points of the continuation parameter (one
+        per path, ``ValueError`` otherwise), consumed only when the
+        system carries the parameter as one extra trailing variable
+        (``variables == n + 1`` — the parametric form :meth:`__call__`
+        supports); a square system ignores them.  Returns the
+        evaluation planes, element shape ``(b, equations, K+1)``, with
+        slice ``p`` bit-identical to ``self(x_p, t_p + s)`` on path
+        ``p``'s own series.
         """
         batch, unknowns, terms = coefficients.shape
         if unknowns + 1 == self._variables:
@@ -1008,23 +857,35 @@ class PolynomialSystem:
         )
 
 
-def _append_parameter_planes(coefficients, t_heads, terms: int):
-    """Append the per-path parameter series ``t_p + s`` as one extra
-    trailing variable of a batched plane stack.
+def _parameter_planes(t_heads, batch: int, order: int, prec) -> MDArray:
+    """The per-path parameter series ``t_p + s`` as batched limb planes
+    of element shape ``(b, K+1)``.
 
-    Each path contributes the linear series ``[t_p, 1, 0, ...]`` —
+    Path ``p`` contributes the linear series ``[t_p, 1, 0, ...]`` —
     exactly the coefficients of ``TruncatedSeries.variable(order, prec,
-    head=t_p)`` the per-path residual adapters build, so the batched
-    residual stays bit-identical to the loop-per-path one.
+    head=t_p)``, so a fleet-wide residual equals the per-path call on
+    that series bit for bit.  ``t_heads`` must hold one head per path.
     """
-    limbs = coefficients.limbs
-    prec = get_precision(limbs)
-    batch = coefficients.shape[0]
-    t_planes = np.zeros((prec.limbs, batch, 1, terms))
+    if len(t_heads) != batch:
+        raise ValueError(
+            f"t_heads must hold one expansion point per path: got "
+            f"{len(t_heads)} for a batch of {batch}"
+        )
+    data = np.zeros((prec.limbs, batch, order + 1))
     for p, head in enumerate(t_heads):
-        t_planes[:, p, 0, 0] = MultiDouble(float(head), prec).limbs
-    if terms > 1:
-        t_planes[0, :, 0, 1] = 1.0
+        data[:, p, 0] = MultiDouble(float(head), prec).limbs
+    if order >= 1:
+        data[0, :, 1] = 1.0
+    return MDArray(data)
+
+
+def _append_parameter_planes(coefficients, t_heads, terms: int):
+    """Append the per-path parameter series (:func:`_parameter_planes`)
+    as one extra trailing variable of a batched plane stack."""
+    prec = get_precision(coefficients.limbs)
+    t_planes = _parameter_planes(
+        t_heads, coefficients.shape[0], terms - 1, prec
+    ).data[:, :, None, :]
     if isinstance(coefficients, MDComplexArray):
         return MDComplexArray(
             MDArray(np.concatenate([coefficients.real.data, t_planes], axis=2)),

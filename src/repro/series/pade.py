@@ -10,18 +10,21 @@ Hankel-structured linear system
 which is the paper's showcase for "multiprecision adds significant
 value": these systems lose roughly two decimal digits of accuracy per
 degree, so hardware doubles break down around degree eight while the
-multiple double least squares solver (:func:`repro.core.lstsq`, used
-here) keeps delivering accurate approximants at its working precision.
+multiple double least squares solver (Algorithms 1 and 2, batched in
+:func:`repro.batch.least_squares.batched_least_squares`) keeps delivering accurate approximants at its working precision.
 
-The whole construction reads the series' limb-major coefficient array
-directly: the Hankel matrix and its right-hand side are **gathered**
-from the ``(m, K+1)`` storage in one indexing operation per side (no
-per-entry scalar assembly), the numerator follows from one batched
-triangular convolution (:func:`repro.vec.linalg.cauchy_product`), and
-the *defect* — the first series coefficient the approximant fails to
-match, which drives the error estimate the adaptive path tracker uses
-to choose its step size — is one windowed convolution coefficient
-(:func:`repro.vec.linalg.convolution_coefficient`).
+The construction lives once, in :func:`repro.batch.pade.batched_pade`:
+it reads the limb-major coefficient arrays directly, gathers every
+Hankel matrix and right-hand side in one indexing operation per side,
+solves them with one batched least squares call, and finishes the
+numerators with one triangular convolution and the *defect* — the
+first series coefficient an approximant fails to match, which drives
+the error estimate the adaptive path tracker uses to choose its step
+size — with one windowed convolution coefficient.  :func:`pade` is a
+batch of one; the unbatched construction it was is the test oracle
+``tests/oracles/series.py``.  This module keeps
+:class:`PadeApproximant`, its evaluation and its error and pole
+estimates.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..core.least_squares import lstsq
-from ..md.constants import Precision, get_precision
+from ..gpu.kernel import KernelTrace
+from ..md.constants import Precision
 from ..obs.profile import profiled
 from ..md.number import MultiDouble
-from ..vec import linalg
-from ..vec.complexmd import MDComplexArray, map_planes
-from ..vec.mdarray import MDArray
+from ..vec.complexmd import MDComplexArray, finite_mask
 from .complexvec import ComplexTruncatedSeries
 from .truncated import TruncatedSeries
 
@@ -227,21 +228,6 @@ class PadeApproximant:
         )
 
 
-def _gather_coefficients(data, indices):
-    """Gather series coefficients at ``indices`` from a limb-major
-    ``(m, K+1)`` array; out-of-range indices yield exact zeros."""
-    indices = np.asarray(indices)
-    valid = (indices >= 0) & (indices < data.shape[1])
-    safe = np.where(valid, indices, 0)
-    return MDArray(np.where(valid, data[:, safe], 0.0))
-
-
-def _gather(array, indices):
-    """Kind-aware gather: :func:`_gather_coefficients` applied to every
-    limb plane through :func:`repro.vec.complexmd.map_planes`."""
-    return map_planes(array, lambda data: _gather_coefficients(data, indices).data)
-
-
 @profiled("pade", trace_of=lambda result: result.trace)
 def pade(
     series,
@@ -254,11 +240,16 @@ def pade(
 ) -> PadeApproximant:
     """Construct the ``[L/M]`` Padé approximant of a series.
 
+    A batch of one: slice 0 of :func:`repro.batch.pade.batched_pade`,
+    whose Hankel launches become the approximant's ``trace``.
+
     Parameters
     ----------
     series:
-        A :class:`TruncatedSeries`, or a plain list of coefficients
-        (scalars or :class:`~repro.md.number.MultiDouble` values).
+        A :class:`TruncatedSeries` or
+        :class:`~repro.series.complexvec.ComplexTruncatedSeries`, or a
+        plain list of coefficients (scalars or
+        :class:`~repro.md.number.MultiDouble` values).
     numerator_degree, denominator_degree:
         ``L`` and ``M``; both default to ``series.order // 2`` (the
         diagonal approximant).  ``L + M`` must not exceed the series
@@ -270,91 +261,35 @@ def pade(
         in :func:`repro.core.least_squares.lstsq`).
     device:
         Simulated device the Hankel solve is attributed to.
+
+    Raises
+    ------
+    ZeroDivisionError
+        When the Hankel system of a finite series is singular (its
+        solve is not finite), as for a polynomial of degree below
+        ``L + 1`` — the batched construction leaves such a slice
+        non-finite instead.
     """
+    from ..batch.pade import batched_pade
+
     if not isinstance(series, (TruncatedSeries, ComplexTruncatedSeries)):
         series = TruncatedSeries(series, precision if precision is not None else 2)
-    elif precision is not None and get_precision(precision).limbs != series.limbs:
-        series = series.astype(precision)
-    prec = series.precision
-    limbs = prec.limbs
-    complex_data = isinstance(series, ComplexTruncatedSeries)
-
-    if numerator_degree is None and denominator_degree is None:
-        numerator_degree = denominator_degree = series.order // 2
-    elif numerator_degree is None:
-        numerator_degree = series.order - denominator_degree
-    elif denominator_degree is None:
-        denominator_degree = series.order - numerator_degree
-    L, M = int(numerator_degree), int(denominator_degree)
-    if L < 0 or M < 0:
-        raise ValueError("Padé degrees must be nonnegative")
-    if L + M > series.order:
-        raise ValueError(
-            f"[{L}/{M}] needs series coefficients through order {L + M}, "
-            f"got a series of order {series.order}"
-        )
-
-    coefficients = series.coefficients  # limb-major (m, K+1) [per plane]
-
-    # denominator: Hankel system  sum_j c_{L+i-j} q_j = -c_{L+i},
-    # gathered from the coefficient array in one indexing per side
-    trace = None
-    if M == 0:
-        denominator_array = MDArray.from_double(np.ones(1), limbs)
-        if complex_data:
-            denominator_array = MDComplexArray(denominator_array)
-    else:
-        i = np.arange(1, M + 1)
-        system = _gather(coefficients, L + i[:, None] - i[None, :])
-        rhs = -_gather(coefficients, L + i)
-        solution = lstsq(system, rhs, tile_size=tile_size, device=device)
-        trace = solution.combined_trace
-        one = np.zeros((limbs, 1))
-        one[0, 0] = 1.0
-        if complex_data:
-            denominator_array = MDComplexArray(
-                MDArray(np.concatenate([one, solution.x.real.data], axis=1)),
-                MDArray(
-                    np.concatenate([np.zeros((limbs, 1)), solution.x.imag.data], axis=1)
-                ),
-            )
-        else:
-            denominator_array = MDArray(
-                np.concatenate([one, solution.x.data], axis=1)
-            )
-
-    # numerator: p = (c * q) truncated at order L, one batched
-    # triangular convolution over the coefficient arrays
-    def _pad_denominator(plane):
-        return np.concatenate(
-            [plane[:, : L + 1], np.zeros((limbs, max(0, L - M)))], axis=1
-        )
-
-    if complex_data:
-        q_padded = MDComplexArray(
-            MDArray(_pad_denominator(denominator_array.real.data)),
-            MDArray(_pad_denominator(denominator_array.imag.data)),
-        )
-    else:
-        q_padded = MDArray(_pad_denominator(denominator_array.data))
-    numerator_array = linalg.cauchy_product(
-        _gather(coefficients, np.arange(L + 1)), q_padded
-    )
-
-    # defect: coefficient of t**(L+M+1) in q f - p (p has no such term)
-    defect = None
-    if series.order >= L + M + 1:
-        defect_value = linalg.convolution_coefficient(
-            series.coefficients, denominator_array, L + M + 1
-        )
-        defect = defect_value.to_multidouble(())
-
-    return PadeApproximant(
-        numerator=tuple(numerator_array),
-        denominator=tuple(denominator_array),
-        precision=prec,
-        defect=defect,
+    trace = KernelTrace(device, label="least squares (QR + BS)")
+    (approximant,) = batched_pade(
+        [series],
+        numerator_degree,
+        denominator_degree,
+        precision=precision,
+        tile_size=tile_size,
+        device=device,
         trace=trace,
-        numerator_array=numerator_array,
-        denominator_array=denominator_array,
     )
+    if approximant.denominator_degree > 0:
+        if finite_mask(series.coefficients) and not finite_mask(
+            approximant.denominator_array
+        ):
+            raise ZeroDivisionError(
+                "singular Hankel system: the Padé denominator is not finite"
+            )
+        approximant.trace = trace
+    return approximant

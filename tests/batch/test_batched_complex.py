@@ -4,8 +4,8 @@ complex drivers.
 The batching contract of :mod:`repro.batch`, lifted to complex
 (separated-plane) data: every batched dense solver slice must equal the
 unbatched dense oracle (``tests/oracles/dense.py``) and every batched
-Padé slice its :mod:`repro.series` counterpart, bit for bit — the
-property the native complex path fleets inherit.
+Padé slice the unbatched Padé oracle (``tests/oracles/series.py``), bit
+for bit — the property the native complex path fleets inherit.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from repro.batch.least_squares import batched_least_squares
 from repro.batch.pade import batched_pade
 from repro.batch.qr import batched_blocked_qr
 from repro.series.complexvec import ComplexTruncatedSeries
-from repro.series.pade import pade
 from repro.vec import batched as vb
 from repro.vec import linalg
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
 
 from ..oracles import dense
+from ..oracles import series as series_oracle
 
 BATCH = 4
 
@@ -173,7 +173,7 @@ class TestBatchedComplexPade:
         members = self._series(rng, climbs)
         batched = batched_pade(members, 3, 3)
         for member, ours in zip(members, batched):
-            solo = pade(member, 3, 3)
+            solo = series_oracle.pade(member, 3, 3)
             assert ours.numerator_array.equals(solo.numerator_array)
             assert ours.denominator_array.equals(solo.denominator_array)
             assert ours.defect == solo.defect
@@ -198,7 +198,7 @@ class TestBatchedComplexPade:
         members = self._series(rng, 2, order=4)
         batched = batched_pade(members, 4, 0)
         for member, ours in zip(members, batched):
-            solo = pade(member, 4, 0)
+            solo = series_oracle.pade(member, 4, 0)
             assert ours.denominator_array.equals(solo.denominator_array)
             assert ours.numerator_array.equals(solo.numerator_array)
 

@@ -158,7 +158,9 @@ class TestDriftRule:
 
 class TestSpeedupComparison:
     """``--committed``: a fresh speedup below half its committed value
-    fails, and so does a comparison that shares no speedup field."""
+    fails, and so does a comparison that shares no speedup field; the
+    committed fields the fresh side did not measure are counted as
+    skipped."""
 
     @staticmethod
     def dirs(tmp_path, committed_entries, fresh_entries, suite="demo"):
@@ -224,7 +226,7 @@ class TestSpeedupComparison:
         )
         assert self.run(committed, fresh) == 1
 
-    def test_one_sided_entries_and_suites_are_skipped(self, tmp_path):
+    def test_one_sided_entries_and_suites_are_skipped(self, tmp_path, capsys):
         committed, fresh = self.dirs(
             tmp_path,
             {"case": {"speedup": 10.0}, "gone": {"speedup": 10.0}},
@@ -241,8 +243,11 @@ class TestSpeedupComparison:
             name="BENCH_other.json",
             payload=envelope(suite="other", entries={"case": {"speedup": 0.1}}),
         )
-        assert check_baselines.compare_speedups(committed, fresh) == (1, [])
+        # "gone" and the snapshot-only suite are the two skipped fields
+        assert check_baselines.compare_speedups(committed, fresh) == (1, 2, [])
         assert self.run(committed, fresh) == 0
+        out = capsys.readouterr().out
+        assert "1 speedups" in out and "2 committed speedups skipped" in out
 
     def test_nothing_compared_fails(self, tmp_path, capsys):
         committed, fresh = self.dirs(

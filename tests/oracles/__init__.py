@@ -14,10 +14,17 @@ function under test, so a bitwise comparison against it can fail.
 * ``series`` — ``ScalarSeries``, one ``MultiDouble`` per coefficient
   with loop-per-coefficient arithmetic, and the scalar Newton
   staircase, the reference for ``repro.series.TruncatedSeries`` and
-  ``repro.series.newton_series``;
+  ``repro.series.newton_series``; and the unbatched Padé construction
+  ``pade``, the reference for ``repro.batch.batched_pade`` (which
+  ``repro.series.pade`` runs as a batch of one);
 * ``poly`` — the loop-per-monomial evaluation of polynomial systems
   (values, Jacobians, scalar series, operation counts) and of the
-  realified homotopy, the reference for ``repro.poly``.
+  realified homotopy, the reference for ``repro.poly``; and the
+  unbatched vectorized series evaluation (values and Jacobians, real
+  and complex) and homotopy residual of both backends, the reference
+  for the batched series evaluator that ``evaluate_series``,
+  ``jacobian_series``, ``residual_fleet`` and ``Homotopy.__call__``
+  share.
 
 Test modules import these relatively (``from ..oracles.dense import
 ...``), which works with or without ``src`` on ``PYTHONPATH``.  The

@@ -1,5 +1,6 @@
-"""Scalar loop-per-monomial evaluation of polynomial systems and
-homotopies: the reference for every polynomial identity test.
+"""Scalar loop-per-monomial and unbatched vectorized evaluation of
+polynomial systems and homotopies: the reference for every polynomial
+identity test.
 
 The vectorized limb-major evaluation of
 :class:`~repro.poly.system.PolynomialSystem` is checked, **bit for
@@ -30,8 +31,8 @@ Because scalar :class:`~repro.md.number.MultiDouble` /
 vectorized arrays share the generic expansion kernels of
 :mod:`repro.md.generic`, matching the operation structure makes the
 results identical to the last bit at every paper precision
-(``tests/poly/`` enforces d/dd/qd/od).  Nothing here calls
-:meth:`PolynomialSystem.evaluate_series
+(``tests/poly/`` enforces d/dd/qd/od).  Nothing in the scalar replay
+calls :meth:`PolynomialSystem.evaluate_series
 <repro.poly.system.PolynomialSystem.evaluate_series>` or
 :func:`repro.vec.linalg.cauchy_product`.
 
@@ -39,12 +40,30 @@ The same replay, run on counting elements, is what
 :func:`instrumented_counts` uses to verify the analytic operation
 counts of :func:`repro.md.opcounts.polynomial_counts` against the
 kernels as executed.
+
+The library holds one series evaluator, with a leading batch axis; one
+series vector and one path of :class:`~repro.poly.homotopy.Homotopy`
+are batches of one through it.  :func:`unbatched_evaluate_series`,
+:func:`unbatched_jacobian_series` and :func:`unbatched_homotopy` are
+its per-path twins on the same vectorized Cauchy kernels, real and
+complex (the scalar references above have no complex form): every
+batch slice must equal them bit for bit.  They never call the batched
+evaluator, and :func:`unbatched_residual` lets the single-path tracker
+oracle run a homotopy on them.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.md.constants import get_precision
-from repro.md.number import MultiDouble
+from repro.md.number import ComplexMultiDouble, MultiDouble
+from repro.poly.homotopy import Homotopy
+from repro.series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
+from repro.series.vector import VectorSeries
+from repro.vec import linalg
+from repro.vec.complexmd import MDComplexArray, map_planes
+from repro.vec.mdarray import MDArray
 
 from .series import ScalarSeries, pairwise_sum
 
@@ -54,6 +73,10 @@ __all__ = [
     "reference_jacobian",
     "reference_evaluate_series",
     "reference_homotopy",
+    "unbatched_evaluate_series",
+    "unbatched_jacobian_series",
+    "unbatched_homotopy",
+    "unbatched_residual",
     "instrumented_counts",
 ]
 
@@ -245,6 +268,184 @@ def _resolve_precision(x, precision):
         if isinstance(value, MultiDouble):
             return value.precision
     return get_precision(2)
+
+
+# ---------------------------------------------------------------------------
+# unbatched vectorized evaluation
+# ---------------------------------------------------------------------------
+
+
+def _series_vector(system, x):
+    """``x`` as one (complex) series vector, promoted to complex for a
+    complex-coefficient system."""
+    if isinstance(x, (VectorSeries, ComplexVectorSeries)):
+        vector = x
+    else:
+        components = list(x)
+        if any(isinstance(c, ComplexTruncatedSeries) for c in components):
+            vector = ComplexVectorSeries.from_components(components)
+        else:
+            vector = VectorSeries.from_components(components)
+    if system.complex_coefficients and isinstance(vector, VectorSeries):
+        vector = ComplexVectorSeries.from_components(vector.components())
+    if vector.dimension != system.variables:
+        raise ValueError(
+            f"expected {system.variables} component series, got {vector.dimension}"
+        )
+    return vector
+
+
+def _series_products(system, series_coefficients):
+    """All distinct power products on one series vector's limb planes,
+    element shape ``(products, K+1)``: the power table of iterated
+    Cauchy products, one gather and the ones-padded pairwise product
+    reduction, with no batch axis (complex planes stay complex)."""
+    limbs = series_coefficients.limbs
+    max_degree = system.max_degree
+    select = (system._product_exponents, np.arange(system.variables))
+    if isinstance(series_coefficients, MDComplexArray):
+        _, variables, terms = series_coefficients.real.data.shape
+        table_re = np.zeros((limbs, max_degree + 1, variables, terms))
+        table_im = np.zeros_like(table_re)
+        table_re[0, 0, :, 0] = 1.0  # the exact complex one series
+        if max_degree >= 1:
+            table_re[:, 1] = series_coefficients.real.data
+            table_im[:, 1] = series_coefficients.imag.data
+            power = series_coefficients
+            for degree in range(2, max_degree + 1):
+                power = linalg.cauchy_product(power, series_coefficients)
+                table_re[:, degree] = power.real.data
+                table_im[:, degree] = power.imag.data
+        gathered = MDComplexArray(
+            MDArray(table_re[:, select[0], select[1], :]),
+            MDArray(table_im[:, select[0], select[1], :]),
+        )
+        return linalg.cauchy_product_reduce(gathered)
+    series_data = series_coefficients.data
+    _, variables, terms = series_data.shape
+    table = np.zeros((limbs, max_degree + 1, variables, terms))
+    table[0, 0, :, 0] = 1.0  # the exact one series
+    if max_degree >= 1:
+        table[:, 1] = series_data
+        power = MDArray(series_data)
+        x = MDArray(series_data)
+        for degree in range(2, max_degree + 1):
+            power = linalg.cauchy_product(power, x)
+            table[:, degree] = power.data
+    gathered = table[:, select[0], select[1], :]
+    return linalg.cauchy_product_reduce(MDArray(gathered))
+
+
+def _weighted_slots(coefficients, index, products, axis):
+    """Gather ``(products, K+1)`` power products through a padded slot
+    table, weight by the coefficient table, reduce the slot axis."""
+    gathered = map_planes(products, lambda data: data[:, index])
+    weights = map_planes(coefficients, lambda data: data[..., None])
+    return (weights * gathered).sum(axis=axis)
+
+
+def unbatched_evaluate_series(system, x):
+    """Every equation of ``system`` on one series vector (or component
+    list), real or complex: a ``VectorSeries`` /
+    ``ComplexVectorSeries`` of dimension ``equations``.  The per-path
+    twin of the batched
+    :meth:`PolynomialSystem.evaluate_series
+    <repro.poly.system.PolynomialSystem.evaluate_series>`."""
+    vector = _series_vector(system, x)
+    complex_data = isinstance(vector, ComplexVectorSeries)
+    products = _series_products(system, vector.coefficients)
+    coefficients, _ = system._coefficient_arrays(vector.limbs, complex_data)
+    values = _weighted_slots(coefficients, system._term_index, products, 1)
+    if complex_data:
+        return ComplexVectorSeries(values)
+    return VectorSeries(values)
+
+
+def unbatched_jacobian_series(system, x):
+    """The Jacobian ``dF_i/dx_j`` on one series vector as raw limb
+    planes of element shape ``(equations, variables, K+1)``."""
+    vector = _series_vector(system, x)
+    complex_data = isinstance(vector, ComplexVectorSeries)
+    products = _series_products(system, vector.coefficients)
+    _, jac_coefficients = system._coefficient_arrays(vector.limbs, complex_data)
+    return _weighted_slots(jac_coefficients, system._jacobian_index, products, 2)
+
+
+def unbatched_homotopy(homotopy, x, t) -> list:
+    """``H(x, t)`` of a :class:`~repro.poly.homotopy.Homotopy` on one
+    path's component series, on either backend, through
+    :func:`unbatched_evaluate_series`.
+
+    Realified: ``gamma`` rotates the real and imaginary equation parts,
+    then each part is convolved with ``1 - t`` and ``t``.  Native
+    complex: ``gamma`` scales the complex start residual, and the four
+    real planes ``[left_re, left_im, f_re, f_im]`` are convolved with
+    the real ``[1 - t, 1 - t, t, t]`` in one Cauchy product.  ``t`` is
+    a real :class:`~repro.series.truncated.TruncatedSeries`.
+    """
+    values = list(x)
+    n = homotopy.dimension
+    complex_backend = homotopy.backend == "complex"
+    vector_cls = ComplexVectorSeries if complex_backend else VectorSeries
+    vector = vector_cls.from_components(values)
+    order = vector.order
+    prec = vector.precision
+    t = t.pad(order).truncate(order)
+    s = 1 - t
+    g = unbatched_evaluate_series(homotopy.start_system, vector)
+    f = unbatched_evaluate_series(homotopy.target_system, vector)
+    if complex_backend:
+        gamma = ComplexMultiDouble(
+            MultiDouble(homotopy.gamma.real, prec),
+            MultiDouble(homotopy.gamma.imag, prec),
+        )
+        left = g.scale(gamma)
+        planes = np.concatenate(
+            [
+                left.coefficients.real.data,
+                left.coefficients.imag.data,
+                f.coefficients.real.data,
+                f.coefficients.imag.data,
+            ],
+            axis=1,
+        )
+        shape = (prec.limbs, 2 * n, order + 1)
+        factors = np.concatenate(
+            [
+                np.broadcast_to(s.coefficients.data[:, None, :], shape),
+                np.broadcast_to(t.coefficients.data[:, None, :], shape),
+            ],
+            axis=1,
+        )
+        product = linalg.cauchy_product(MDArray(planes), MDArray(factors))
+        h = MDArray(product.data[:, : 2 * n]) + MDArray(product.data[:, 2 * n :])
+        return ComplexVectorSeries(
+            MDComplexArray(MDArray(h.data[:, :n]), MDArray(h.data[:, n:]))
+        ).components()
+    a = MultiDouble(homotopy.gamma.real, prec)
+    b = MultiDouble(homotopy.gamma.imag, prec)
+    g_re = MDArray(g.coefficients.data[:, :n])
+    g_im = MDArray(g.coefficients.data[:, n:])
+    f_re = MDArray(f.coefficients.data[:, :n])
+    f_im = MDArray(f.coefficients.data[:, n:])
+    left_re = g_re * a - g_im * b
+    left_im = g_re * b + g_im * a
+    s_data = MDArray(np.broadcast_to(s.coefficients.data[:, None, :], g_re.data.shape))
+    t_data = MDArray(np.broadcast_to(t.coefficients.data[:, None, :], g_re.data.shape))
+    h_re = linalg.cauchy_product(left_re, s_data) + linalg.cauchy_product(f_re, t_data)
+    h_im = linalg.cauchy_product(left_im, s_data) + linalg.cauchy_product(f_im, t_data)
+    out = np.concatenate([h_re.data, h_im.data], axis=1)
+    return VectorSeries(MDArray(out)).components()
+
+
+def unbatched_residual(system):
+    """The residual callable ``residual(x, t)`` of a tracker's system: a
+    :class:`~repro.poly.homotopy.Homotopy` evaluates through
+    :func:`unbatched_homotopy`; any other callable is returned
+    unchanged."""
+    if isinstance(system, Homotopy):
+        return lambda x, t: unbatched_homotopy(system, x, t)
+    return system
 
 
 # ---------------------------------------------------------------------------

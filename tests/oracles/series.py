@@ -1,5 +1,6 @@
-"""Scalar truncated series and the scalar Newton staircase: the
-reference for every vectorized series identity test.
+"""Scalar truncated series, the scalar Newton staircase and the
+unbatched Padé construction: the reference for every vectorized series
+identity test.
 
 :class:`ScalarSeries` stores one :class:`~repro.md.number.MultiDouble`
 per coefficient and runs pure-Python loops per coefficient — the
@@ -37,32 +38,45 @@ enforces this at every paper precision.  Nothing here calls
 series kernels cannot hide in its own reference.  Conversion helpers
 (:meth:`ScalarSeries.from_truncated`, :meth:`ScalarSeries.to_truncated`)
 round-trip between the two worlds.
+
+:func:`pade` is the per-series Padé construction on the limb-major
+arrays — Hankel gathers, one :func:`~repro.core.least_squares.lstsq`,
+the numerator convolution and the defect — that
+:func:`repro.batch.pade.batched_pade` batches and
+:func:`repro.series.pade.pade` runs as a batch of one.  It never calls
+:func:`~repro.batch.pade.batched_pade`, so a batched Padé bug cannot
+hide in its own reference (``tests/series/test_pade.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from repro.core import stages
 from repro.core.back_substitution import tiled_back_substitution
 from repro.core.blocked_qr import blocked_qr
-from repro.core.least_squares import STAGE_APPLY_QT, resolve_tile_sizes
+from repro.core.least_squares import STAGE_APPLY_QT, lstsq, resolve_tile_sizes
 from repro.gpu.kernel import KernelTrace
 from repro.gpu.memory import md_bytes
 from repro.md import functions as md_functions
 from repro.md.constants import Precision, get_precision
 from repro.md.number import MultiDouble
 from repro.md.opcounts import series_newton_orders
+from repro.series.complexvec import ComplexTruncatedSeries
 from repro.series.newton import (
     NewtonSeriesResult,
     _coerce_jacobian,
     _coerce_residual,
 )
+from repro.series.pade import PadeApproximant
 from repro.series.truncated import TruncatedSeries
 from repro.vec import linalg
+from repro.vec.complexmd import MDComplexArray, map_planes
 from repro.vec.mdarray import MDArray
 
-__all__ = ["ScalarSeries", "pairwise_sum", "newton_series"]
+__all__ = ["ScalarSeries", "pairwise_sum", "newton_series", "pade"]
 
 #: Types accepted wherever a scalar coefficient is expected.
 _SCALAR_TYPES = (int, float, Fraction, str, MultiDouble)
@@ -519,4 +533,120 @@ def newton_series(
         tile_size=tile_size,
         bs_tile_size=bs_tile_size,
         head_residual=head_residual,
+    )
+
+
+def _gather_coefficients(data, indices):
+    """Gather series coefficients at ``indices`` from a limb-major
+    ``(m, K+1)`` array; out-of-range indices yield exact zeros."""
+    indices = np.asarray(indices)
+    valid = (indices >= 0) & (indices < data.shape[1])
+    safe = np.where(valid, indices, 0)
+    return np.where(valid, data[:, safe], 0.0)
+
+
+def _gather(array, indices):
+    """Kind-aware gather: :func:`_gather_coefficients` on every limb
+    plane."""
+    return map_planes(array, lambda data: _gather_coefficients(data, indices))
+
+
+def pade(
+    series,
+    numerator_degree=None,
+    denominator_degree=None,
+    *,
+    precision=None,
+    tile_size=None,
+    device="V100",
+) -> PadeApproximant:
+    """The unbatched ``[L/M]`` Padé construction of one series.
+
+    Arguments, defaults and result are those of
+    :func:`repro.series.pade.pade`: the Hankel system and its
+    right-hand side are gathered from the ``(m, K+1)`` coefficient
+    array, solved by one :func:`repro.core.least_squares.lstsq` (which
+    raises ``ZeroDivisionError`` on a singular system), the numerator
+    is one triangular convolution and the defect one windowed
+    convolution coefficient.  The library's :func:`~repro.series.pade.pade`
+    is a batch of one over :func:`repro.batch.pade.batched_pade`; this
+    is the per-series construction both are checked against.
+    """
+    if not isinstance(series, (TruncatedSeries, ComplexTruncatedSeries)):
+        series = TruncatedSeries(series, precision if precision is not None else 2)
+    elif precision is not None and get_precision(precision).limbs != series.limbs:
+        series = series.astype(precision)
+    prec = series.precision
+    limbs = prec.limbs
+    complex_data = isinstance(series, ComplexTruncatedSeries)
+
+    if numerator_degree is None and denominator_degree is None:
+        numerator_degree = denominator_degree = series.order // 2
+    elif numerator_degree is None:
+        numerator_degree = series.order - denominator_degree
+    elif denominator_degree is None:
+        denominator_degree = series.order - numerator_degree
+    L, M = int(numerator_degree), int(denominator_degree)
+    if L < 0 or M < 0:
+        raise ValueError("Padé degrees must be nonnegative")
+    if L + M > series.order:
+        raise ValueError(
+            f"[{L}/{M}] needs series coefficients through order {L + M}, "
+            f"got a series of order {series.order}"
+        )
+
+    coefficients = series.coefficients  # limb-major (m, K+1) [per plane]
+
+    # denominator: Hankel system  sum_j c_{L+i-j} q_j = -c_{L+i}
+    trace = None
+    if M == 0:
+        denominator_array = MDArray.from_double(np.ones(1), limbs)
+        if complex_data:
+            denominator_array = MDComplexArray(denominator_array)
+    else:
+        i = np.arange(1, M + 1)
+        system = _gather(coefficients, L + i[:, None] - i[None, :])
+        rhs = -_gather(coefficients, L + i)
+        solution = lstsq(system, rhs, tile_size=tile_size, device=device)
+        trace = solution.combined_trace
+        one = np.zeros((limbs, 1))
+        one[0, 0] = 1.0
+        if complex_data:
+            denominator_array = MDComplexArray(
+                MDArray(np.concatenate([one, solution.x.real.data], axis=1)),
+                MDArray(
+                    np.concatenate([np.zeros((limbs, 1)), solution.x.imag.data], axis=1)
+                ),
+            )
+        else:
+            denominator_array = MDArray(
+                np.concatenate([one, solution.x.data], axis=1)
+            )
+
+    # numerator: p = (c * q) truncated at order L
+    def _pad_denominator(plane):
+        return np.concatenate(
+            [plane[:, : L + 1], np.zeros((limbs, max(0, L - M)))], axis=1
+        )
+
+    q_padded = map_planes(denominator_array, _pad_denominator)
+    numerator_array = linalg.cauchy_product(
+        _gather(coefficients, np.arange(L + 1)), q_padded
+    )
+
+    # defect: coefficient of t**(L+M+1) in q f - p (p has no such term)
+    defect = None
+    if series.order >= L + M + 1:
+        defect = linalg.convolution_coefficient(
+            series.coefficients, denominator_array, L + M + 1
+        ).to_multidouble(())
+
+    return PadeApproximant(
+        numerator=tuple(numerator_array),
+        denominator=tuple(denominator_array),
+        precision=prec,
+        defect=defect,
+        trace=trace,
+        numerator_array=numerator_array,
+        denominator_array=denominator_array,
     )

@@ -5,18 +5,23 @@ identity test.
 ``repro.batch.fleet.track_paths(..., [start]).paths[0]`` — so the
 library holds one step loop.  This module keeps the unbatched loop the
 fleet was built from: per step one
-:func:`~repro.series.newton.newton_series` expansion, one
-:func:`~repro.series.pade.pade` construction per solution component,
-and one :func:`~repro.core.least_squares.lstsq` per Newton polish
-iteration.  Step control, the Padé pole cap, the noise test and the
+:func:`~repro.series.newton.newton_series` expansion, one unbatched
+Padé construction per solution component (the oracle
+``tests.oracles.series.pade``), and one
+:func:`~repro.core.least_squares.lstsq` per Newton polish iteration.
+The residuals of a :class:`~repro.poly.homotopy.Homotopy` run on the
+unbatched evaluation oracles of ``tests.oracles.poly``
+(:func:`~tests.oracles.poly.unbatched_residual`); other residual
+callables are called as given.  Step control, the Padé pole cap, the noise test and the
 precision escalation follow the per-path logic of
 ``repro.batch.fleet._advance_sub_batch`` decision for decision.
 
 Every batched kernel is bit-identical to a loop over its unbatched
 counterpart, so each path of a fleet must equal :func:`solo_track_path`
 bit for bit: steps, escalations, model accounting, final limbs.  The
-oracle never calls the fleet, so a fleet bug cannot hide in its own
-reference.  It records no telemetry.
+oracle never calls the fleet or :func:`~repro.batch.pade.batched_pade`,
+nor, on a homotopy or a plain residual callable, the batched series
+evaluator, so a bug in them cannot hide in its own reference.  It records no telemetry.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from repro.series.newton import (
     newton_series,
     resolve_system_arguments,
 )
-from repro.series.pade import pade
 from repro.series.tracker import (
     _BUDGET_SPLIT,
     PathResult,
@@ -53,6 +57,9 @@ from repro.series.tracker import (
 from repro.series.truncated import TruncatedSeries
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
+
+from .poly import unbatched_residual
+from .series import pade
 
 __all__ = ["solo_track_path"]
 
@@ -105,6 +112,7 @@ def solo_track_path(
     :func:`repro.batch.fleet.track_paths`.
     """
     system, jacobian, start = resolve_system_arguments(system, jacobian, start)
+    residual = unbatched_residual(system)
     if numerator_degree is None:
         numerator_degree = (order - 1) // 2
     if denominator_degree is None:
@@ -136,7 +144,7 @@ def solo_track_path(
 
             def local_system(x, s, _t0=t_current, _prec=prec):
                 shifted = TruncatedSeries.variable(s.order, _prec, head=_t0)
-                return system(x, shifted)
+                return residual(x, shifted)
 
             expansion = newton_series(
                 local_system,
@@ -194,7 +202,7 @@ def solo_track_path(
         t_next = t_current + h
         if correct:
             new_heads = _newton_correct(
-                system, jacobian, new_heads, t_next, prec, tile_size, device
+                residual, jacobian, new_heads, t_next, prec, tile_size, device
             )
         result.steps.append(
             PathStep(

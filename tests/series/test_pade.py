@@ -1,13 +1,22 @@
-"""Padé approximants against exact rational references."""
+"""Padé approximants against exact rational references, and the
+library :func:`~repro.series.pade.pade` (a batch of one over
+:func:`~repro.batch.pade.batched_pade`) against the unbatched
+construction of the oracle ``tests/oracles/series.py``."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.md import get_precision
 from repro.series import TruncatedSeries, pade
+from repro.series.complexvec import ComplexTruncatedSeries
+from repro.vec.complexmd import MDComplexArray
+
+from ..oracles import series as series_oracle
 
 
 def log1p_over_x_coefficients(order: int) -> list:
@@ -156,3 +165,95 @@ def test_hankel_trace_is_recorded():
     approximant = pade(series, 4, 4)
     assert approximant.trace is not None
     assert len(approximant.trace.launches) > 0
+
+
+def _planes(array) -> np.ndarray:
+    if isinstance(array, MDComplexArray):
+        return np.stack([array.real.data, array.imag.data])
+    return array.data
+
+
+def _launches(trace):
+    if trace is None:
+        return None
+    return [
+        (launch.name, launch.blocks, launch.threads_per_block, launch.tally)
+        for launch in trace.launches
+    ]
+
+
+def _same_approximant(ours, reference) -> bool:
+    return (
+        np.array_equal(_planes(ours.numerator_array), _planes(reference.numerator_array))
+        and np.array_equal(
+            _planes(ours.denominator_array), _planes(reference.denominator_array)
+        )
+        and ours.defect == reference.defect
+        and ours.precision == reference.precision
+        and _launches(ours.trace) == _launches(reference.trace)
+    )
+
+
+def _random_series(limbs, order, kind, seed=5):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(order + 1)
+    if kind == "complex":
+        values = values + 1j * rng.standard_normal(order + 1)
+        return ComplexTruncatedSeries(list(values), limbs)
+    return TruncatedSeries(list(values), limbs)
+
+
+DEGREES = [(3, 3), (4, 4), (2, 3), (5, 0)]
+
+
+class TestBatchOfOne:
+    # complex od costs ~16x per operation; 1d-4d cover the complex path
+    @pytest.mark.parametrize("degrees", DEGREES, ids=lambda d: f"{d[0]}-{d[1]}")
+    @pytest.mark.parametrize(
+        "kind, limbs",
+        [("real", 1), ("real", 2), ("real", 4), ("real", 8),
+         ("complex", 1), ("complex", 2), ("complex", 4)],
+    )
+    def test_matches_the_unbatched_oracle(self, kind, limbs, degrees):
+        L, M = degrees
+        series = _random_series(limbs, L + M + 1, kind)
+        ours = pade(series, L, M)
+        reference = series_oracle.pade(series, L, M)
+        assert _same_approximant(ours, reference)
+        assert (ours.trace is None) == (M == 0)
+
+    def test_oracle_does_not_call_batched_pade(self, monkeypatch):
+        series = _random_series(2, 8, "complex")
+        expected = pade(series, 4, 4)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("batched_pade was called")
+
+        monkeypatch.setattr("repro.batch.pade.batched_pade", broken)
+        with pytest.raises(RuntimeError, match="batched_pade was called"):
+            pade(series, 4, 4)
+        assert _same_approximant(expected, series_oracle.pade(series, 4, 4))
+
+    def test_one_ulp_in_a_coefficient_is_caught(self):
+        series = _random_series(2, 8, "real")
+        data = series.coefficients.data.copy()
+        data[0, 5] = math.nextafter(data[0, 5], math.inf)
+        nudged = TruncatedSeries.from_mdarray(type(series.coefficients)(data))
+        assert _same_approximant(pade(series, 4, 4), series_oracle.pade(series, 4, 4))
+        assert not _same_approximant(
+            pade(series, 4, 4), series_oracle.pade(nudged, 4, 4)
+        )
+
+    def test_singular_hankel_system_raises(self):
+        """A polynomial of degree below ``L + 1`` has an all-zero Hankel
+        matrix: the unbatched solve raises, and so does the batch of one
+        (the batched construction leaves that slice non-finite)."""
+        from repro.batch.pade import batched_pade
+
+        series = TruncatedSeries([1, 0.5, 0, 0, 0, 0, 0], 2)
+        with pytest.raises(ZeroDivisionError):
+            series_oracle.pade(series, 3, 3)
+        with pytest.raises(ZeroDivisionError):
+            pade(series, 3, 3)
+        (approximant,) = batched_pade([series], 3, 3)
+        assert not np.isfinite(approximant.denominator_array.data).all()
