@@ -27,10 +27,11 @@ a d launch run as plain IEEE double arithmetic against the
 identity asserted first, at least **3x** on 64- and 4096-element
 launches.
 
-Narrow od launches get a floor too: od ``mul`` on a one-element plane,
-a batch of one like the od rung's norms and betas, where the fused
-renormalization scans its head chains with one ``accumulate`` call
-instead of one add per term, at least **5x** over ``generic``.
+Narrow launches get floors too, on one-element planes like the QR's
+norms and betas, where the fused backend replays :mod:`repro.md.generic`
+on Python floats (:mod:`repro.exec.narrow`) instead of running a fused
+kernel: od ``mul`` and qd ``sqrt`` (the Householder norm), each at
+least **5x** over ``generic``.
 
 All assertions run in the CI ``perf-smoke`` job; records land in
 ``BENCH_exec.json`` through :mod:`harness`.
@@ -67,8 +68,13 @@ ONE_LIMB_SPEEDUP_FLOOR = 3.0
 
 #: Floor for od launches on a one-element plane, fused over generic
 #: (measured on a 2-vCPU Xeon VM: 2.8-2.9x with one add per head-chain
-#: term, 8.7-9.0x with one scan per chain).
+#: term, 8.7-9.0x with one scan per chain, 13-16x with the replay).
 NARROW_OD_SPEEDUP_FLOOR = 5.0
+
+#: Floor for the Householder norm, a qd ``sqrt`` on a one-element
+#: plane, fused over generic (measured on a 2-vCPU Xeon VM: 2.8-3.1x
+#: with the fused kernel, 11-15x with the replay).
+NARROW_SQRT_SPEEDUP_FLOOR = 5.0
 
 LIMBS = 2  # double double — the paper's headline precision
 
@@ -78,6 +84,7 @@ QR_BATCH, QR_DIM, QR_TILE = 32, 8, 4
 ONE_LIMB_SIZES = (64, 4096)
 ONE_LIMB_CALLS = 200  # launches per timed repeat
 NARROW_OD_LIMBS, NARROW_OD_CALLS = 8, 20
+NARROW_SQRT_LIMBS, NARROW_SQRT_CALLS = 4, 5
 
 
 def _dd_stack(shape, seed):
@@ -323,31 +330,34 @@ def test_exec_one_limb_floor(op, n):
     assert speedup >= ONE_LIMB_SPEEDUP_FLOOR
 
 
-def test_exec_fused_narrow_od_floor():
-    """od ``mul`` on a one-element plane ``(8, 1)``, in batches of
-    ``NARROW_OD_CALLS`` launches: fused >= 5x generic.  Call overhead is
-    the whole cost at this width, so this floor fails if the head chain
-    goes back to one NumPy call per term."""
+def _narrow_floor(op, limbs, calls, floor, positive=False):
+    """``op`` on a one-element plane ``(limbs, 1)``, in batches of
+    ``calls`` launches: bit identity first, then interleaved generic and
+    fused batches, each side's best; records the entry and returns the
+    speedup."""
     rng = np.random.default_rng(50)
-    x, y = rng.standard_normal((2, NARROW_OD_LIMBS, 1))
-    for k in range(1, NARROW_OD_LIMBS):  # normalized od expansions
+    x, y = rng.standard_normal((2, limbs, 1))
+    if positive:
+        x[0] = np.abs(x[0]) + 0.5
+    for k in range(1, limbs):  # normalized expansions
         x[k] = x[k - 1] * 2.0**-53 * rng.standard_normal(1)
         y[k] = y[k - 1] * 2.0**-53 * rng.standard_normal(1)
-    generic, fused = GenericBackend(), FusedBackend()
+    operands = (x, y) if op in ("add", "sub", "mul", "div") else (x,)
+    generic, fused = getattr(GenericBackend(), op), getattr(FusedBackend(), op)
     assert np.array_equal(
-        fused.mul(x, y).view(np.int64), generic.mul(x, y).view(np.int64)
+        fused(*operands).view(np.int64), generic(*operands).view(np.int64)
     )
 
-    calls = range(NARROW_OD_CALLS)
+    batch = range(calls)
 
     def generic_batch():
-        return [generic.mul(x, y) for _ in calls]
+        return [generic(*operands) for _ in batch]
 
     def fused_batch():
-        return [fused.mul(x, y) for _ in calls]
+        return [fused(*operands) for _ in batch]
 
     # interleaved repeats: a busy stretch of a shared runner then slows
-    # both sides, not every repeat of the ~10 ms fused batch
+    # both sides, not every repeat of the few-ms fused batch
     times = [
         (harness.best_seconds(generic_batch, 1), harness.best_seconds(fused_batch, 1))
         for _ in range(15)
@@ -355,19 +365,43 @@ def test_exec_fused_narrow_od_floor():
     generic_seconds = min(pair[0] for pair in times)
     fused_seconds = min(pair[1] for pair in times)
     speedup = generic_seconds / fused_seconds
+    name = {2: "dd", 4: "qd", 8: "od"}[limbs]
     harness.record(
         "exec",
-        f"narrow_mul_od_n1_x{NARROW_OD_CALLS}",
+        f"narrow_{op}_{name}_n1_x{calls}",
         shape=harness.problem_shape(n=1),
-        limbs=NARROW_OD_LIMBS,
-        calls=NARROW_OD_CALLS,
+        limbs=limbs,
+        calls=calls,
         generic_seconds=generic_seconds,
         fused_seconds=fused_seconds,
         speedup=speedup,
-        floor=NARROW_OD_SPEEDUP_FLOOR,
+        floor=floor,
     )
     print(
-        f"\nod mul n=1 x{NARROW_OD_CALLS}: generic {generic_seconds * 1e3:.2f} ms, "
+        f"\n{name} {op} n=1 x{calls}: generic {generic_seconds * 1e3:.2f} ms, "
         f"fused {fused_seconds * 1e3:.2f} ms, speedup {speedup:.2f}x"
     )
+    return speedup
+
+
+def test_exec_fused_narrow_od_floor():
+    """od ``mul`` on a one-element plane ``(8, 1)``, in batches of
+    ``NARROW_OD_CALLS`` launches: fused >= 5x generic.  At this width
+    the fused backend replays md.generic on Python floats; call overhead
+    is the whole cost of the fused kernel here, so the floor fails if
+    the launch goes back to that kernel with one NumPy add per
+    head-chain term."""
+    speedup = _narrow_floor("mul", NARROW_OD_LIMBS, NARROW_OD_CALLS, NARROW_OD_SPEEDUP_FLOOR)
     assert speedup >= NARROW_OD_SPEEDUP_FLOOR
+
+
+def test_exec_fused_narrow_sqrt_floor():
+    """qd ``sqrt`` on a one-element plane ``(4, 1)``, the Householder
+    norm, in batches of ``NARROW_SQRT_CALLS`` launches: fused >= 5x
+    generic.  The fused kernel reads about 3x here, so the floor fails
+    unless the narrow replay takes the launch."""
+    speedup = _narrow_floor(
+        "sqrt", NARROW_SQRT_LIMBS, NARROW_SQRT_CALLS, NARROW_SQRT_SPEEDUP_FLOOR,
+        positive=True,
+    )
+    assert speedup >= NARROW_SQRT_SPEEDUP_FLOOR

@@ -6,8 +6,11 @@ array *execution* strategy.  See :mod:`repro.exec.backend` for the
 contract, :mod:`repro.exec.fused` for the fused NumPy kernels (the
 default), :mod:`repro.exec.arena` for the bounded per-thread scratch
 workspace they carve, :mod:`repro.exec.generic` for the oracle they are
-tested against and :mod:`repro.exec.onelimb` for the plain IEEE double
-kernels both run first on one-limb (d) launches.
+tested against, :mod:`repro.exec.onelimb` for the plain IEEE double
+kernels both run first on one-limb (d) launches and
+:mod:`repro.exec.narrow` for the host replay of the oracle on Python
+floats that ``fused`` tries next, on launches of a few elements, before
+its kernels.
 
 Quickstart::
 

@@ -30,6 +30,17 @@ the one-limb renormalization returns the rounded value itself, so one
 IEEE operation plus ``+ 0.0`` gives the same bits.  A per-launch guard
 sends every other launch down the expansion path.
 
+``fused`` runs each ``add``, ``sub``, ``mul``, ``div``, ``sqr`` and
+``sqrt`` launch down the first of three paths that takes it: the
+one-limb kernels; the narrow replay of :mod:`repro.exec.narrow`, a host
+path that runs :mod:`repro.md.generic` element by element on Python
+floats for a launch whose output plane holds at most a few elements
+(a private count per operation and precision, dd to od), where a fused
+kernel's fixed per-call cost would dominate; then its fused kernels.
+The replay declines what Python and NumPy treat differently (non-finite
+operands, a zero divisor, a negative radicand) and discards a result
+that holds a NaN.  ``generic`` never replays.
+
 The boundary is shaped for the paper's hardware story: a backend holds
 the array-module handle ``xp``, and every kernel allocates through it.
 Dropping in a CuPy (or JAX NumPy) module turns the simulated kernel

@@ -46,9 +46,15 @@ issued:
   to views / cached index arrays instead of being recomputed and
   copied per call (no value change).
 
-One-limb launches (``m = 1``, every operand one limb) first try the
-plain IEEE double kernels of :mod:`repro.exec.onelimb`, exactly as the
-generic backend does; the kernels below run the launches those decline.
+The launch order of ``add``, ``sub``, ``mul``, ``div``, ``sqr`` and
+``sqrt``: one-limb launches (``m = 1``, every operand one limb) first
+try the plain IEEE double kernels of :mod:`repro.exec.onelimb`, exactly
+as the generic backend does; a launch whose output plane holds at most
+a few elements then tries the narrow replay of
+:mod:`repro.exec.narrow`, :mod:`repro.md.generic` itself run element by
+element on Python floats, which skips a kernel's fixed per-call cost
+(the QR's one-element norms and betas); the kernels below run the
+launches both decline.
 
 The oracle for all of this is the existing bit-identity suite: the
 vectorized-vs-scalar-reference tests plus ``tests/exec`` compare the
@@ -67,7 +73,7 @@ import numpy as np
 
 from ..md.eft import SPLITTER
 from ..md.renorm import GUARD_LIMBS
-from . import onelimb
+from . import narrow, onelimb
 from .generic import GenericBackend
 
 __all__ = ["FusedBackend"]
@@ -210,6 +216,8 @@ class FusedBackend(GenericBackend):
     def __init__(self, xp=np):
         super().__init__(xp)
         self._planes: dict = {}  # see _scratch_planes
+        # the narrow replay works on host floats: device arrays skip it
+        self._replays = xp is np
 
     # ------------------------------------------------------------------
     # launches
@@ -278,6 +286,8 @@ class FusedBackend(GenericBackend):
         if m is None:
             m = x.shape[0]
         out = onelimb.add(x, y, m)
+        if out is None and self._replays:
+            out = narrow.launch("add", m, x, y)
         if out is None:
             out = self._launch(self._add_into, (x, y), m)
         return out
@@ -286,6 +296,8 @@ class FusedBackend(GenericBackend):
         if m is None:
             m = x.shape[0]
         out = onelimb.sub(x, y, m)
+        if out is None and self._replays:
+            out = narrow.launch("sub", m, x, y)
         if out is None:
             out = self._launch(self._sub_into, (x, y), m)
         return out
@@ -294,6 +306,8 @@ class FusedBackend(GenericBackend):
         if m is None:
             m = x.shape[0]
         out = onelimb.mul(x, y, m)
+        if out is None and self._replays:
+            out = narrow.launch("mul", m, x, y)
         if out is None:
             out = self._launch(self._mul_into, (x, y), m)
         return out
@@ -302,6 +316,8 @@ class FusedBackend(GenericBackend):
         if m is None:
             m = x.shape[0]
         out = onelimb.div(x, y, m)
+        if out is None and self._replays:
+            out = narrow.launch("div", m, x, y)
         if out is None:
             out = self._launch(self._div_into, (x, y), m)
         return out
@@ -310,6 +326,8 @@ class FusedBackend(GenericBackend):
         if m is None:
             m = x.shape[0]
         out = onelimb.sqr(x, m)
+        if out is None and self._replays:
+            out = narrow.launch("sqr", m, x)
         if out is None:
             out = self._launch(self._sqr_into, (x,), m)
         return out
@@ -323,6 +341,8 @@ class FusedBackend(GenericBackend):
         if m is None:
             m = x.shape[0]
         out = onelimb.sqrt(x, m)
+        if out is None and self._replays:
+            out = narrow.launch("sqrt", m, x)
         if out is None:
             out = self._launch(self._sqrt_into, (x,), m)
         return out

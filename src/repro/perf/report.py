@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["format_table", "format_bars", "format_experiment", "render_all"]
+__all__ = ["format_table", "format_bars", "format_experiment"]
 
 
 def _format_value(value) -> str:
@@ -104,15 +104,3 @@ def format_experiment(result) -> str:
         columns = [k for k in result.rows[0] if not k.startswith("stage[")]
     return format_table(result, columns=columns)
 
-
-def render_all(experiments=None) -> str:
-    """Render every registered experiment (or the given ``{name:
-    function}`` mapping) as one text block each."""
-    from .experiments import ALL_EXPERIMENTS
-
-    selected = experiments or ALL_EXPERIMENTS
-    blocks = []
-    for name, func in selected.items():
-        result = func()
-        blocks.append(f"== {name} ==\n{format_experiment(result)}")
-    return "\n\n".join(blocks)

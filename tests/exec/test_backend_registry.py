@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.exec.backend as backend_module
+from repro.exec import narrow
 from repro.exec import (
     ENV_VAR,
     ExecutionBackend,
@@ -114,7 +115,8 @@ def test_backend_owns_array_module_and_arena():
     assert isinstance(backend, ExecutionBackend)
 
 
-def test_arena_stats_report_bundle_reuse():
+def test_arena_stats_report_bundle_reuse(monkeypatch):
+    monkeypatch.setattr(narrow, "_WIDEST", {})  # two elements: the kernel, not the replay
     backend = FusedBackend()
     x = np.array([[1.5, 2.5], [1e-20, 2e-20]])
     assert backend.arena.stats["allocated"] == 0

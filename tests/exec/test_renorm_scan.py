@@ -6,9 +6,12 @@
 and with one add per term above that.  Both must give the same bits, so
 every launch here runs three times: as the module ships, with the loop
 forced everywhere (the constant patched to 0) and with the scan forced
-everywhere (the constant patched above the plane size).  Results are
-compared as int64 views, so zero signs, NaN signs and NaN payloads
-count.
+everywhere (the constant patched above the plane size).  The forced
+runs also turn off the narrow replay of :mod:`repro.exec.narrow`, so
+on the planes it takes as shipped they still compare the fused
+kernel's loop and scan, and the shipped run checks the replay against
+both.  Results are compared as int64 views, so zero signs, NaN signs
+and NaN payloads count.
 
 The inputs are the ones where a sum's operand order could show:
 cancelling term stacks that leave exact zeros (the zero-bubbling swaps
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec import FusedBackend
+from repro.exec import FusedBackend, narrow
 from repro.exec import fused as fused_module
 
 # overflowing sums and inf/nan operands warn; the bits are the contract
@@ -108,12 +111,16 @@ def launch(backend, op, kind, limbs, n):
 
 def variants(backend, monkeypatch, run, widest):
     """``run()`` as shipped, with the loop forced and with the scan
-    forced for planes of up to ``widest`` elements."""
+    forced for planes of up to ``widest`` elements.  The forced variants
+    turn the narrow replay off, so a plane it would take still runs the
+    fused kernel both ways."""
     shipped = run()
     with monkeypatch.context() as patch:
+        patch.setattr(narrow, "_WIDEST", {})
         patch.setattr(fused_module, "_SCAN_MAX_PLANE", 0)
         loop = run()
     with monkeypatch.context() as patch:
+        patch.setattr(narrow, "_WIDEST", {})
         patch.setattr(fused_module, "_SCAN_MAX_PLANE", widest)
         scan = run()
     return shipped, loop, scan
@@ -170,8 +177,10 @@ def test_a_chunked_launch_scans_its_narrow_last_chunk(backend, monkeypatch, limb
 
 @pytest.mark.parametrize(("n", "scans"), [(1, True), (600, False)])
 def test_only_narrow_planes_take_the_scan(backend, monkeypatch, n, scans):
-    """A one-element od ``mul`` (the od rung's norms and betas) scans its
-    chains; a 600-element one keeps the loop."""
+    """A one-element od ``mul`` run by the fused kernel (the narrow
+    replay turned off) scans its chains; a 600-element one keeps the
+    loop."""
+    monkeypatch.setattr(narrow, "_WIDEST", {})
     spy = CountingAccumulate()
     monkeypatch.setattr(fused_module, "_accumulate", spy)
     rng = np.random.default_rng(n)

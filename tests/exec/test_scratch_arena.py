@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exec import FusedBackend, GenericBackend, ScratchArena
+from repro.exec import FusedBackend, GenericBackend, ScratchArena, narrow
 from repro.exec.arena import WORKSPACE_BYTES
 
 SWEEP_SHAPES = 200
@@ -105,11 +105,13 @@ def launch(backend, op, operands, m):
 @pytest.mark.parametrize(
     "op", ["add", "sub", "mul", "sqr", "div", "fma", "sqrt", "renormalize"]
 )
-def test_every_launch_carves_within_its_probed_scratch(rng, md_limbs, op):
+def test_every_launch_carves_within_its_probed_scratch(rng, monkeypatch, md_limbs, op):
     """Chunk sizing rests on one fact: a launch carves at most, per
     output element, what its one-element probe carved.  Neither exact
     zeros (the renormalization's swap path) nor their absence, nor
-    broadcast operands, may make it carve more."""
+    broadcast operands, may make it carve more.  The narrow replay is
+    turned off, so the three-element unary launches run the kernel."""
+    monkeypatch.setattr(narrow, "_WIDEST", {})
     fused, generic = FusedBackend(), GenericBackend()
     limbs, arity = md_limbs, {"sqr": 1, "sqrt": 1, "fma": 3}.get(op, 2)
     if op == "renormalize":
