@@ -17,7 +17,7 @@ end to end on the cyclic-3 total-degree fleet at double double:
    the path twice as far;
 3. the per-step costs of both backends are recorded alongside (the
    native step must stay within 1.5x of a realified step — the
-   flop-model parity of ``path_step_trace(complex_data=True)``).
+   flop-model parity of ``path_fleet_trace(1, ..., complex_data=True)``).
 
 The floor runs in the CI ``perf-smoke`` job (not marked heavy);
 results are recorded through :mod:`harness` into

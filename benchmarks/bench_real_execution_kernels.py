@@ -11,7 +11,7 @@ Measurements go through the shared :mod:`harness` into
 git-SHA-stamped record the floor benchmarks use — so the per-precision
 throughput of the real kernels is tracked across PRs instead of living
 only in transient pytest-benchmark output.  The ``environment`` block
-of the file names the active :mod:`repro.exec` backend the numbers
+of each entry names the active :mod:`repro.exec` backend the numbers
 were measured under.
 
 The paper's question, what each doubling of the precision costs, is

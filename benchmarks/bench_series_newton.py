@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.md.opcounts import series_flops
-from repro.perf.costmodel import path_step_trace
+from repro.perf.costmodel import path_fleet_trace
 from repro.perf.model import PerformanceModel
 from repro.series import newton_series, pade
 
@@ -63,7 +63,7 @@ def test_model_path_step(benchmark, limbs):
     model = PerformanceModel("V100")
 
     def run():
-        trace = path_step_trace(1024, 24, limbs, tile_size=128)
+        trace = path_fleet_trace(1, 1024, 24, limbs, tile_size=128)
         return model.attribute(trace)
 
     timed = benchmark(run)

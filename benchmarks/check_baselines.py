@@ -15,7 +15,9 @@ CI runs this checker on every push to keep them honest:
 Per-entry ``git_sha``/``recorded_at`` stamps (the comparison below
 names the committed entry's ``git_sha``) are validated the same way:
 entries recorded before the stamps existed may omit them, but a present
-stamp must be a non-empty string.
+stamp must be a non-empty string, and a present per-entry
+``environment`` must be a mapping (the suite-level block then
+describes only the entries without one).
 
 **Drift** — with ``--diff-range`` the checker asks git which files a
 change touched.  Editing a committed baseline without touching any
@@ -118,6 +120,13 @@ def validate_baseline(path: Path) -> list[str]:
                             f"{path.name}: entry {name!r} stamp {stamp!r} "
                             "must be a non-empty string when present"
                         )
+                if "environment" in entry and not isinstance(
+                    entry["environment"], dict
+                ):
+                    problems.append(
+                        f"{path.name}: entry {name!r} 'environment' must be "
+                        "an object when present"
+                    )
 
     # environment is null-tolerant: the oldest baselines predate it
     environment = payload.get("environment")

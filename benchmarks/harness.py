@@ -18,12 +18,14 @@ Schema of one ``BENCH_<suite>.json``::
       "git_sha": "<sha of the last update>",
       "python": "3.11.7",
       "updated": "2026-07-26T12:34:56Z",
+      "environment": {...} or null,
       "entries": {
         "<entry id>": {"seconds": ..., "speedup": ..., "floor": ...,
                        "md_flops": ..., "launches": ...,
                        "shape": {"n": ..., "degree": ..., "batch": ..., "order": ...},
                        "git_sha": "<sha this entry was measured at>",
                        "recorded_at": "<ISO-8601 stamp of this entry>",
+                       "environment": {<environment() of this entry>},
                        ...}
       }
     }
@@ -31,10 +33,13 @@ Schema of one ``BENCH_<suite>.json``::
 Every entry carries a ``shape`` sub-dict (:func:`problem_shape`) with
 the problem dimensions — n, degree, batch width b, series order K —
 so the records stay self-describing as benchmarks evolve across PRs.
-Each entry is also stamped with its *own* ``git_sha``/``recorded_at``:
-the suite-level stamps only say when the file was last touched, so in
-a file mixing entries measured at different commits they misattribute
-every entry but the newest.  The baseline comparison
+Each entry is also stamped with its *own* ``git_sha``/``recorded_at``
+and ``environment``: the suite-level stamps only say when the file was
+last touched, so in a file mixing entries measured at different
+commits, backends or CPU budgets they misattribute every entry but the
+newest.  :func:`record` no longer rewrites the suite-level
+``environment`` block; it stays as the environment of the entries
+recorded before the per-entry block existed.  The baseline comparison
 (``check_baselines.py --committed``) names the per-entry ``git_sha`` of
 the committed entry a fresh value fell below, and falls back to the
 suite-level one on baselines recorded before the stamps existed —
@@ -108,7 +113,7 @@ def git_sha() -> str:
 def environment() -> dict:
     """The measurement environment: python, platform, CPU budget.
 
-    Stamped into every suite file by :func:`record` so the artifact
+    Stamped into every entry by :func:`record` so the artifact
     history says not only *what* was measured but *where* — a speedup
     drop on a 2-core CI runner is not a regression against an 8-core
     baseline.  ``exec_backend`` names the active
@@ -164,15 +169,16 @@ def record(suite: str, entry: str, telemetry=None, **fields) -> dict:
     (:func:`repro.obs.export.metrics_summary` output, or a live
     recorder / read-back document, which is summarized here) under the
     entry's ``telemetry`` key.  The entry is stamped with its own
-    ``git_sha``/``recorded_at`` (see the module docstring — the
-    suite-level stamps cover only the newest entry).  Returns the entry
-    as written.
+    ``git_sha``/``recorded_at`` and ``environment`` (see the module
+    docstring — the suite-level stamps cover only the newest entry, and
+    the suite-level ``environment`` block is left as it was: it
+    describes the entries recorded before the per-entry block).
+    Returns the entry as written.
     """
     data = load(suite)
     data["suite"] = suite
     data["git_sha"] = git_sha()
     data["python"] = platform.python_version()
-    data["environment"] = environment()
     data["updated"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     entries = data.setdefault("entries", {})
     if telemetry is not None:
@@ -185,6 +191,7 @@ def record(suite: str, entry: str, telemetry=None, **fields) -> dict:
         **fields,
         "git_sha": data["git_sha"],
         "recorded_at": data["updated"],
+        "environment": environment(),
     }
     path = results_path(suite)
     # write beside the target, then rename over it: os.replace is atomic,

@@ -202,86 +202,6 @@ class _PathState:
     precisions_used: list = field(default_factory=list)
 
 
-class _SolutionStore:
-    """The fleet-wide series expansion, ``(limbs, batch, n, K+1)`` raw
-    limb planes (one plane pair when complex) — the kind-dispatch shim
-    that keeps :func:`_advance_sub_batch` agnostic of real vs complex
-    tracking."""
-
-    def __init__(self, limbs, batch, n, order, complex_data):
-        shape = (limbs, batch, n, order + 1)
-        self.complex = complex_data
-        self.re = np.zeros(shape)
-        self.im = np.zeros(shape) if complex_data else None
-
-    def set_heads(self, p, heads, limbs):
-        if self.complex:
-            array = MDComplexArray.from_multidoubles(heads, limbs)
-            self.re[:, p, :, 0] = array.real.data
-            self.im[:, p, :, 0] = array.imag.data
-        else:
-            self.re[:, p, :, 0] = MDArray.from_multidoubles(heads, limbs).data
-
-    def set_column(self, k, x):
-        """Write the order-``k`` batched solve result ``x`` of shape
-        ``(b, n)``."""
-        if self.complex:
-            self.re[:, :, :, k] = x.real.data
-            self.im[:, :, :, k] = x.imag.data
-        else:
-            self.re[:, :, :, k] = x.data
-
-    def partial(self, p, i, k):
-        """Component ``i`` of path ``p`` through order ``k`` as a series."""
-        if self.complex:
-            return ComplexTruncatedSeries.from_mdarray(
-                MDComplexArray(
-                    MDArray(self.re[:, p, i, : k + 1]),
-                    MDArray(self.im[:, p, i, : k + 1]),
-                )
-            )
-        return TruncatedSeries.from_mdarray(MDArray(self.re[:, p, i, : k + 1]))
-
-    def partial_planes(self, k):
-        """Every path's expansion through order ``k`` as one batched
-        raw coefficient array, element shape ``(batch, n, k + 1)`` —
-        the operand of the fleet-wide ``residual_fleet`` evaluation.
-        Views, not copies: column ``k`` is still zero when order ``k``
-        is being solved, exactly like the per-path ``partial`` slices.
-        """
-        if self.complex:
-            return MDComplexArray(
-                MDArray(self.re[:, :, :, : k + 1]),
-                MDArray(self.im[:, :, :, : k + 1]),
-            )
-        return MDArray(self.re[:, :, :, : k + 1])
-
-    def flat_series(self, batch, n, order):
-        """All ``batch * n`` component series as one coefficient stack."""
-        limbs = self.re.shape[0]
-        if self.complex:
-            return MDComplexArray(
-                MDArray(self.re.reshape(limbs, batch * n, order + 1).copy()),
-                MDArray(self.im.reshape(limbs, batch * n, order + 1).copy()),
-            )
-        return MDArray(self.re.reshape(limbs, batch * n, order + 1).copy())
-
-    def path_vector(self, p):
-        """One path's expansion as a (complex) vector series."""
-        if self.complex:
-            return ComplexVectorSeries(
-                MDComplexArray(
-                    MDArray(self.re[:, p].copy()), MDArray(self.im[:, p].copy())
-                )
-            )
-        return VectorSeries(MDArray(self.re[:, p].copy()))
-
-    def path_finite(self, p) -> bool:
-        if not np.isfinite(self.re[:, p]).all():
-            return False
-        return self.im is None or bool(np.isfinite(self.im[:, p]).all())
-
-
 def track_paths(
     system,
     jacobian=None,
@@ -376,7 +296,7 @@ def track_paths(
         raise ValueError("all start points must have the same dimension")
     resolve_tile_sizes(n, tile_size, bs_tile_size)
 
-    from ..perf.costmodel import path_fleet_trace, path_step_trace
+    from ..perf.costmodel import path_fleet_trace
     from ..perf.model import PerformanceModel
 
     model = PerformanceModel(device)
@@ -462,7 +382,6 @@ def track_paths(
                 complex_data=complex_data,
                 device=device,
                 model=model,
-                path_step_trace=path_step_trace,
                 path_fleet_trace=path_fleet_trace,
             )
             recorder.gauge("fleet_occupancy", fleet.occupancy)
@@ -513,7 +432,6 @@ def _advance_sub_batch(
     complex_data,
     device,
     model,
-    path_step_trace,
     path_fleet_trace,
 ):
     """One batched step attempt for one precision sub-batch.
@@ -554,12 +472,19 @@ def _advance_sub_batch(
         for state in batch_states
     ]
 
-    series_cls = ComplexTruncatedSeries if complex_data else TruncatedSeries
+    if complex_data:
+        array_cls, series_cls, vector_cls = (
+            MDComplexArray, ComplexTruncatedSeries, ComplexVectorSeries
+        )
+    else:
+        array_cls, series_cls, vector_cls = MDArray, TruncatedSeries, VectorSeries
     fleet_residuals = hasattr(system, "residual_fleet")
 
-    solution = _SolutionStore(limbs, batch, n, order, complex_data)
+    # the fleet-wide series expansion: element shape (batch, n, K+1),
+    # heads written now, one column per solved order
+    solution = array_cls.zeros((batch, n, order + 1), limbs)
     for p, state in enumerate(batch_states):
-        solution.set_heads(p, state.heads, limbs)
+        solution[p, :, 0] = array_cls.from_multidoubles(state.heads, limbs)
 
     with recorder.span(
         "fleet_expansion",
@@ -574,8 +499,9 @@ def _advance_sub_batch(
         uppers = qr.R[:, :n, :n]
         for k in range(1, order + 1):
             if fleet_residuals:
+                # views: column k is still zero while order k is solved
                 residual_planes = system.residual_fleet(
-                    solution.partial_planes(k),
+                    solution[:, :, : k + 1],
                     [state.t_current for state in batch_states],
                     trace=round_trace,
                     device=device,
@@ -584,7 +510,10 @@ def _advance_sub_batch(
             else:
                 rhs_rows = []
                 for p, state in enumerate(batch_states):
-                    partial = [solution.partial(p, i, k) for i in range(n)]
+                    partial = [
+                        series_cls.from_mdarray(solution[p, i, : k + 1])
+                        for i in range(n)
+                    ]
                     # the global parameter t_current + s of this path
                     t = TruncatedSeries.variable(k, prec, head=state.t_current)
                     residuals = _coerce_residual(
@@ -608,14 +537,13 @@ def _advance_sub_batch(
             bs = batched_back_substitution(
                 uppers, qhb[:, :n], bs_tile, device=device, trace=round_trace
             )
-            solution.set_column(k, bs.x)
+            solution[:, :, k] = bs.x
 
         # --------------------------------------------------------------
         # one batched Padé construction for all batch * n components
         # --------------------------------------------------------------
-        flat_series = solution.flat_series(batch, n, order)
         approximants_flat = batched_pade(
-            flat_series,
+            solution.reshape(batch * n, order + 1).copy(),
             numerator_degree,
             denominator_degree,
             device=device,
@@ -623,9 +551,11 @@ def _advance_sub_batch(
         )
     attach_trace(expansion_span, round_trace)
     fleet.round_traces.append(round_trace)
-    fleet_timed = model.attribute(
-        path_fleet_trace(
-            batch,
+
+    def model_ms(width):
+        """Predicted kernel milliseconds of this step over ``width`` paths."""
+        trace = path_fleet_trace(
+            width,
             n,
             order,
             limbs,
@@ -636,33 +566,24 @@ def _advance_sub_batch(
             device=device,
             complex_data=complex_data,
         )
-    )
-    fleet.fleet_model_ms += fleet_timed.kernel_ms
+        return model.attribute(trace).kernel_ms
+
+    fleet.fleet_model_ms += model_ms(batch)
 
     # ------------------------------------------------------------------
     # per-path step control
     # ------------------------------------------------------------------
-    # the per-path cost of one expansion attempt is sub-batch-invariant
-    # (same dimension, order, precision, tiles), so price it once
-    step_timed = model.attribute(
-        path_step_trace(
-            n,
-            order,
-            limbs,
-            tile_size=tile_size,
-            numerator_degree=numerator_degree,
-            denominator_degree=denominator_degree,
-            device=device,
-            complex_data=complex_data,
-        )
-    )
+    # one path's expansion attempt is priced as the fleet of one it
+    # would run as alone; the price is sub-batch-invariant (same
+    # dimension, order, precision, tiles), so compute it once
+    step_ms = model_ms(1)
     accepted = []
     for p, state in enumerate(batch_states):
         result = fleet.paths[state.index]
-        state.step_model_ms += step_timed.kernel_ms
+        state.step_model_ms += step_ms
 
         approximants = approximants_flat[p * n : (p + 1) * n]
-        if not (solution.path_finite(p) and _approximants_finite(approximants)):
+        if not (finite_mask(solution[p]) and _approximants_finite(approximants)):
             result.failed = True
             result.failure = (
                 "singular batched linear solve: non-finite series expansion "
@@ -685,7 +606,7 @@ def _advance_sub_batch(
             _log.warning("path %d failed: %s", state.index, result.failure)
             continue
 
-        expansion_vector = solution.path_vector(p)
+        expansion_vector = vector_cls.from_mdarray(solution[p])
         remaining = t_end - state.t_current
 
         # step control on the Padé truncation estimate (pole_radius

@@ -26,7 +26,6 @@ from .costmodel import (
     matrix_series_trace,
     newton_series_trace,
     pade_trace,
-    path_step_trace,
     polynomial_evaluation_trace,
     problem_bytes,
     qr_trace,
@@ -48,7 +47,6 @@ __all__ = [
     "matrix_series_trace",
     "newton_series_trace",
     "pade_trace",
-    "path_step_trace",
     "polynomial_evaluation_trace",
     "KernelAttribution",
     "MONOMIAL_KERNELS",

@@ -31,7 +31,6 @@ __all__ = [
     "matrix_series_trace",
     "newton_series_trace",
     "pade_trace",
-    "path_step_trace",
     "polynomial_evaluation_trace",
     "batched_qr_trace",
     "batched_back_substitution_trace",
@@ -647,11 +646,13 @@ def path_fleet_trace(
     one batched solve per series order) and **one** batched Padé
     construction covering all ``batch * dimension`` solution components
     — the work :func:`repro.batch.fleet.track_paths` performs per
-    precision sub-batch.  Compared with ``batch`` repetitions
-    of :func:`path_step_trace` the flops are identical but the launch
-    count is flat in the batch size (and the per-path Padé launches
-    collapse into one batched construction, so it is flat in the
-    dimension as well).
+    precision sub-batch.  The flops are ``batch`` times those of
+    ``batch=1`` but the launch count is flat in the batch size (and in
+    the dimension: the per-component Padé solves are one batched
+    construction).  ``batch=1`` prices one path's step attempt, each
+    ``PathStep.model_ms``, since :func:`repro.series.tracker.track_path`
+    runs a fleet of one.  ``complex_data=True`` prices the native
+    complex step (launch-identical, 4x-real multiply tallies).
     """
     if numerator_degree is None:
         numerator_degree = (order - 1) // 2
@@ -679,60 +680,6 @@ def path_fleet_trace(
         complex_data=complex_data,
     )
     trace.extend(pade.batched(batch * dimension))
-    return trace
-
-
-def path_step_trace(
-    dimension,
-    order,
-    limbs,
-    *,
-    tile_size=None,
-    bs_tile_size=None,
-    numerator_degree=None,
-    denominator_degree=None,
-    device="V100",
-    complex_data=False,
-    trace=None,
-):
-    """Analytic trace of one adaptive path tracking step, run unbatched.
-
-    One series Newton expansion plus one Padé construction per
-    solution component: one path's step attempt priced as if it ran
-    alone, summed into each ``PathStep.model_ms``.  It does not price
-    the launches :func:`repro.series.tracker.track_path` records, a
-    fleet of one (:func:`path_fleet_trace` with ``batch=1``, one
-    batched Padé construction).  ``complex_data=True`` prices the
-    native complex step (launch-identical, 4x-real multiply tallies).
-    """
-    if numerator_degree is None:
-        numerator_degree = (order - 1) // 2
-    if denominator_degree is None:
-        denominator_degree = (order - 1) // 2
-    if trace is None:
-        trace = KernelTrace(
-            device,
-            label=f"path step model dim={dimension} order={order}",
-        )
-    newton_series_trace(
-        dimension,
-        order,
-        limbs,
-        tile_size=tile_size,
-        bs_tile_size=bs_tile_size,
-        device=device,
-        complex_data=complex_data,
-        trace=trace,
-    )
-    for _ in range(dimension):
-        pade_trace(
-            numerator_degree,
-            denominator_degree,
-            limbs,
-            device=device,
-            complex_data=complex_data,
-            trace=trace,
-        )
     return trace
 
 
@@ -765,6 +712,7 @@ COSTMODEL_TWINS = {
     "batched_qr": batched_qr_trace,
     "batched_back_substitution": batched_back_substitution_trace,
     "batched_lstsq": batched_lstsq_trace,
-    "track_path": path_step_trace,
+    # a path is tracked as a fleet of one
+    "track_path": path_fleet_trace,
     "track_paths": path_fleet_trace,
 }

@@ -17,6 +17,12 @@ Python loops:
 * :mod:`repro.series.vector` — batched systems of series
   (:class:`~repro.series.vector.VectorSeries`, one ``(m, n, K+1)``
   array for ``n`` unknowns);
+* :mod:`repro.series.complexvec` — the same two shapes with complex
+  coefficients on separated real/imaginary planes
+  (:class:`~repro.series.complexvec.ComplexTruncatedSeries`,
+  :class:`~repro.series.complexvec.ComplexVectorSeries`); each shape
+  is one implementation over the kind of its coefficient array, and
+  the complex classes add only what is complex;
 * :mod:`repro.series.matrix_series` — linearized block Toeplitz series
   solves on batched right-hand sides: one :mod:`repro.core` solve per
   series order against the head matrix, with the ``Q^H B`` products
@@ -37,7 +43,8 @@ catalogued in :func:`repro.md.opcounts.series_counts` and
 :func:`repro.md.opcounts.series_launches`; the kernel-level cost of the
 solver-backed stages is produced by the analytic hooks in
 :mod:`repro.perf.costmodel` (``matrix_series_trace``,
-``newton_series_trace``, ``pade_trace``, ``path_step_trace``).
+``newton_series_trace``, ``pade_trace``, and ``path_fleet_trace``,
+which prices each path step as a fleet of one).
 """
 
 from .complexvec import ComplexTruncatedSeries, ComplexVectorSeries

@@ -27,7 +27,8 @@ Two a posteriori error estimates control the step:
 The step loop lives in :func:`repro.batch.fleet.track_paths`, and
 :func:`track_path` is a fleet of one.  This module keeps the per-path
 records and step-control helpers; every step is priced with the
-analytic cost model (:func:`repro.perf.costmodel.path_step_trace`).
+analytic cost model as the fleet of one it runs as
+(:func:`repro.perf.costmodel.path_fleet_trace` at ``batch=1``).
 """
 
 from __future__ import annotations

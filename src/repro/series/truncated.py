@@ -32,6 +32,14 @@ workload needs:
   (:mod:`repro.series.tracker`) monitors to decide when a computed
   series has hit the working precision's noise floor.
 
+Construction, the accessors, ``truncate``/``pad``/``astype`` and the
+ring arithmetic are written once, in a private base over the kind of
+the coefficient array: :class:`TruncatedSeries` runs them on an
+:class:`~repro.vec.mdarray.MDArray`,
+:class:`~repro.series.complexvec.ComplexTruncatedSeries` on an
+:class:`~repro.vec.complexmd.MDComplexArray`.  Each class adds only
+what its kind alone has.
+
 The scalar loop-per-coefficient implementation lives on as the test
 oracle ``tests/oracles/series.py`` — the reference this class is
 cross-checked against **bit for bit** (the same role
@@ -45,7 +53,7 @@ worlds.
 The per-operation multiple double operation counts and the vectorized
 launch counts of everything here are catalogued in
 :func:`repro.md.opcounts.series_counts` and
-:func:`repro.md.opcounts.series_launches`, which mirror these kernels
+:func:`repro.md.opcounts.series_launches`, which count these kernels
 so that series workloads appear in the analytic cost model.
 """
 
@@ -58,70 +66,88 @@ import numpy as np
 from ..md import functions as md_functions
 from ..md import generic
 from ..md.constants import Precision, get_precision
-from ..md.number import MultiDouble
+from ..md.number import ComplexMultiDouble, MultiDouble
 from ..md.opcounts import series_newton_orders
 from ..vec import linalg
 from ..vec.mdarray import MDArray
 
 __all__ = ["TruncatedSeries"]
 
-#: Types accepted wherever a scalar coefficient is expected.
-_SCALAR_TYPES = (int, float, Fraction, str, MultiDouble)
 
+class _TruncatedSeriesBase:
+    """One truncated power series over a coefficient array of either
+    kind: every member the real and the complex series run the same way.
 
-class TruncatedSeries:
-    """A power series truncated at order ``K`` with multiple double
-    coefficients ``c_0 .. c_K`` in one limb-major ``(m, K+1)`` array."""
+    A public subclass fixes the kind with class-level hooks:
+
+    * ``_array`` — the coefficient array class, :class:`MDArray` or
+      :class:`~repro.vec.complexmd.MDComplexArray` (storage ``(m, K+1)``
+      per plane);
+    * ``_scalar(value, prec)`` — the coercion of a scalar coefficient,
+      factor or evaluation point;
+    * ``_scalar_types`` — the scalar operands the arithmetic accepts;
+    * ``_magnitudes(array)`` — the leading-double magnitudes of an
+      array's elements (the vector condition estimate reads them);
+    * ``_from_values(values, prec)`` — the coefficient array of a list
+      of scalars (the constructor's other form).
+
+    The arithmetic coerces a series operand through ``_promote``, which
+    the complex kind overrides to lift a real series.
+    """
 
     __slots__ = ("_coefficients", "_precision")
 
     def __init__(self, coefficients, precision=None):
-        if isinstance(coefficients, MDArray):
-            series = TruncatedSeries.from_mdarray(coefficients, precision)
-            object.__setattr__(self, "_coefficients", series._coefficients)
-            object.__setattr__(self, "_precision", series._precision)
-            return
-        values = list(coefficients)
-        if not values:
-            raise ValueError("a truncated series needs at least one coefficient")
-        if precision is None:
-            for value in values:
-                if isinstance(value, MultiDouble):
-                    precision = value.precision
-                    break
-            else:
-                precision = 2
-        prec = get_precision(precision)
-        m = prec.limbs
-        data = np.zeros((m, len(values)), dtype=np.float64)
-        for k, value in enumerate(values):
-            if not (isinstance(value, MultiDouble) and value.m == m):
-                value = MultiDouble(value, prec)
-            data[:, k] = value.limbs
-        object.__setattr__(self, "_coefficients", MDArray(data))
+        if isinstance(coefficients, self._array):
+            series = self.from_mdarray(coefficients, precision)
+            coefficients, prec = series._coefficients, series._precision
+        else:
+            values = list(coefficients)
+            if not values:
+                raise ValueError("a truncated series needs at least one coefficient")
+            if precision is None:
+                precision = next(
+                    (
+                        value.precision
+                        for value in values
+                        if isinstance(value, (MultiDouble, ComplexMultiDouble))
+                    ),
+                    2,
+                )
+            prec = get_precision(precision)
+            coefficients = self._from_values(values, prec)
+        object.__setattr__(self, "_coefficients", coefficients)
         object.__setattr__(self, "_precision", prec)
 
     @classmethod
-    def _wrap(cls, coefficients: MDArray, prec: Precision) -> "TruncatedSeries":
-        """Adopt an ``(K+1,)`` coefficient array without copying."""
+    def _wrap(cls, coefficients, prec: Precision):
+        """Adopt a ``(K+1,)`` coefficient array without copying."""
         series = object.__new__(cls)
         object.__setattr__(series, "_coefficients", coefficients)
         object.__setattr__(series, "_precision", prec)
         return series
 
+    @staticmethod
+    def _promote(other):
+        """``other`` as a series of this kind where it is one of a
+        narrower kind; the real kind has none."""
+        return other
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_mdarray(cls, coefficients: MDArray, precision=None) -> "TruncatedSeries":
-        """Adopt a one-dimensional coefficient :class:`MDArray`.
+    def from_mdarray(cls, coefficients, precision=None):
+        """Adopt a one-dimensional coefficient array of this kind.
 
         The array's last axis indexes the series orders ``0 .. K``; the
         data is copied (and converted when ``precision`` differs), so
         the series does not alias the caller's storage.
         """
-        if not isinstance(coefficients, MDArray):
-            raise TypeError("from_mdarray expects an MDArray of coefficients")
+        if not isinstance(coefficients, cls._array):
+            raise TypeError(
+                f"from_mdarray expects an {cls._array.__name__} of coefficients"
+            )
         if coefficients.ndim != 1:
             raise ValueError(
                 f"expected a one-dimensional coefficient array, got shape "
@@ -134,55 +160,37 @@ class TruncatedSeries:
         return cls._wrap(coefficients, get_precision(coefficients.limbs))
 
     @classmethod
-    def zero(cls, order: int, precision=2) -> "TruncatedSeries":
+    def zero(cls, order: int, precision=2):
         prec = get_precision(precision)
-        return cls._wrap(MDArray.zeros(order + 1, prec.limbs), prec)
+        return cls._wrap(cls._array.zeros((order + 1,), prec.limbs), prec)
 
     @classmethod
-    def one(cls, order: int, precision=2) -> "TruncatedSeries":
+    def one(cls, order: int, precision=2):
         return cls.constant(1, order, precision)
 
     @classmethod
-    def constant(cls, value, order: int, precision=2) -> "TruncatedSeries":
-        prec = get_precision(precision)
-        data = np.zeros((prec.limbs, order + 1), dtype=np.float64)
-        data[:, 0] = MultiDouble(value, prec).limbs
-        return cls._wrap(MDArray(data), prec)
+    def constant(cls, value, order: int, precision=2):
+        series = cls.zero(order, precision)
+        series._coefficients[0] = cls._scalar(value, series._precision)
+        return series
 
     @classmethod
-    def variable(cls, order: int, precision=2, *, head=0) -> "TruncatedSeries":
-        """The series ``head + t`` (the local homotopy parameter)."""
-        prec = get_precision(precision)
-        data = np.zeros((prec.limbs, order + 1), dtype=np.float64)
-        data[:, 0] = MultiDouble(head, prec).limbs
+    def variable(cls, order: int, precision=2, *, head=0):
+        """The series ``head + t`` (the local homotopy parameter; the
+        parameter itself stays real, only the head follows the kind)."""
+        series = cls.constant(head, order, precision)
         if order >= 1:
-            data[0, 1] = 1.0
-        return cls._wrap(MDArray(data), prec)
-
-    @classmethod
-    def from_fractions(cls, values, precision=2) -> "TruncatedSeries":
-        """Build from exact rational coefficients (each rounded once)."""
-        prec = get_precision(precision)
-        return cls([MultiDouble(Fraction(v), prec) for v in values], prec)
-
-    @classmethod
-    def from_function(cls, coefficient, order: int, precision=2) -> "TruncatedSeries":
-        """Build from a callable ``k -> c_k``."""
-        prec = get_precision(precision)
-        return cls([coefficient(k) for k in range(order + 1)], prec)
+            series._coefficients[1] = 1
+        return series
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
     @property
-    def coefficients(self) -> MDArray:
+    def coefficients(self):
         """The limb-major coefficient array (iterating it yields the
-        coefficients as scalar :class:`MultiDouble` values)."""
+        coefficients as scalars of the series' kind)."""
         return self._coefficients
-
-    def to_mdarray(self) -> MDArray:
-        """A copy of the coefficient array (shape ``(K+1,)``)."""
-        return self._coefficients.copy()
 
     @property
     def precision(self) -> Precision:
@@ -197,13 +205,13 @@ class TruncatedSeries:
         """Truncation order ``K`` (the series carries ``K + 1`` terms)."""
         return self._coefficients.shape[0] - 1
 
-    def coefficient(self, k: int) -> MultiDouble:
+    def coefficient(self, k: int):
         """``c_k``, or an exact zero beyond the truncation order."""
         if 0 <= k <= self.order:
             return self._coefficients.to_multidouble(k)
-        return MultiDouble(0, self._precision)
+        return self._array.zeros((1,), self.limbs).to_multidouble(0)
 
-    def __getitem__(self, k: int) -> MultiDouble:
+    def __getitem__(self, k: int):
         return self.coefficient(k)
 
     def __len__(self) -> int:
@@ -215,54 +223,41 @@ class TruncatedSeries:
     # ------------------------------------------------------------------
     # structural helpers
     # ------------------------------------------------------------------
-    def truncate(self, order: int) -> "TruncatedSeries":
+    def truncate(self, order: int):
         """Drop the terms beyond ``t**order`` (pads if ``order`` exceeds
         the current truncation order)."""
         if order == self.order:
             return self
         if order < self.order:
-            return TruncatedSeries._wrap(
-                MDArray(self._coefficients.data[:, : order + 1].copy()),
-                self._precision,
-            )
+            return self._wrap(self._coefficients[: order + 1].copy(), self._precision)
         return self.pad(order)
 
-    def pad(self, order: int) -> "TruncatedSeries":
+    def pad(self, order: int):
         """Extend with exact zero coefficients up to ``order``."""
         if order <= self.order:
             return self
-        data = np.zeros((self.limbs, order + 1), dtype=np.float64)
-        data[:, : self.order + 1] = self._coefficients.data
-        return TruncatedSeries._wrap(MDArray(data), self._precision)
+        array = self._array.zeros((order + 1,), self.limbs)
+        array[: self.order + 1] = self._coefficients
+        return self._wrap(array, self._precision)
 
-    def astype(self, precision) -> "TruncatedSeries":
+    def astype(self, precision):
         """Convert every coefficient to another precision."""
         prec = get_precision(precision)
         if prec.limbs == self.limbs:
             return self
-        return TruncatedSeries._wrap(self._coefficients.astype(prec.limbs), prec)
+        return self._wrap(self._coefficients.astype(prec.limbs), prec)
 
-    def shift(self, powers: int) -> "TruncatedSeries":
-        """Multiply by ``t**powers`` (truncation order unchanged)."""
-        if powers < 0:
-            raise ValueError("shift expects a nonnegative power")
-        if powers == 0:
-            return self
-        data = np.zeros_like(self._coefficients.data)
-        if powers <= self.order:
-            data[:, powers:] = self._coefficients.data[:, : self.order + 1 - powers]
-        return TruncatedSeries._wrap(MDArray(data), self._precision)
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
+    def _coerce(self, other):
+        other = self._promote(other)
+        if isinstance(other, type(self)):
             if other.limbs != self.limbs:
                 raise ValueError(
                     f"precision mismatch: {self.limbs} vs {other.limbs} limbs"
                 )
             return other
-        if isinstance(other, _SCALAR_TYPES):
-            return TruncatedSeries.constant(other, self.order, self._precision)
-        raise TypeError(f"cannot combine TruncatedSeries with {type(other)!r}")
+        if isinstance(other, self._scalar_types):
+            return self.constant(other, self.order, self._precision)
+        raise TypeError(f"cannot combine {type(self).__name__} with {type(other)!r}")
 
     def _coerce_operand(self, other):
         """Operator-facing coercion: ``None`` for foreign operands so
@@ -275,9 +270,9 @@ class TruncatedSeries:
         except TypeError:
             return None
 
-    def _head_array(self, order: int) -> MDArray:
+    def _head(self, order: int):
         """View of the coefficients through ``order`` (no copy)."""
-        return MDArray(self._coefficients.data[:, : order + 1])
+        return self._coefficients[: order + 1]
 
     # ------------------------------------------------------------------
     # ring arithmetic (results truncated at the shorter operand); every
@@ -288,52 +283,98 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        return TruncatedSeries._wrap(
-            self._head_array(order) + other._head_array(order), self._precision
-        )
+        return self._wrap(self._head(order) + other._head(order), self._precision)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        return TruncatedSeries._wrap(
-            self._head_array(order) - other._head_array(order), self._precision
-        )
+        return self._wrap(self._head(order) - other._head(order), self._precision)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, self._scalar_types):
             return self.scale(other)
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        return TruncatedSeries._wrap(
+        return self._wrap(
             linalg.cauchy_product(self._coefficients, other._coefficients),
             self._precision,
         )
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
-    def scale(self, factor) -> "TruncatedSeries":
+    def scale(self, factor):
         """Coefficient-wise multiplication by a scalar (one launch)."""
-        factor = MultiDouble(factor, self._precision)
-        return TruncatedSeries._wrap(self._coefficients * factor, self._precision)
+        factor = self._scalar(factor, self._precision)
+        return self._wrap(self._coefficients * factor, self._precision)
 
     def __neg__(self):
-        return TruncatedSeries._wrap(-self._coefficients, self._precision)
+        return self._wrap(-self._coefficients, self._precision)
 
     def __pos__(self):
         return self
 
+
+class TruncatedSeries(_TruncatedSeriesBase):
+    """A power series truncated at order ``K`` with multiple double
+    coefficients ``c_0 .. c_K`` in one limb-major ``(m, K+1)`` array."""
+
+    __slots__ = ()
+
+    _array = MDArray
+    _scalar = staticmethod(MultiDouble)
+    _scalar_types = (int, float, Fraction, str, MultiDouble)
+
+    @staticmethod
+    def _magnitudes(array) -> np.ndarray:
+        return np.abs(array.data[0])
+
+    @staticmethod
+    def _from_values(values, prec: Precision) -> MDArray:
+        return MDArray.from_multidoubles(
+            [v if isinstance(v, MultiDouble) else MultiDouble(v, prec) for v in values],
+            prec.limbs,
+        )
+
+    @classmethod
+    def from_fractions(cls, values, precision=2) -> "TruncatedSeries":
+        """Build from exact rational coefficients (each rounded once)."""
+        prec = get_precision(precision)
+        return cls([MultiDouble(Fraction(v), prec) for v in values], prec)
+
+    @classmethod
+    def from_function(cls, coefficient, order: int, precision=2) -> "TruncatedSeries":
+        """Build from a callable ``k -> c_k``."""
+        prec = get_precision(precision)
+        return cls([coefficient(k) for k in range(order + 1)], prec)
+
+    def to_mdarray(self) -> MDArray:
+        """A copy of the coefficient array (shape ``(K+1,)``)."""
+        return self._coefficients.copy()
+
+    def shift(self, powers: int) -> "TruncatedSeries":
+        """Multiply by ``t**powers`` (truncation order unchanged)."""
+        if powers < 0:
+            raise ValueError("shift expects a nonnegative power")
+        if powers == 0:
+            return self
+        data = np.zeros_like(self._coefficients.data)
+        if powers <= self.order:
+            data[:, powers:] = self._coefficients.data[:, : self.order + 1 - powers]
+        return TruncatedSeries._wrap(MDArray(data), self._precision)
+
+    # ------------------------------------------------------------------
+    # division and powers
+    # ------------------------------------------------------------------
     def __truediv__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, self._scalar_types):
             inverse = MultiDouble(1, self._precision) / MultiDouble(other, self._precision)
             return self.scale(inverse)
         other = self._coerce(other)

@@ -13,10 +13,18 @@ per elementwise ring operation.  This is the series analogue of the
 paper's "matrix of quad doubles as four matrices of doubles" layout,
 carried up one level to whole systems of series.
 
+Every member is written once, in a private base over the kind of the
+coefficient array; :class:`VectorSeries` runs it on an
+:class:`~repro.vec.mdarray.MDArray`, and
+:class:`~repro.series.complexvec.ComplexVectorSeries` on an
+:class:`~repro.vec.complexmd.MDComplexArray`.  A vector takes its kind
+from its component class (:class:`~repro.series.truncated.TruncatedSeries`
+or :class:`~repro.series.complexvec.ComplexTruncatedSeries`).
+
 Component views (:meth:`component`, :meth:`components`) round-trip
-into scalar-per-series :class:`~repro.series.truncated.TruncatedSeries`
-objects and are bit-identical to operating on the components one by
-one, because both paths share the same vectorized limb kernels.
+into scalar-per-series component objects and are bit-identical to
+operating on the components one by one, because both paths share the
+same vectorized limb kernels.
 """
 
 from __future__ import annotations
@@ -24,23 +32,42 @@ from __future__ import annotations
 import numpy as np
 
 from ..md.constants import Precision, get_precision
-from ..md.number import MultiDouble
 from ..vec import linalg
+from ..vec.batched import stack
+from ..vec.complexmd import MDComplexArray
 from ..vec.mdarray import MDArray
 from .truncated import TruncatedSeries
 
-__all__ = ["VectorSeries"]
+__all__ = ["VectorSeries", "evaluation_magnitudes"]
 
 
-class VectorSeries:
-    """``n`` truncated power series in one limb-major ``(m, n, K+1)``
-    coefficient array."""
+def evaluation_magnitudes(array) -> np.ndarray:
+    """Leading-double magnitudes of an evaluated ``(n,)`` array — the
+    moduli for complex data, the absolute heads for real data."""
+    if isinstance(array, MDComplexArray):
+        return np.abs(array.to_complex())
+    return np.abs(array.to_double())
+
+
+class _VectorSeriesBase:
+    """``n`` truncated power series of one kind in one coefficient array
+    of element shape ``(n, K+1)``: every member the real and the
+    complex vectors run the same way.
+
+    A public subclass names its component class in ``_series``; the
+    vector shares that class's kind hooks (the array class ``_array``,
+    the scalar coercion ``_scalar`` and the head magnitudes
+    ``_magnitudes``) and its promotion of a narrower component kind.
+    """
 
     __slots__ = ("_coefficients", "_precision")
 
-    def __init__(self, coefficients: MDArray, precision=None):
-        if not isinstance(coefficients, MDArray):
-            raise TypeError("VectorSeries expects an MDArray of coefficients")
+    def __init__(self, coefficients, precision=None):
+        array = self._series._array
+        if not isinstance(coefficients, array):
+            raise TypeError(
+                f"{type(self).__name__} expects an {array.__name__} of coefficients"
+            )
         if coefficients.ndim != 2:
             raise ValueError(
                 f"expected element shape (n, K+1), got {coefficients.shape}"
@@ -53,7 +80,7 @@ class VectorSeries:
         object.__setattr__(self, "_precision", get_precision(coefficients.limbs))
 
     @classmethod
-    def _wrap(cls, coefficients: MDArray, prec: Precision) -> "VectorSeries":
+    def _wrap(cls, coefficients, prec: Precision):
         series = object.__new__(cls)
         object.__setattr__(series, "_coefficients", coefficients)
         object.__setattr__(series, "_precision", prec)
@@ -63,34 +90,39 @@ class VectorSeries:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def zeros(cls, dimension: int, order: int, precision=2) -> "VectorSeries":
+    def zeros(cls, dimension: int, order: int, precision=2):
         prec = get_precision(precision)
-        return cls._wrap(MDArray.zeros((dimension, order + 1), prec.limbs), prec)
+        return cls._wrap(
+            cls._series._array.zeros((dimension, order + 1), prec.limbs), prec
+        )
 
     @classmethod
-    def from_components(cls, components) -> "VectorSeries":
-        """Stack per-component series (any mix of
-        :class:`TruncatedSeries` and scalar-reference series; shorter
-        components are zero-padded to the longest order)."""
-        components = list(components)
-        if not components:
-            raise ValueError("a vector series needs at least one component")
+    def from_components(cls, components):
+        """Stack per-component series (components of this kind, of a
+        narrower kind, or scalar-reference series; shorter components
+        are zero-padded to the longest order)."""
+        series_cls = cls._series
         converted = []
         for component in components:
-            if not isinstance(component, TruncatedSeries):
-                component = TruncatedSeries(list(component), component.precision)
+            component = series_cls._promote(component)
+            if not isinstance(component, series_cls):
+                component = series_cls(
+                    list(component), getattr(component, "precision", None)
+                )
             converted.append(component)
+        if not converted:
+            raise ValueError("a vector series needs at least one component")
         limbs = converted[0].limbs
         if any(c.limbs != limbs for c in converted):
             raise ValueError("all components must share the precision")
         order = max(c.order for c in converted)
-        data = np.stack(
-            [c.pad(order).coefficients.data for c in converted], axis=1
+        return cls._wrap(
+            stack([c.pad(order).coefficients for c in converted]),
+            get_precision(limbs),
         )
-        return cls._wrap(MDArray(data), get_precision(limbs))
 
     @classmethod
-    def from_mdarray(cls, coefficients: MDArray, precision=None) -> "VectorSeries":
+    def from_mdarray(cls, coefficients, precision=None):
         """Adopt an ``(n, K+1)`` coefficient array (copied)."""
         return cls(coefficients, precision)
 
@@ -98,7 +130,7 @@ class VectorSeries:
     # accessors
     # ------------------------------------------------------------------
     @property
-    def coefficients(self) -> MDArray:
+    def coefficients(self):
         """The limb-major coefficient array, element shape ``(n, K+1)``."""
         return self._coefficients
 
@@ -118,34 +150,35 @@ class VectorSeries:
     def order(self) -> int:
         return self._coefficients.shape[1] - 1
 
-    def component(self, index: int) -> TruncatedSeries:
-        """One component as a :class:`TruncatedSeries` (copied)."""
-        return TruncatedSeries.from_mdarray(self._coefficients[index])
+    def component(self, index: int):
+        """One component as a series of the component class (copied)."""
+        return self._series.from_mdarray(self._coefficients[index])
 
     def components(self) -> list:
-        """All components as :class:`TruncatedSeries` values."""
+        """All components as series of the component class."""
         return [self.component(i) for i in range(self.dimension)]
 
-    def coefficient(self, k: int) -> MDArray:
+    def coefficient(self, k: int):
         """The order-``k`` coefficient of every component, shape ``(n,)``."""
         if not 0 <= k <= self.order:
-            return MDArray.zeros(self.dimension, self.limbs)
-        return MDArray(self._coefficients.data[:, :, k].copy())
+            return self._series._array.zeros((self.dimension,), self.limbs)
+        return self._coefficients[:, k].copy()
 
     def set_coefficient(self, k: int, value) -> None:
         """Overwrite the order-``k`` coefficient column (in place) —
-        the per-order update of the Newton staircase."""
+        the per-order update of the Newton staircase.  ``value`` is an
+        ``(n,)`` array (a complex vector also takes a real one) or a
+        sequence of ``n`` scalars."""
         if not 0 <= k <= self.order:
             raise IndexError(f"order {k} outside 0..{self.order}")
-        if isinstance(value, MDArray):
-            if value.limbs != self.limbs:
-                value = value.astype(self.limbs)
-            self._coefficients.data[:, :, k] = value.data
-        else:
-            column = MDArray.from_multidoubles(
-                [MultiDouble(v, self._precision) for v in value], self.limbs
+        array = self._series._array
+        if not isinstance(value, (MDArray, array)):
+            value = array.from_multidoubles(
+                [self._series._scalar(v, self._precision) for v in value], self.limbs
             )
-            self._coefficients.data[:, :, k] = column.data
+        elif value.limbs != self.limbs:
+            value = value.astype(self.limbs)
+        self._coefficients[:, k] = value
 
     def __len__(self) -> int:
         return self.dimension
@@ -157,37 +190,36 @@ class VectorSeries:
     # ------------------------------------------------------------------
     # structural helpers
     # ------------------------------------------------------------------
-    def truncate(self, order: int) -> "VectorSeries":
+    def truncate(self, order: int):
         if order == self.order:
             return self
         if order < self.order:
-            return VectorSeries._wrap(
-                MDArray(self._coefficients.data[:, :, : order + 1].copy()),
-                self._precision,
+            return self._wrap(
+                self._coefficients[:, : order + 1].copy(), self._precision
             )
         return self.pad(order)
 
-    def pad(self, order: int) -> "VectorSeries":
+    def pad(self, order: int):
         if order <= self.order:
             return self
-        data = np.zeros(
-            (self.limbs, self.dimension, order + 1), dtype=np.float64
-        )
-        data[:, :, : self.order + 1] = self._coefficients.data
-        return VectorSeries._wrap(MDArray(data), self._precision)
+        array = self._series._array.zeros((self.dimension, order + 1), self.limbs)
+        array[:, : self.order + 1] = self._coefficients
+        return self._wrap(array, self._precision)
 
-    def astype(self, precision) -> "VectorSeries":
+    def astype(self, precision):
         prec = get_precision(precision)
         if prec.limbs == self.limbs:
             return self
-        return VectorSeries._wrap(self._coefficients.astype(prec.limbs), prec)
+        return self._wrap(self._coefficients.astype(prec.limbs), prec)
 
-    def copy(self) -> "VectorSeries":
-        return VectorSeries._wrap(self._coefficients.copy(), self._precision)
+    def copy(self):
+        return self._wrap(self._coefficients.copy(), self._precision)
 
-    def _coerce(self, other) -> "VectorSeries":
-        if not isinstance(other, VectorSeries):
-            raise TypeError(f"cannot combine VectorSeries with {type(other)!r}")
+    def _coerce(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other)!r}"
+            )
         if other.limbs != self.limbs:
             raise ValueError(
                 f"precision mismatch: {self.limbs} vs {other.limbs} limbs"
@@ -198,8 +230,8 @@ class VectorSeries:
             )
         return other
 
-    def _head_array(self, order: int) -> MDArray:
-        return MDArray(self._coefficients.data[:, :, : order + 1])
+    def _head(self, order: int):
+        return self._coefficients[:, : order + 1]
 
     # ------------------------------------------------------------------
     # arithmetic — each operation is one batched launch over all
@@ -208,65 +240,62 @@ class VectorSeries:
     def __add__(self, other):
         other = self._coerce(other)
         order = min(self.order, other.order)
-        return VectorSeries._wrap(
-            self._head_array(order) + other._head_array(order), self._precision
-        )
+        return self._wrap(self._head(order) + other._head(order), self._precision)
 
     def __sub__(self, other):
         other = self._coerce(other)
         order = min(self.order, other.order)
-        return VectorSeries._wrap(
-            self._head_array(order) - other._head_array(order), self._precision
-        )
+        return self._wrap(self._head(order) - other._head(order), self._precision)
 
     def __neg__(self):
-        return VectorSeries._wrap(-self._coefficients, self._precision)
+        return self._wrap(-self._coefficients, self._precision)
 
     def __mul__(self, other):
         """Component-wise Cauchy products, batched over the system."""
         other = self._coerce(other)
         order = min(self.order, other.order)
-        return VectorSeries._wrap(
-            linalg.cauchy_product(
-                self._head_array(order), other._head_array(order)
-            ),
+        return self._wrap(
+            linalg.cauchy_product(self._head(order), other._head(order)),
             self._precision,
         )
 
-    def scale(self, factor) -> "VectorSeries":
-        factor = MultiDouble(factor, self._precision)
-        return VectorSeries._wrap(self._coefficients * factor, self._precision)
+    def scale(self, factor):
+        factor = self._series._scalar(factor, self._precision)
+        return self._wrap(self._coefficients * factor, self._precision)
 
     # ------------------------------------------------------------------
     # evaluation and diagnostics
     # ------------------------------------------------------------------
-    def evaluate(self, point) -> MDArray:
+    def evaluate(self, point):
         """Batched Horner: every component evaluated at ``point`` in one
         sweep of ``K`` vectorized multiply-adds, returning ``(n,)``."""
-        point = MultiDouble(point, self._precision)
+        point = self._series._scalar(point, self._precision)
         total = self.coefficient(self.order)
         for k in range(self.order - 1, -1, -1):
             total = total * point + self.coefficient(k)
         return total
 
     def coefficient_condition(self, point, values=None) -> np.ndarray:
-        """Evaluation condition number of every component at ``point``
-        (see :meth:`TruncatedSeries.coefficient_condition`), computed on
-        leading limbs for the whole system at once.
+        """Evaluation condition number of every component at ``point``:
+        ``sum |c_k| |t|^k / |value|`` on the leading doubles of the
+        coefficient magnitudes (moduli for complex data; see
+        :meth:`TruncatedSeries.coefficient_condition`), for the whole
+        system at once.
 
-        ``values`` may supply the precomputed ``|evaluate(point)|``
-        leading limbs (shape ``(n,)``) so callers that already
-        evaluated the system do not pay the Horner sweep twice.
+        ``values`` may supply the precomputed evaluation magnitudes
+        (shape ``(n,)``, see :func:`evaluation_magnitudes`) so callers
+        that already evaluated the system do not pay the Horner sweep
+        twice.
         """
         t = abs(float(point))
-        heads = np.abs(self._coefficients.data[0])  # (n, K+1)
+        heads = self._series._magnitudes(self._coefficients)  # (n, K+1)
         absolute = np.zeros(self.dimension)
         power = 1.0
         for k in range(self.order + 1):
             absolute += heads[:, k] * power
             power *= t
         if values is None:
-            values = np.abs(self.evaluate(point).to_double())
+            values = evaluation_magnitudes(self.evaluate(point))
         out = np.empty(self.dimension)
         for i in range(self.dimension):
             if values[i] == 0.0:
@@ -279,11 +308,11 @@ class VectorSeries:
     # comparisons
     # ------------------------------------------------------------------
     def allclose(self, other, tol=None) -> bool:
+        """Coefficient-wise closeness through the shorter order (the
+        tolerance defaults to a few ulps of the working precision)."""
         other = self._coerce(other)
-        if tol is None:
-            tol = 16 * self._precision.eps
         order = min(self.order, other.order)
-        return self._head_array(order).allclose(other._head_array(order), tol)
+        return self._head(order).allclose(other._head(order), tol)
 
     def equals(self, other) -> bool:
         """Exact (bitwise) equality of every limb of every coefficient."""
@@ -292,6 +321,15 @@ class VectorSeries:
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return (
-            f"VectorSeries(dimension={self.dimension}, order={self.order}, "
-            f"precision={self._precision.name!r})"
+            f"{type(self).__name__}(dimension={self.dimension}, "
+            f"order={self.order}, precision={self._precision.name!r})"
         )
+
+
+class VectorSeries(_VectorSeriesBase):
+    """``n`` truncated power series in one limb-major ``(m, n, K+1)``
+    coefficient array."""
+
+    __slots__ = ()
+
+    _series = TruncatedSeries

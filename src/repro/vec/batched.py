@@ -37,6 +37,7 @@ import numpy as np
 
 from ..md.constants import get_precision
 from .complexmd import MDComplexArray
+from .linalg import _is_complex, _zeros_like_kind
 from .mdarray import MDArray
 
 __all__ = [
@@ -53,16 +54,6 @@ __all__ = [
     "batched_apply_qt",
     "batched_householder_vector",
 ]
-
-
-def _is_complex(array) -> bool:
-    return isinstance(array, MDComplexArray)
-
-
-def _zeros_like_kind(template, shape):
-    if _is_complex(template):
-        return MDComplexArray.zeros(shape, template.limbs)
-    return MDArray.zeros(shape, template.limbs)
 
 
 def stack(arrays):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.batch import PathFleetResult, track_paths
-from repro.perf.costmodel import path_fleet_trace, path_step_trace
+from repro.perf.costmodel import path_fleet_trace
 from repro.series import track_path
 from repro.series.tracker import PathResult
 
@@ -348,10 +348,10 @@ class TestFleetCostModel:
         """Batching reorganizes the launches, not the work."""
         batch, dim, order, limbs = 8, 2, 8, 2
         fleet_trace = path_fleet_trace(batch, dim, order, limbs)
-        step = path_step_trace(dim, order, limbs)
+        step = path_fleet_trace(1, dim, order, limbs)
         assert fleet_trace.total_flops() == pytest.approx(
             batch * step.total_flops()
         )
-        # the per-path Padé constructions collapse into one batched one,
-        # so the fleet needs strictly fewer launches than b paths alone
+        # the launches are flat in the batch, so the fleet needs
+        # strictly fewer launches than b paths tracked alone
         assert len(fleet_trace) < batch * len(step)

@@ -131,6 +131,20 @@ class TestSchema:
         problems = check_baselines.validate_baseline(path)
         assert any(repr(stamp) in p and "'case'" in p for p in problems)
 
+    @pytest.mark.parametrize("bad", ["fused", None, 7])
+    def test_present_entry_environment_must_be_mapping(self, tmp_path, bad):
+        stamped = write_baseline(
+            tmp_path,
+            payload=envelope(entries={"case": {"seconds": 1.0, "environment": {}}}),
+        )
+        assert check_baselines.validate_baseline(stamped) == []
+        payload = envelope(
+            suite="demo2", entries={"case": {"seconds": 1.0, "environment": bad}}
+        )
+        path = write_baseline(tmp_path, name="BENCH_demo2.json", payload=payload)
+        problems = check_baselines.validate_baseline(path)
+        assert any("'environment'" in p and "'case'" in p for p in problems)
+
 
 class TestDriftRule:
     def test_baseline_with_code_change_is_allowed(self):

@@ -5,9 +5,10 @@ in a suite whose entries were measured at different commits it
 misattributes every entry but the newest.  ``harness.record`` therefore
 stamps each entry with its own ``git_sha``/``recorded_at`` — the
 ``git_sha`` that ``check_baselines.py --committed`` names when a fresh
-speedup falls below the committed one.  These tests pin that contract,
-and that a corrupt suite file is never silently replaced, against a
-``BENCH_OUTPUT_DIR`` sandbox, never the committed baselines.
+speedup falls below the committed one — and its own ``environment``.
+These tests pin that contract, and that a corrupt suite file is never
+silently replaced, against a ``BENCH_OUTPUT_DIR`` sandbox, never the
+committed baselines.
 """
 
 from __future__ import annotations
@@ -63,6 +64,43 @@ def test_stamps_do_not_leak_into_other_entries(tmp_path, monkeypatch):
     assert data["entries"]["first"]["git_sha"] == "f" * 40
     assert data["entries"]["first"]["recorded_at"] == "2020-01-01T00:00:00Z"
     assert data["entries"]["second"]["recorded_at"] == data["updated"]
+
+
+def test_recording_leaves_sibling_environments_alone(tmp_path, monkeypatch):
+    """Each entry keeps the environment it was measured under when a
+    sibling is recorded under another one: new entries carry their own
+    block, and the suite-level block, which describes the entries that
+    predate per-entry blocks, is not rewritten."""
+    monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "BENCH_demo.json"
+    legacy = {**harness.environment(), "exec_backend": "generic", "cpu_count": 1}
+    path.write_text(
+        json.dumps(
+            {
+                "suite": "demo",
+                "git_sha": "f" * 40,
+                "python": "3.11.7",
+                "updated": "2020-01-01T00:00:00Z",
+                "environment": legacy,
+                "entries": {"old": {"seconds": 1.0}},
+            }
+        )
+    )
+    single = {**legacy, "exec_backend": "fused"}
+    dual = {**single, "cpu_count": 2}
+    monkeypatch.setattr(harness, "environment", lambda: dict(single))
+    harness.record("demo", "first", seconds=2.0)
+    monkeypatch.setattr(harness, "environment", lambda: dict(dual))
+    harness.record("demo", "second", seconds=3.0)
+
+    data = json.loads(path.read_text())
+
+    def measured_under(name):
+        return data["entries"][name].get("environment", data["environment"])
+
+    assert measured_under("old") == legacy
+    assert measured_under("first") == single
+    assert measured_under("second") == dual
 
 
 def test_fields_cannot_spoof_stamps(tmp_path, monkeypatch):

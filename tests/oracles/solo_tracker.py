@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.least_squares import lstsq
 from repro.md.constants import get_precision
 from repro.md.number import ComplexMultiDouble, MultiDouble
-from repro.perf.costmodel import path_step_trace
+from repro.perf.costmodel import path_fleet_trace
 from repro.perf.model import PerformanceModel
 from repro.series.complexvec import (
     ComplexTruncatedSeries,
@@ -160,7 +160,8 @@ def solo_track_path(
                 for s in expansion.series
             ]
             timed = model.attribute(
-                path_step_trace(
+                path_fleet_trace(
+                    1,
                     n,
                     order,
                     prec.limbs,

@@ -20,7 +20,7 @@ from repro.md.opcounts import (
     series_flops,
     series_launches,
 )
-from repro.perf.costmodel import newton_series_trace, path_step_trace
+from repro.perf.costmodel import newton_series_trace, path_fleet_trace
 from repro.series.complexvec import (
     ComplexTruncatedSeries,
     ComplexVectorSeries,
@@ -397,8 +397,8 @@ class TestComplexTraceIdentity:
             assert ours.bytes_written == model.bytes_written
 
     def test_complex_step_costs_more_than_real(self):
-        real = path_step_trace(3, 8, 2, tile_size=1)
-        cplx = path_step_trace(3, 8, 2, tile_size=1, complex_data=True)
+        real = path_fleet_trace(1, 3, 8, 2, tile_size=1)
+        cplx = path_fleet_trace(1, 3, 8, 2, tile_size=1, complex_data=True)
         assert len(real) == len(cplx)  # launch-identical structure
         assert cplx.total_flops() > 3.5 * real.total_flops()
 
@@ -414,6 +414,6 @@ class TestComplexTraceIdentity:
             complex_qr = qr_trace(n, n, 1, 2, complex_data=True).total_flops()
             realified_qr = qr_trace(2 * n, 2 * n, 1, 2).total_flops()
             assert realified_qr > 2.0 * complex_qr
-        realified_step = path_step_trace(16, 8, 2).total_flops()
-        complex_step = path_step_trace(8, 8, 2, complex_data=True).total_flops()
+        realified_step = path_fleet_trace(1, 16, 8, 2).total_flops()
+        complex_step = path_fleet_trace(1, 8, 8, 2, complex_data=True).total_flops()
         assert realified_step > 1.4 * complex_step

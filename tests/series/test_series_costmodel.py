@@ -26,7 +26,7 @@ from repro.perf.costmodel import (
     matrix_series_trace,
     newton_series_trace,
     pade_trace,
-    path_step_trace,
+    path_fleet_trace,
 )
 from repro.perf.model import PerformanceModel
 from repro.series import (
@@ -211,24 +211,27 @@ def test_pade_trace_empty_for_taylor_polynomial():
     assert len(pade_trace(4, 0, 2)) == 0
 
 
-def test_path_step_trace_composes_newton_and_pade():
+def test_path_step_is_one_expansion_and_one_batched_pade():
+    """A path step is priced as a fleet of one: the Newton expansion
+    plus one batched Padé construction over all components, with the
+    flops of one Padé solve per component."""
     dimension, order, limbs = 2, 8, 4
-    combined = path_step_trace(dimension, order, limbs, tile_size=1)
+    step = path_fleet_trace(1, dimension, order, limbs, tile_size=1)
     newton = newton_series_trace(dimension, order, limbs, tile_size=1)
     one_pade = pade_trace((order - 1) // 2, (order - 1) // 2, limbs)
-    assert len(combined) == len(newton) + dimension * len(one_pade)
-    assert combined.total_flops() == pytest.approx(
+    assert len(step) == len(newton) + len(one_pade)
+    assert step.total_flops() == pytest.approx(
         newton.total_flops() + dimension * one_pade.total_flops()
     )
 
 
 def test_performance_model_times_series_traces():
     model = PerformanceModel("V100")
-    trace = path_step_trace(2, 8, 4, tile_size=1)
+    trace = path_fleet_trace(1, 2, 8, 4, tile_size=1)
     timed = model.attribute(trace)
     assert timed.kernel_ms > 0.0
     assert timed.trace.kernel_gigaflops() > 0.0
     # octo double work costs more kernel time than double double work
-    slow = model.attribute(path_step_trace(2, 8, 8, tile_size=1)).kernel_ms
-    fast = model.attribute(path_step_trace(2, 8, 2, tile_size=1)).kernel_ms
+    slow = model.attribute(path_fleet_trace(1, 2, 8, 8, tile_size=1)).kernel_ms
+    fast = model.attribute(path_fleet_trace(1, 2, 8, 2, tile_size=1)).kernel_ms
     assert slow > fast
