@@ -12,20 +12,23 @@ one):
   at the lowest occupied precision rung (d, dd, qd, od) form the next
   sub-batch, so a path that finishes retires from the launches
   immediately and an escalated path joins its new rung mates at once;
-* each sub-batch advances through one batched step — one
-  :func:`~repro.batch.qr.batched_blocked_qr` of all Jacobian heads, one
-  batched triangular solve per series order, and **one**
-  :func:`~repro.batch.pade.batched_pade` construction covering all
-  ``batch × dimension`` solution components — so the kernel launch
-  count per sub-batch is flat in the fleet width;
+* each sub-batch advances through one batched step — the series
+  Newton staircase (one :func:`~repro.batch.qr.batched_blocked_qr` of
+  all Jacobian heads, one batched triangular solve per series order;
+  :func:`repro.series.newton.newton_series` runs the same staircase
+  on a batch of one), **one** :func:`~repro.batch.pade.batched_pade`
+  construction covering all ``batch × dimension`` solution components,
+  and a batched Newton polish — so the kernel launch count per
+  sub-batch is flat in the fleet width;
 * systems that expose ``residual_fleet``
   (:class:`~repro.poly.system.PolynomialSystem`,
-  :class:`~repro.poly.homotopy.Homotopy`) compute each order's
-  residual columns for the whole sub-batch with **one fleet-wide
-  batched series evaluation** over a shared power table; plain
-  callables are evaluated in a Python loop of per-path series calls;
-* step control, precision escalation (d → dd → qd → od) and Newton
-  correction are decided *per path*, with the step-control helpers of
+  :class:`~repro.poly.homotopy.Homotopy`) compute every residual of a
+  sub-batch — each order of the expansion and each polish iteration —
+  with **one fleet-wide batched series evaluation** over a shared
+  power table; plain callables are evaluated in a Python loop of
+  per-path series calls, for the expansion and the polish alike;
+* step control and precision escalation (d → dd → qd → od) are
+  decided *per path*, with the step-control helpers of
   :mod:`repro.series.tracker`.
 
 Because every batched kernel is bit-identical to a loop over its
@@ -69,11 +72,9 @@ from ..series.complexvec import (
     leading_value,
 )
 from ..series.newton import (
-    _batched_residual_columns,
     _coerce_jacobian,
     _coerce_residual,
     _coerce_start,
-    _residual_column,
     resolve_system_arguments,
 )
 from ..series.tracker import (
@@ -237,10 +238,10 @@ def track_paths(
     ``system`` with the start points in the second slot
     (``track_paths(homotopy, starts)``) — the residual/Jacobian
     adapters are generated from the object, no hand-written callables
-    required, and each order's residuals are evaluated fleet-wide
-    through its ``residual_fleet``.  Complex start points track
-    natively in ``n`` complex variables on the separated-plane batched
-    kernels.
+    required, and every residual of the expansion and of the polish
+    is evaluated fleet-wide through its ``residual_fleet``.  Complex
+    start points track natively in ``n`` complex variables on the
+    separated-plane batched kernels.
 
     After every sub-batch the active paths are re-packed: the paths at
     the lowest occupied precision rung advance next, so retired paths
@@ -434,13 +435,10 @@ def _advance_sub_batch(
     model,
     path_fleet_trace,
 ):
-    """One batched step attempt for one precision sub-batch.
-
-    For a system exposing ``residual_fleet``, each order's residual
-    columns come from one fleet-wide batched series evaluation; a plain
-    callable is evaluated path by path.  Both are bit-identical per
-    path.
-    """
+    """One batched step attempt for one precision sub-batch: the
+    series Newton staircase (:func:`_newton_staircase`), one batched
+    Padé construction, per-path step control and the batched polish of
+    the accepted paths (:func:`_batched_newton_correct`)."""
     prec = get_precision(ladder[rung])
     limbs = prec.limbs
     batch = len(batch_states)
@@ -460,7 +458,7 @@ def _advance_sub_batch(
     recorder.count("sub_batches")
 
     # ------------------------------------------------------------------
-    # batched series Newton expansion (newton_series, fleet-wide)
+    # batched series Newton expansion (the staircase, fleet-wide)
     # ------------------------------------------------------------------
     qr_tile, bs_tile = resolve_tile_sizes(n, tile_size, bs_tile_size)
     round_trace = KernelTrace(
@@ -472,14 +470,8 @@ def _advance_sub_batch(
         for state in batch_states
     ]
 
-    if complex_data:
-        array_cls, series_cls, vector_cls = (
-            MDComplexArray, ComplexTruncatedSeries, ComplexVectorSeries
-        )
-    else:
-        array_cls, series_cls, vector_cls = MDArray, TruncatedSeries, VectorSeries
-    fleet_residuals = hasattr(system, "residual_fleet")
-
+    array_cls = MDComplexArray if complex_data else MDArray
+    vector_cls = ComplexVectorSeries if complex_data else VectorSeries
     # the fleet-wide series expansion: element shape (batch, n, K+1),
     # heads written now, one column per solved order
     solution = array_cls.zeros((batch, n, order + 1), limbs)
@@ -492,52 +484,17 @@ def _advance_sub_batch(
         precision=prec.name,
         batch=batch,
     ) as expansion_span, np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        qr = batched_blocked_qr(
-            vb.stack(head_matrices), qr_tile, device=device, trace=round_trace
+        _newton_staircase(
+            system,
+            vb.stack(head_matrices),
+            solution,
+            [state.t_current for state in batch_states],
+            tile_size=qr_tile,
+            bs_tile_size=bs_tile,
+            device=device,
+            trace=round_trace,
+            residual_trace=round_trace,
         )
-        q_conjugate = vb.batched_conjugate_transpose(qr.Q)
-        uppers = qr.R[:, :n, :n]
-        for k in range(1, order + 1):
-            if fleet_residuals:
-                # views: column k is still zero while order k is solved
-                residual_planes = system.residual_fleet(
-                    solution[:, :, : k + 1],
-                    [state.t_current for state in batch_states],
-                    trace=round_trace,
-                    device=device,
-                )
-                rhs = _batched_residual_columns(residual_planes, k)
-            else:
-                rhs_rows = []
-                for p, state in enumerate(batch_states):
-                    partial = [
-                        series_cls.from_mdarray(solution[p, i, : k + 1])
-                        for i in range(n)
-                    ]
-                    # the global parameter t_current + s of this path
-                    t = TruncatedSeries.variable(k, prec, head=state.t_current)
-                    residuals = _coerce_residual(
-                        system(partial, t), n, k, prec, series_cls
-                    )
-                    rhs_rows.append(_residual_column(residuals, k))
-                rhs = vb.stack(rhs_rows)
-            qhb = vb.batched_matvec(q_conjugate, rhs)
-            add_batched_launch(
-                round_trace,
-                batch,
-                "apply_qt",
-                STAGE_APPLY_QT,
-                blocks=max(1, stages.ceil_div(n, qr_tile)),
-                threads_per_block=qr_tile,
-                limbs=limbs,
-                tally=stages.tally_matvec(n, n, complex_data),
-                bytes_read=md_bytes(n * n + n, limbs, complex_data),
-                bytes_written=md_bytes(n, limbs, complex_data),
-            )
-            bs = batched_back_substitution(
-                uppers, qhb[:, :n], bs_tile, device=device, trace=round_trace
-            )
-            solution[:, :, k] = bs.x
 
         # --------------------------------------------------------------
         # one batched Padé construction for all batch * n components
@@ -753,49 +710,140 @@ def _advance_sub_batch(
                 )
 
 
+def _newton_staircase(
+    system,
+    head_matrices,
+    solution,
+    t_heads,
+    *,
+    tile_size,
+    bs_tile_size,
+    device,
+    trace,
+    residual_trace=None,
+):
+    """The order-by-order series Newton staircase of a batch of paths.
+
+    ``solution`` holds every path's series solution as limb planes of
+    element shape ``(b, n, K+1)``, the heads in column 0; orders 1 to
+    ``K`` are written in place.  One batched QR factors the Jacobian
+    heads ``head_matrices`` (element shape ``(b, n, n)``) once; each
+    order ``k`` then takes the residual columns of the partial series
+    (:func:`_residual_columns`, the paths expanded at ``t_heads``), one
+    ``Q^H r`` product and one batched back substitution against ``R``.
+    The solver launches are recorded into ``trace``, the residual
+    evaluations into ``residual_trace`` (``None`` records none).
+    Returns the triangular factors, element shape ``(b, n, n)``.
+    :func:`track_paths` runs it per sub-batch and
+    :func:`repro.series.newton.newton_series` as a batch of one.
+    """
+    batch, n, terms = solution.shape
+    limbs = solution.limbs
+    complex_data = isinstance(solution, MDComplexArray)
+    qr = batched_blocked_qr(head_matrices, tile_size, device=device, trace=trace)
+    q_conjugate = vb.batched_conjugate_transpose(qr.Q)
+    uppers = qr.R[:, :n, :n]
+    for k in range(1, terms):
+        # views: column k is still zero while order k is solved
+        rhs = _residual_columns(
+            system,
+            solution[:, :, : k + 1],
+            t_heads,
+            k,
+            trace=residual_trace,
+            device=device,
+        )
+        qhb = vb.batched_matvec(q_conjugate, rhs)
+        add_batched_launch(
+            trace,
+            batch,
+            "apply_qt",
+            STAGE_APPLY_QT,
+            blocks=max(1, stages.ceil_div(n, tile_size)),
+            threads_per_block=tile_size,
+            limbs=limbs,
+            tally=stages.tally_matvec(n, n, complex_data),
+            bytes_read=md_bytes(n * n + n, limbs, complex_data),
+            bytes_written=md_bytes(n, limbs, complex_data),
+        )
+        bs = batched_back_substitution(
+            uppers, qhb[:, :n], bs_tile_size, device=device, trace=trace
+        )
+        solution[:, :, k] = bs.x
+    return uppers
+
+
+def _residual_columns(system, partials, t_heads, k, *, trace=None, device="V100"):
+    """The negated order-``k`` residual coefficients of a batch of
+    paths, as one ``(b, n)`` array.
+
+    ``partials`` holds the paths' series through order ``k`` as limb
+    planes of element shape ``(b, n, k+1)``, ``t_heads`` the points
+    the paths are expanded at.  A system exposing ``residual_fleet``
+    (:class:`~repro.poly.system.PolynomialSystem`,
+    :class:`~repro.poly.homotopy.Homotopy`) evaluates the whole batch
+    in one call, recorded into ``trace``; a plain callable is called
+    path by path as ``system(x_p, t_p + s)`` on series, the parameter
+    being the real ``TruncatedSeries.variable(k, prec, head=t_p)``.
+    Both give every path the bits of its own per-path call.
+    """
+    if hasattr(system, "residual_fleet"):
+        values = system.residual_fleet(partials, t_heads, trace=trace, device=device)
+        return -values[:, :, k]
+    prec = get_precision(partials.limbs)
+    n = partials.shape[1]
+    series_cls = (
+        ComplexTruncatedSeries
+        if isinstance(partials, MDComplexArray)
+        else TruncatedSeries
+    )
+    rows = []
+    for p, t_head in enumerate(t_heads):
+        x = [series_cls.from_mdarray(partials[p, i]) for i in range(n)]
+        t = TruncatedSeries.variable(k, prec, head=t_head)
+        residuals = _coerce_residual(system(x, t), n, k, prec, series_cls)
+        rows.append(vb.stack([residual.coefficients[k] for residual in residuals]))
+    return -vb.stack(rows)
+
+
 def _batched_newton_correct(
     system, jacobian, heads_list, t_values, prec, tile_size, device, iterations=2
 ):
     """Polish the predicted points of a sub-batch in lock-step.
 
-    The residual series are evaluated per path (each has its own
-    ``t``); the ``b`` least squares solves of every polish iteration
-    run as one batched launch sequence.  Per path this matches an
-    unbatched polish (one ``lstsq`` per iteration) bit for bit — on
-    complex fleets through the separated-plane complex kernels.
+    Every polish iteration takes the residuals of the whole sub-batch
+    from :func:`_residual_columns` at order 0 (one fleet-wide call for
+    a system exposing ``residual_fleet``, a per-path loop for a plain
+    callable) and runs the ``b`` least squares solves as one batched
+    launch sequence; the Jacobians are evaluated per path.  Nothing is
+    recorded into the round traces.  Per path this matches an unbatched
+    polish (one ``lstsq`` per iteration) bit for bit — on complex
+    fleets through the separated-plane complex kernels.
     """
     limbs = prec.limbs
     batch = len(heads_list)
     n = len(heads_list[0])
-    heads_list = [list(heads) for heads in heads_list]
-    complex_data = isinstance(heads_list[0][0], ComplexMultiDouble)
-    series_cls = ComplexTruncatedSeries if complex_data else TruncatedSeries
     from_scalars = (
-        MDComplexArray.from_multidoubles if complex_data else MDArray.from_multidoubles
+        MDComplexArray.from_multidoubles
+        if isinstance(heads_list[0][0], ComplexMultiDouble)
+        else MDArray.from_multidoubles
     )
+    heads = vb.stack([from_scalars(list(row), limbs) for row in heads_list])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iterations):
-            matrices, rhs_rows = [], []
-            for heads, t_value in zip(heads_list, t_values):
-                x = [series_cls([h], prec) for h in heads]
-                t = TruncatedSeries([MultiDouble(t_value, prec)], prec)
-                residuals = _coerce_residual(system(x, t), n, 0, prec, series_cls)
-                matrices.append(
-                    _coerce_jacobian(jacobian(list(heads), t_value), n, limbs)
-                )
-                rhs_rows.append(_residual_column(residuals, 0))
+            rows = [list(heads[p]) for p in range(batch)]
+            matrices = [
+                _coerce_jacobian(jacobian(row, t_value), n, limbs)
+                for row, t_value in zip(rows, t_values)
+            ]
+            rhs = _residual_columns(
+                system, heads.reshape(batch, n, 1), t_values, 0, device=device
+            )
             solve = batched_least_squares(
-                vb.stack(matrices),
-                vb.stack(rhs_rows),
-                tile_size=tile_size,
-                device=device,
+                vb.stack(matrices), rhs, tile_size=tile_size, device=device
             )
-            stacked = vb.stack(
-                [from_scalars(heads, limbs) for heads in heads_list]
-            )
-            corrected = stacked + solve.x
-            heads_list = [list(corrected[p]) for p in range(batch)]
-    return heads_list
+            heads = heads + solve.x
+    return [list(heads[p]) for p in range(batch)]
 
 
 def _approximants_finite(approximants) -> bool:

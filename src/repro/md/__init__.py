@@ -4,14 +4,13 @@ This package is the Python stand-in for the CAMPARY-generated CUDA code
 and the QDlib definitions the paper builds on: error-free
 transformations (:mod:`repro.md.eft`), expansion renormalization
 (:mod:`repro.md.renorm`), generic ``m``-limb arithmetic
-(:mod:`repro.md.generic`), precision-specific facades
-(:mod:`repro.md.double_double`, :mod:`repro.md.quad_double`,
-:mod:`repro.md.octo_double`), scalar number classes
-(:mod:`repro.md.number`) and the operation-count instrumentation that
-reproduces Table 1 (:mod:`repro.md.opcounts`).
+(:mod:`repro.md.generic`, which also holds the double double fast
+paths), scalar number classes (:mod:`repro.md.number`) and the
+operation-count instrumentation that reproduces Table 1
+(:mod:`repro.md.opcounts`).
 """
 
-from . import double_double, eft, functions, generic, octo_double, opcounts, quad_double, renorm
+from . import eft, functions, generic, opcounts, renorm
 from .constants import (
     DOUBLE,
     DOUBLE_DOUBLE,
@@ -30,9 +29,6 @@ __all__ = [
     "renorm",
     "generic",
     "functions",
-    "double_double",
-    "quad_double",
-    "octo_double",
     "opcounts",
     "Precision",
     "PRECISIONS",

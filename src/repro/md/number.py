@@ -70,14 +70,19 @@ class MultiDouble:
         prec = get_precision(precision)
         return cls(0.0, prec, limbs=_limbs_from_fraction(frac, prec.limbs))
 
-    def _coerce(self, other) -> "MultiDouble":
+    def _coerce(self, other):
+        """``other`` at this precision, or ``None`` for an operand type
+        multiple double arithmetic does not know: the arithmetic
+        operators then return ``NotImplemented``, so the other operand's
+        reflected operator runs (a series or an array right of a
+        scalar)."""
         if isinstance(other, MultiDouble):
             if other.m == self.m:
                 return other
             return MultiDouble(0.0, self._precision, limbs=other.limbs)
         if isinstance(other, (int, float, Fraction, str)):
             return MultiDouble(other, self._precision)
-        raise TypeError(f"cannot combine MultiDouble with {type(other)!r}")
+        return None
 
     def _wrap(self, limbs) -> "MultiDouble":
         return MultiDouble(0.0, self._precision, limbs=limbs)
@@ -126,31 +131,43 @@ class MultiDouble:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self._wrap(generic.add(self._limbs, other._limbs, self.m))
 
     def __radd__(self, other):
-        return self._coerce(other).__add__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__add__(self)
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self._wrap(generic.sub(self._limbs, other._limbs, self.m))
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self._wrap(generic.mul(self._limbs, other._limbs, self.m))
 
     def __rmul__(self, other):
-        return self._coerce(other).__mul__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__mul__(self)
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self._wrap(generic.div(self._limbs, other._limbs, self.m))
 
     def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__truediv__(self)
 
     def __neg__(self):
         return self._wrap(generic.negate(self._limbs))
@@ -187,8 +204,10 @@ class MultiDouble:
 
     # -- comparisons -------------------------------------------------------
     def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        diff = self.to_fraction() - other.to_fraction()
+        coerced = self._coerce(other)
+        if coerced is None:
+            raise TypeError(f"cannot combine MultiDouble with {type(other)!r}")
+        diff = self.to_fraction() - coerced.to_fraction()
         if diff > 0:
             return 1
         if diff < 0:
@@ -248,26 +267,39 @@ class ComplexMultiDouble:
     def precision(self) -> Precision:
         return self.real.precision
 
-    def _coerce(self, other) -> "ComplexMultiDouble":
+    def _coerce(self, other):
+        """``other`` as a complex value at this precision, or ``None``
+        for an operand type it cannot be built from (as
+        :meth:`MultiDouble._coerce`)."""
         if isinstance(other, ComplexMultiDouble):
             return other
-        return ComplexMultiDouble(other, precision=self.precision)
+        try:
+            return ComplexMultiDouble(other, precision=self.precision)
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return ComplexMultiDouble(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return ComplexMultiDouble(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         re = self.real * other.real - self.imag * other.imag
         im = self.real * other.imag + self.imag * other.real
         return ComplexMultiDouble(re, im)
@@ -276,13 +308,16 @@ class ComplexMultiDouble:
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         denom = other.real * other.real + other.imag * other.imag
         re = (self.real * other.real + self.imag * other.imag) / denom
         im = (self.imag * other.real - self.real * other.imag) / denom
         return ComplexMultiDouble(re, im)
 
     def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.__truediv__(self)
 
     def __neg__(self):
         return ComplexMultiDouble(-self.real, -self.imag)
@@ -298,9 +333,8 @@ class ComplexMultiDouble:
         return self.abs2().sqrt()
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.real == other.real and self.imag == other.imag
 

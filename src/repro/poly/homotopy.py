@@ -393,10 +393,10 @@ class Homotopy:
 
         ``x`` is the list of :attr:`tracking_dimension` unknown series
         (``2n`` real ones realified, ``n`` complex ones natively), ``t``
-        the parameter series: a :class:`TruncatedSeries`, or a
-        :class:`ComplexTruncatedSeries` with zero imaginary part (what
-        :func:`~repro.series.newton.newton_series` passes for a complex
-        start), at the precision of ``x``.  A parameter with a nonzero
+        the parameter series: a :class:`TruncatedSeries` (what the
+        series solvers pass, also for a complex start), or a
+        :class:`ComplexTruncatedSeries` with zero imaginary part, at the
+        precision of ``x``.  A parameter with a nonzero
         imaginary part raises ``ValueError``: every tracked path runs
         along real ``t``.  One
         path is a batch of one through the fleet's residual core

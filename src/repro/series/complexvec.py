@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..md.constants import Precision
+from ..md.constants import Precision, get_precision
 from ..md.number import ComplexMultiDouble, MultiDouble
 from ..vec.complexmd import MDComplexArray
 from .truncated import TruncatedSeries, _TruncatedSeriesBase
@@ -66,11 +66,20 @@ def coerce_scalar(value, prec):
     """``value`` as a :class:`MultiDouble` or :class:`ComplexMultiDouble`
     at precision ``prec``, preserving every limb of multiple double
     inputs (re-rounded only when the precision changes)."""
-    if isinstance(value, ComplexMultiDouble):
+    if isinstance(value, _COMPLEX_SCALARS):
         return ComplexMultiDouble(
-            MultiDouble(value.real, prec), MultiDouble(value.imag, prec)
+            coerce_scalar(value.real, prec), coerce_scalar(value.imag, prec)
         )
-    if isinstance(value, complex):
+    if isinstance(value, MultiDouble) and value.m == get_precision(prec).limbs:
+        return value
+    return MultiDouble(value, prec)
+
+
+def _round_scalar(value, prec):
+    """``value`` rounded to precision ``prec``: the scalar hook of the
+    complex series kind, which rounds a scalar operand as the real
+    kind's hook, :class:`MultiDouble`, does."""
+    if isinstance(value, _COMPLEX_SCALARS):
         return ComplexMultiDouble(
             MultiDouble(value.real, prec), MultiDouble(value.imag, prec)
         )
@@ -98,7 +107,7 @@ class ComplexTruncatedSeries(_TruncatedSeriesBase):
     __slots__ = ()
 
     _array = MDComplexArray
-    _scalar = staticmethod(coerce_scalar)
+    _scalar = staticmethod(_round_scalar)
     _scalar_types = (int, float, complex, MultiDouble, ComplexMultiDouble)
 
     @staticmethod
@@ -142,7 +151,7 @@ class ComplexTruncatedSeries(_TruncatedSeriesBase):
     # ------------------------------------------------------------------
     def evaluate(self, point) -> ComplexMultiDouble:
         """Horner evaluation at a (real or complex) ``point``."""
-        point = coerce_scalar(point, self._precision)
+        point = self._scalar(point, self._precision)
         total = self.coefficient(self.order)
         for k in range(self.order - 1, -1, -1):
             total = total * point + self.coefficient(k)

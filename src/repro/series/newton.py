@@ -13,23 +13,21 @@ double solves of the paper's Section 1.1, where the leading
 coefficients must be computed most accurately because roundoff
 propagates from each order into all later ones.
 
-The solution lives in one limb-major
-:class:`~repro.series.vector.VectorSeries` coefficient array of shape
-``(m, n, K+1)``: the residual ``F`` is evaluated with the vectorized
-truncated series arithmetic (Cauchy products through
-:func:`repro.vec.linalg.cauchy_product`), the order-``k`` right-hand
-side is one column gather from the residual coefficient arrays, and the
-solved update is written back as one column store — no per-coefficient
-scalar juggling anywhere on the staircase.
-
-The scalar loop-per-coefficient staircase this one was built from is
-the test oracle ``tests/oracles/series.py``; it shares the linear
-solves and produces **bit-identical** coefficients (the cross-check of
-``tests/series/test_vectorized_cross.py`` and the baseline of
+:func:`newton_series` is this order-by-order staircase (linear in the
+order, one back substitution per order, Jacobian factored once).  It
+runs on a batch of one path over the staircase of the path fleet
+(:mod:`repro.batch.fleet`): one batched QR of the Jacobian heads, then
+per order the residual columns (one ``residual_fleet`` call on a
+:class:`~repro.poly.system.PolynomialSystem` or
+:class:`~repro.poly.homotopy.Homotopy`, a per-path loop on a plain
+callable), one ``Q^H r`` product and one batched back substitution, so
+the library holds one series Newton staircase.  Its references are the
+test oracles of ``tests/oracles/series.py``: the unbatched staircase
+``unbatched_newton_series`` and the scalar loop-per-coefficient
+``newton_series``, both **bit-identical** (the cross-checks of
+``tests/series/test_newton_oracle.py`` and
+``tests/series/test_vectorized_cross.py``, and the baseline of
 ``benchmarks/bench_series_vectorized.py``).
-
-:func:`newton_series` implements the order-by-order staircase (linear
-in the order, one back substitution per order, Jacobian factored once);
 :func:`newton_series_quadratic` implements the classical quadratically
 convergent Newton iteration on series, where each pass doubles the
 number of correct coefficients at the price of a full block Toeplitz
@@ -43,26 +41,16 @@ from numbers import Integral
 
 import numpy as np
 
-from ..core import stages
-from ..core.back_substitution import tiled_back_substitution
-from ..core.blocked_qr import blocked_qr
-from ..core.least_squares import STAGE_APPLY_QT, _default_tile_size, resolve_tile_sizes
-from ..core.stages import ceil_div
+from ..core.least_squares import _default_tile_size, resolve_tile_sizes
+from ..core.tile_inverse import check_nonsingular
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..md.constants import get_precision
 from ..md.number import ComplexMultiDouble, MultiDouble
 from ..md.opcounts import series_newton_orders
 from ..obs.profile import profiled
-from ..vec import linalg
 from ..vec.complexmd import MDComplexArray
 from ..vec.mdarray import MDArray
-from .complexvec import (
-    ComplexTruncatedSeries,
-    ComplexVectorSeries,
-    coerce_scalar,
-    is_complex_scalar,
-)
+from .complexvec import ComplexVectorSeries, coerce_scalar, is_complex_scalar
 from .matrix_series import solve_matrix_series
 from .truncated import TruncatedSeries
 from .vector import VectorSeries
@@ -214,43 +202,6 @@ def _coerce_residual(values, n: int, order: int, prec, series_cls=TruncatedSerie
     return out
 
 
-def _residual_column(residuals, k: int):
-    """The negated order-``k`` coefficient of every residual component
-    as one ``(n,)`` array (a limb-major column gather; complex
-    residuals gather both planes)."""
-    if residuals and isinstance(residuals[0].coefficients, MDComplexArray):
-        real = np.stack(
-            [r.coefficients.real.data[:, k] for r in residuals], axis=-1
-        )
-        imag = np.stack(
-            [r.coefficients.imag.data[:, k] for r in residuals], axis=-1
-        )
-        return MDComplexArray(MDArray(-real), MDArray(-imag))
-    data = np.stack(
-        [residual.coefficients.data[:, k] for residual in residuals], axis=-1
-    )
-    return MDArray(-data)
-
-
-def _batched_residual_columns(values, k: int):
-    """The negated order-``k`` coefficients of a fleet-wide batched
-    residual evaluation as one ``(b, n)`` array.
-
-    ``values`` holds raw residual planes of element shape
-    ``(b, n, K+1)`` (the return of
-    :meth:`~repro.poly.system.PolynomialSystem.residual_fleet`); the
-    result is bitwise equal to stacking :func:`_residual_column` over
-    the per-path residual series — negation is exact and the gather
-    moves bits untouched.
-    """
-    if isinstance(values, MDComplexArray):
-        return MDComplexArray(
-            MDArray(-values.real.data[..., k]),
-            MDArray(-values.imag.data[..., k]),
-        )
-    return MDArray(-values.data[..., k])
-
-
 @profiled("newton_series", trace_of=lambda result: result.trace)
 def newton_series(
     system,
@@ -292,7 +243,18 @@ def newton_series(
     tile_size, bs_tile_size, device:
         Passed to the QR factorization and the per-order back
         substitutions, as in :func:`repro.core.least_squares.lstsq`.
+
+    The expansion is a batch of one path over the path fleet's
+    staircase (:mod:`repro.batch.fleet`), so ``system`` is called as the
+    fleet calls it: ``residual_fleet`` on a system object, and
+    ``system(x, t)`` with the real parameter series
+    ``TruncatedSeries.variable(k, prec)`` on a plain callable, also for
+    a complex start.  A singular Jacobian head raises
+    ``ZeroDivisionError`` (for ``order >= 1``), as the unbatched
+    triangular solve does.
     """
+    from ..batch.fleet import _newton_staircase, _residual_columns
+
     if jacobian is not None and not callable(jacobian):
         # called as newton_series(polynomial_system, start, ...): the
         # start point sits in the jacobian slot — shift each *positional*
@@ -311,65 +273,45 @@ def newton_series(
     limbs = prec.limbs
     heads = _coerce_start(start, prec, system)
     complex_data = isinstance(heads[0], ComplexMultiDouble)
-    series_cls = ComplexTruncatedSeries if complex_data else TruncatedSeries
+    array_cls = MDComplexArray if complex_data else MDArray
+    vector_cls = ComplexVectorSeries if complex_data else VectorSeries
     n = len(heads)
     tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
 
     head_matrix = _coerce_jacobian(jacobian(list(heads)), n, limbs)
 
+    # one path expanded at t = 0: the fleet's staircase on a batch of one
+    solution = array_cls.zeros((1, n, order + 1), limbs)
+    solution[0, :, 0] = array_cls.from_multidoubles(heads, limbs)
     # how far the supplied start point is from solving the system at t=0
-    t_head = series_cls([MultiDouble(0, prec)], prec)
-    x_head = [series_cls([h], prec) for h in heads]
-    head_residuals = _coerce_residual(system(x_head, t_head), n, 0, prec, series_cls)
-    head_residual = max(float(abs(r.coefficient(0))) for r in head_residuals)
-
-    qr = blocked_qr(head_matrix, tile_size, device=device)
-    q_conjugate = linalg.conjugate_transpose(qr.Q)
-    upper = qr.R[:n, :n]
+    head_column = _residual_columns(system, solution[:, :, :1], [0.0], 0, device=device)
+    head_residual = max(float(abs(value)) for value in head_column[0])
 
     trace = KernelTrace(
         device, label=f"newton series dim={n} order={order} {prec.name}"
     )
-    trace.extend(qr.trace)
-
-    if complex_data:
-        solution = ComplexVectorSeries.zeros(n, order, prec)
-        solution.set_coefficient(0, MDComplexArray.from_multidoubles(heads, limbs))
-    else:
-        solution = VectorSeries.zeros(n, order, prec)
-        solution.set_coefficient(0, MDArray.from_multidoubles(heads, limbs))
-    for k in range(1, order + 1):
-        # partial series through order k-1 (column k still zero)
-        partial = [
-            series_cls.from_mdarray(solution.coefficients[i, : k + 1])
-            for i in range(n)
-        ]
-        t = series_cls.variable(k, prec)
-        residuals = _coerce_residual(system(partial, t), n, k, prec, series_cls)
-        rhs = _residual_column(residuals, k)
-        qhb = linalg.matvec(q_conjugate, rhs)
-        trace.add(
-            "apply_qt",
-            STAGE_APPLY_QT,
-            blocks=max(1, ceil_div(n, tile_size)),
-            threads_per_block=tile_size,
-            limbs=limbs,
-            tally=stages.tally_matvec(n, n, complex_data),
-            bytes_read=md_bytes(n * n + n, limbs, complex_data),
-            bytes_written=md_bytes(n, limbs, complex_data),
-        )
-        bs = tiled_back_substitution(
-            upper, qhb[:n], bs_tile_size, device=device, trace=trace
-        )
-        solution.set_coefficient(k, bs.x)
-
+    uppers = _newton_staircase(
+        system,
+        head_matrix.reshape(1, n, n),
+        solution,
+        [0.0],
+        tile_size=tile_size,
+        bs_tile_size=bs_tile_size,
+        device=device,
+        trace=trace,
+    )
+    if order:
+        # the unbatched solves raise on a singular head; a batched
+        # slice would only turn non-finite
+        check_nonsingular(uppers[0])
+    vector = vector_cls.from_mdarray(solution[0])
     return NewtonSeriesResult(
-        series=solution.components(),
+        series=vector.components(),
         trace=trace,
         tile_size=tile_size,
         bs_tile_size=bs_tile_size,
         head_residual=head_residual,
-        vector=solution,
+        vector=vector,
     )
 
 

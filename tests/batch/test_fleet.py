@@ -25,7 +25,7 @@ import pytest
 
 from repro.batch import PathFleetResult, track_paths
 from repro.perf.costmodel import path_fleet_trace
-from repro.series import track_path
+from repro.series import newton_series, track_path
 from repro.series.tracker import PathResult
 
 from ..oracles.solo_tracker import solo_track_path
@@ -328,10 +328,14 @@ class TestReferenceOracle:
         def broken_fleet(*args, **kwargs):
             raise RuntimeError("the fleet was called")
 
-        monkeypatch.setattr("repro.batch.fleet.track_paths", broken_fleet)
-        # the patch is live: the library's one-path tracker goes through it
+        for name in ("track_paths", "_newton_staircase", "_residual_columns"):
+            monkeypatch.setattr(f"repro.batch.fleet.{name}", broken_fleet)
+        # the patches are live: the library's one-path tracker and its
+        # series Newton staircase go through them
         with pytest.raises(RuntimeError, match="fleet was called"):
             track_path(sqrt_system, sqrt_jacobian, [1.0])
+        with pytest.raises(RuntimeError, match="fleet was called"):
+            newton_series(sqrt_system, lambda x0: sqrt_jacobian(x0, 0.0), [1.0], 4)
         reference = solo_track_path(sqrt_system, sqrt_jacobian, [1.0])
         assert reference.reached and reference.final_t == 1.0
         assert abs(float(reference.final_point[0]) - 2.0**0.5) < 1e-8

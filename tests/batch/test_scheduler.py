@@ -24,6 +24,7 @@ import pytest
 
 from repro.batch import track_paths
 from repro.batch.fleet import _next_sub_batch
+from repro.md.number import ComplexMultiDouble
 from repro.obs import recording
 from repro.poly import Homotopy, cyclic
 
@@ -37,6 +38,14 @@ from .test_fleet import (
 )
 
 GOLDEN = Path(__file__).parent / "golden_cyclic3_lockstep.json"
+
+
+def _point_limbs(point) -> list:
+    """Every limb of a real or complex point."""
+    return [
+        (v.real.limbs, v.imag.limbs) if isinstance(v, ComplexMultiDouble) else v.limbs
+        for v in point
+    ]
 
 
 class DummyState:
@@ -206,13 +215,13 @@ class TestTrackPathsPolicies:
             assert_path_matches_reference(path, reference)
 
     def test_residual_dispatch(self, monkeypatch):
-        """System objects expand each order's residuals fleet-wide, one
-        ``residual_fleet`` call per order per sub-batch; a plain
-        callable wrapping the same system takes the per-path loop, with
-        equal steps.  Both are bitwise equal, so only a call count
-        notices a lost fast path."""
-        homotopy = Homotopy.total_degree(cyclic(2), seed=7)
-        starts = homotopy.start_solutions()
+        """System objects take every residual fleet-wide: one
+        ``residual_fleet`` call per order per sub-batch for the
+        expansion, plus one per polish iteration (two) per sub-batch
+        that accepts a path.  A plain callable wrapping the same system
+        takes the per-path loop, with equal steps and final limbs, on
+        both homotopy backends.  Both are bitwise equal, so only a call
+        count notices a lost fast path."""
         calls = []
         residual_fleet = Homotopy.residual_fleet
 
@@ -222,17 +231,30 @@ class TestTrackPathsPolicies:
 
         monkeypatch.setattr(Homotopy, "residual_fleet", counted)
         kwargs = dict(tol=1e-8, order=8, max_steps=2, precision_ladder=(2,))
-        fleet = track_paths(homotopy, starts, **kwargs)
-        assert len(calls) == kwargs["order"] * len(fleet.sub_batches) == 16
+        for backend in ("realified", "complex"):
+            homotopy = Homotopy.total_degree(cyclic(2), seed=7, backend=backend)
+            starts = homotopy.start_solutions()
+            calls.clear()
+            with recording() as recorder:
+                fleet = track_paths(homotopy, starts, **kwargs)
+            accepting = {
+                r.fields["round"] for r in recorder.records if r.name == "step"
+            }
+            assert accepting
+            assert len(calls) == kwargs["order"] * len(fleet.sub_batches) + 2 * len(
+                accepting
+            )
 
-        calls.clear()
-        plain = track_paths(
-            lambda x, t: homotopy(x, t), homotopy.jacobian, starts, **kwargs
-        )
-        assert calls == []
-        assert [path.steps for path in plain.paths] == [
-            path.steps for path in fleet.paths
-        ]
+            calls.clear()
+            plain = track_paths(
+                lambda x, t, h=homotopy: h(x, t), homotopy.jacobian, starts, **kwargs
+            )
+            assert calls == []
+            for ours, fast in zip(plain.paths, fleet.paths, strict=True):
+                assert ours.steps == fast.steps
+                assert _point_limbs(ours.final_point) == _point_limbs(
+                    fast.final_point
+                )
 
     def test_summary_narrates_the_packing(self):
         fleet = track_paths(

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.md import ComplexMultiDouble, MultiDouble
 from repro.md.constants import get_precision
+from repro.series import TruncatedSeries
+from repro.series.complexvec import ComplexTruncatedSeries
+from repro.vec.complexmd import MDComplexArray
+from repro.vec.mdarray import MDArray
 
 rationals = st.fractions(
     min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6), max_denominator=10 ** 9
@@ -196,6 +202,84 @@ class TestComplex:
         z = ComplexMultiDouble(1.0, 2.0, precision=2)
         assert z == ComplexMultiDouble(1.0, 2.0, precision=2)
         assert z != ComplexMultiDouble(1.0, 2.5, precision=2)
+
+
+def _planes(value) -> tuple:
+    """The limb planes of a series or an array, real or complex."""
+    array = getattr(value, "coefficients", value)
+    if isinstance(array, MDComplexArray):
+        return (array.real.data, array.imag.data)
+    return (array.data,)
+
+
+OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+class TestScalarLeftOfAContainer:
+    """A multiple double scalar left of a series or an array: the
+    scalar's operator returns ``NotImplemented``, and the right
+    operand's reflected operator runs.  Expected bits: the operation
+    with the scalar first promoted to the right operand's type.  A
+    product runs as the right operand's own ``__rmul__``, right times
+    left, and a dd product is not bitwise commutative, so ``*`` is
+    compared as ``right * promoted``."""
+
+    @staticmethod
+    def _check(symbol, scalar, right, promoted):
+        op = OPERATORS[symbol]
+        expected = right * promoted if symbol == "*" else op(promoted, right)
+        result = op(scalar, right)
+        assert type(result) is type(expected)
+        for ours, theirs in zip(_planes(result), _planes(expected), strict=True):
+            assert np.array_equal(ours, theirs)
+
+    @staticmethod
+    def _scalars(m):
+        real = MultiDouble(2, m) / MultiDouble(3, m)
+        return real, ComplexMultiDouble(real, MultiDouble(1, m) / MultiDouble(7, m))
+
+    @pytest.mark.parametrize("symbol", ["+", "-", "*", "/"])
+    def test_multidouble_and_truncated_series(self, m, symbol):
+        scalar, _ = self._scalars(m)
+        series = TruncatedSeries([1.0, 2.0, 3.0, 0.5], m) * (MultiDouble(1, m) / 3)
+        promoted = TruncatedSeries.constant(scalar, series.order, m)
+        self._check(symbol, scalar, series, promoted)
+
+    @pytest.mark.parametrize("symbol", ["+", "-", "*"])
+    def test_multidouble_and_complex_series(self, m, symbol):
+        scalar, factor = self._scalars(m)
+        series = ComplexTruncatedSeries([1 + 1j, 2.0, -0.5j, 0.25], m) * factor
+        promoted = ComplexTruncatedSeries.constant(scalar, series.order, m)
+        self._check(symbol, scalar, series, promoted)
+
+    @pytest.mark.parametrize("symbol", ["+", "-", "*", "/"])
+    def test_multidouble_and_mdarray(self, m, symbol):
+        scalar, _ = self._scalars(m)
+        array = MDArray.from_double(np.array([1.0, -2.0, 3.5]), m) / 3
+        promoted = MDArray.from_multidoubles([scalar] * 3, m)
+        self._check(symbol, scalar, array, promoted)
+
+    @pytest.mark.parametrize("symbol", ["+", "-", "*"])
+    def test_complex_multidouble_and_complex_series(self, m, symbol):
+        _, scalar = self._scalars(m)
+        series = ComplexTruncatedSeries([1 + 1j, 2.0, -0.5j, 0.25], m) * scalar
+        promoted = ComplexTruncatedSeries.constant(scalar, series.order, m)
+        self._check(symbol, scalar, series, promoted)
+
+    def test_unknown_operands_still_raise(self, m):
+        scalar, complex_scalar = self._scalars(m)
+        for value in (scalar, complex_scalar):
+            for op in OPERATORS.values():
+                with pytest.raises(TypeError):
+                    op(value, object())
+                with pytest.raises(TypeError):
+                    op(object(), value)
 
 
 class TestPrecisionRegistry:

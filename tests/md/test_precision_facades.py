@@ -1,4 +1,11 @@
-"""Tests for the precision-specific facade modules (dd/qd/od)."""
+"""The paper's three precisions (dd/qd/od) on the generic arithmetic.
+
+Each check runs :mod:`repro.md.generic` at 2, 4 and 8 limbs, the limb
+counts of double double, quad double and octo double; the last one
+checks that the scalar :class:`~repro.md.number.MultiDouble`, the
+facade over the generic arithmetic, gives the bits of the function it
+wraps.
+"""
 
 from __future__ import annotations
 
@@ -6,90 +13,78 @@ from fractions import Fraction
 
 import pytest
 
-from repro.md import double_double, generic, octo_double, quad_double
+from repro.md import generic, get_precision
+from repro.md.number import MultiDouble
 
 
 def exact(limbs):
     return sum((Fraction(float(v)) for v in limbs), Fraction(0))
 
 
-FACADES = {
-    2: double_double,
-    4: quad_double,
-    8: octo_double,
-}
+def ratio(m, numerator, denominator):
+    return generic.div(
+        generic.from_double(numerator, m), generic.from_double(denominator, m), m
+    )
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])
 class TestFacadeConsistency:
     def test_limb_count_and_eps(self, m):
-        mod = FACADES[m]
-        assert mod.LIMBS == m
-        assert mod.EPS == mod.PRECISION.eps
-        assert 0 < mod.EPS < 2.0 ** (-50 * m + 4)
+        prec = get_precision(m)
+        assert prec.limbs == m
+        assert 0 < prec.eps < 2.0 ** (-50 * m + 4)
 
     def test_from_double_and_zero(self, m):
-        mod = FACADES[m]
-        x = mod.from_double(2.5)
+        x = generic.from_double(2.5, m)
         assert len(x) == m and x[0] == 2.5
-        z = mod.zero()
+        z = generic.zero(m)
         assert exact(z) == 0 and len(z) == m
 
     def test_roundtrip_third(self, m):
-        mod = FACADES[m]
-        third = mod.div(mod.from_double(1.0), mod.from_double(3.0))
-        back = mod.mul(third, mod.from_double(3.0))
+        back = generic.mul(ratio(m, 1.0, 3.0), generic.from_double(3.0, m), m)
         assert abs(exact(back) - 1) < Fraction(1, 2 ** (50 * m))
 
     def test_add_sub_inverse(self, m):
-        mod = FACADES[m]
-        x = mod.div(mod.from_double(1.0), mod.from_double(7.0))
-        y = mod.div(mod.from_double(2.0), mod.from_double(11.0))
-        s = mod.add(x, y)
-        d = mod.sub(s, y)
+        x = ratio(m, 1.0, 7.0)
+        y = ratio(m, 2.0, 11.0)
+        d = generic.sub(generic.add(x, y, m), y, m)
         assert abs(exact(d) - exact(x)) < Fraction(1, 2 ** (50 * m))
 
     def test_sqr_matches_mul(self, m):
-        mod = FACADES[m]
-        x = mod.div(mod.from_double(3.0), mod.from_double(7.0))
-        assert abs(exact(mod.sqr(x)) - exact(mod.mul(x, x))) < Fraction(1, 2 ** (50 * m + 40))
+        x = ratio(m, 3.0, 7.0)
+        gap = exact(generic.sqr(x, m)) - exact(generic.mul(x, x, m))
+        assert abs(gap) < Fraction(1, 2 ** (50 * m + 40))
 
     def test_sqrt(self, m):
-        mod = FACADES[m]
-        r = mod.sqrt(mod.from_double(2.0))
+        r = generic.sqrt(generic.from_double(2.0, m), m)
         assert abs(exact(r) ** 2 - 2) < Fraction(1, 2 ** (50 * m))
 
     def test_negate(self, m):
-        mod = FACADES[m]
-        x = mod.div(mod.from_double(1.0), mod.from_double(3.0))
-        assert exact(mod.negate(x)) == -exact(x)
+        x = ratio(m, 1.0, 3.0)
+        assert exact(generic.negate(x)) == -exact(x)
 
     def test_fma(self, m):
-        mod = FACADES[m]
-        x = mod.div(mod.from_double(1.0), mod.from_double(3.0))
-        y = mod.div(mod.from_double(1.0), mod.from_double(5.0))
-        z = mod.from_double(2.0)
-        result = mod.fma(x, y, z)
+        x = ratio(m, 1.0, 3.0)
+        y = ratio(m, 1.0, 5.0)
+        z = generic.from_double(2.0, m)
+        result = generic.fma(x, y, z, m)
         reference = exact(x) * exact(y) + 2
         assert abs((exact(result) - reference) / reference) < Fraction(1, 2 ** (50 * m))
 
 
 class TestCrossPrecision:
     def test_dd_truncation_of_qd(self):
-        qd_third = quad_double.div(quad_double.from_double(1.0), quad_double.from_double(3.0))
-        dd_third = double_double.div(double_double.from_double(1.0), double_double.from_double(3.0))
+        qd_third = ratio(4, 1.0, 3.0)
+        dd_third = ratio(2, 1.0, 3.0)
         # the first two limbs agree
         assert qd_third[0] == dd_third[0]
         assert abs(Fraction(qd_third[1]) - Fraction(dd_third[1])) < Fraction(1, 2 ** 150)
 
     def test_precision_improves_with_limbs(self):
-        errors = []
-        for mod in (double_double, quad_double, octo_double):
-            third = mod.div(mod.from_double(1.0), mod.from_double(3.0))
-            errors.append(abs(exact(third) - Fraction(1, 3)))
+        errors = [abs(exact(ratio(m, 1.0, 3.0)) - Fraction(1, 3)) for m in (2, 4, 8)]
         assert errors[0] > errors[1] > errors[2]
 
     def test_generic_matches_facade(self):
-        x = quad_double.from_double(1.0)
-        y = quad_double.from_double(3.0)
-        assert exact(quad_double.div(x, y)) == exact(generic.div(x, y, 4))
+        for m in (2, 4, 8):
+            quotient = MultiDouble(1.0, m) / MultiDouble(3.0, m)
+            assert quotient.limbs == tuple(ratio(m, 1.0, 3.0))

@@ -14,9 +14,12 @@ function under test, so a bitwise comparison against it can fail.
 * ``series`` — ``ScalarSeries``, one ``MultiDouble`` per coefficient
   with loop-per-coefficient arithmetic, and the scalar Newton
   staircase, the reference for ``repro.series.TruncatedSeries`` and
-  ``repro.series.newton_series``; and the unbatched Padé construction
-  ``pade``, the reference for ``repro.batch.batched_pade`` (which
-  ``repro.series.pade`` runs as a batch of one);
+  ``repro.series.newton_series``; the unbatched Newton staircase
+  ``unbatched_newton_series``, the reference for the path fleet's
+  staircase (which ``repro.series.newton_series`` runs as a batch of
+  one); and the unbatched Padé construction ``pade``, the reference
+  for ``repro.batch.batched_pade`` (which ``repro.series.pade`` runs as
+  a batch of one);
 * ``poly`` — the loop-per-monomial evaluation of polynomial systems
   (values, Jacobians, scalar series, operation counts) and of the
   realified homotopy, the reference for ``repro.poly``; and the

@@ -1,6 +1,6 @@
-"""Scalar truncated series, the scalar Newton staircase and the
-unbatched Padé construction: the reference for every vectorized series
-identity test.
+"""Scalar truncated series, the scalar and the unbatched Newton
+staircases and the unbatched Padé construction: the reference for every
+vectorized series identity test.
 
 :class:`ScalarSeries` stores one :class:`~repro.md.number.MultiDouble`
 per coefficient and runs pure-Python loops per coefficient — the
@@ -46,6 +46,14 @@ the numerator convolution and the defect — that
 :func:`repro.series.pade.pade` runs as a batch of one.  It never calls
 :func:`~repro.batch.pade.batched_pade`, so a batched Padé bug cannot
 hide in its own reference (``tests/series/test_pade.py``).
+
+:func:`unbatched_newton_series` is the per-path staircase on the
+limb-major series — one residual call, one column gather, one ``Q^H b``
+product and one tiled back substitution per order — that the path
+fleet batches and :func:`repro.series.newton.newton_series` runs as a
+batch of one.  It never calls :mod:`repro.batch.fleet`; the unbatched
+reference tracker (``tests/oracles/solo_tracker.py``) expands every
+step with it (``tests/series/test_newton_oracle.py``).
 """
 
 from __future__ import annotations
@@ -62,21 +70,29 @@ from repro.gpu.kernel import KernelTrace
 from repro.gpu.memory import md_bytes
 from repro.md import functions as md_functions
 from repro.md.constants import Precision, get_precision
-from repro.md.number import MultiDouble
+from repro.md.number import ComplexMultiDouble, MultiDouble
 from repro.md.opcounts import series_newton_orders
-from repro.series.complexvec import ComplexTruncatedSeries
+from repro.series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
 from repro.series.newton import (
     NewtonSeriesResult,
     _coerce_jacobian,
     _coerce_residual,
+    _coerce_start,
 )
 from repro.series.pade import PadeApproximant
 from repro.series.truncated import TruncatedSeries
+from repro.series.vector import VectorSeries
 from repro.vec import linalg
 from repro.vec.complexmd import MDComplexArray, map_planes
 from repro.vec.mdarray import MDArray
 
-__all__ = ["ScalarSeries", "pairwise_sum", "newton_series", "pade"]
+__all__ = [
+    "ScalarSeries",
+    "pairwise_sum",
+    "newton_series",
+    "unbatched_newton_series",
+    "pade",
+]
 
 #: Types accepted wherever a scalar coefficient is expected.
 _SCALAR_TYPES = (int, float, Fraction, str, MultiDouble)
@@ -533,6 +549,109 @@ def newton_series(
         tile_size=tile_size,
         bs_tile_size=bs_tile_size,
         head_residual=head_residual,
+    )
+
+
+def _residual_column(residuals, k: int):
+    """The negated order-``k`` coefficient of every residual component
+    as one ``(n,)`` array (a limb-major column gather; complex
+    residuals gather both planes)."""
+    if residuals and isinstance(residuals[0].coefficients, MDComplexArray):
+        real = np.stack(
+            [r.coefficients.real.data[:, k] for r in residuals], axis=-1
+        )
+        imag = np.stack(
+            [r.coefficients.imag.data[:, k] for r in residuals], axis=-1
+        )
+        return MDComplexArray(MDArray(-real), MDArray(-imag))
+    data = np.stack(
+        [residual.coefficients.data[:, k] for residual in residuals], axis=-1
+    )
+    return MDArray(-data)
+
+
+def unbatched_newton_series(
+    system, jacobian, start, order, precision=2, *, tile_size=None,
+    bs_tile_size=None, device="V100",
+) -> NewtonSeriesResult:
+    """The unbatched order-by-order Newton staircase on limb-major series.
+
+    Arguments and result are those of
+    :func:`repro.series.newton.newton_series` with the three values
+    passed in order (no argument shifting, inputs assumed valid).  The
+    Jacobian head is factored once by :func:`repro.core.blocked_qr.blocked_qr`;
+    every order calls ``system(x, t)`` on the partial series, with the
+    real parameter series ``TruncatedSeries.variable(k, prec)``, gathers
+    the residual column, forms ``Q^H b`` with
+    :func:`repro.vec.linalg.matvec` and solves one
+    :func:`repro.core.back_substitution.tiled_back_substitution`.  The
+    library's :func:`~repro.series.newton.newton_series` is a batch of
+    one over the path fleet's staircase; this is the per-path loop both
+    are checked against, and it never calls the fleet.
+    """
+    prec = get_precision(precision)
+    limbs = prec.limbs
+    heads = _coerce_start(start, prec, system)
+    complex_data = isinstance(heads[0], ComplexMultiDouble)
+    series_cls = ComplexTruncatedSeries if complex_data else TruncatedSeries
+    n = len(heads)
+    tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
+
+    head_matrix = _coerce_jacobian(jacobian(list(heads)), n, limbs)
+
+    # how far the supplied start point is from solving the system at t=0
+    t_head = TruncatedSeries.variable(0, prec)
+    x_head = [series_cls([h], prec) for h in heads]
+    head_residuals = _coerce_residual(system(x_head, t_head), n, 0, prec, series_cls)
+    head_residual = max(float(abs(r.coefficient(0))) for r in head_residuals)
+
+    qr = blocked_qr(head_matrix, tile_size, device=device)
+    q_conjugate = linalg.conjugate_transpose(qr.Q)
+    upper = qr.R[:n, :n]
+
+    trace = KernelTrace(
+        device, label=f"newton series dim={n} order={order} {prec.name}"
+    )
+    trace.extend(qr.trace)
+
+    if complex_data:
+        solution = ComplexVectorSeries.zeros(n, order, prec)
+        solution.set_coefficient(0, MDComplexArray.from_multidoubles(heads, limbs))
+    else:
+        solution = VectorSeries.zeros(n, order, prec)
+        solution.set_coefficient(0, MDArray.from_multidoubles(heads, limbs))
+    for k in range(1, order + 1):
+        # partial series through order k-1 (column k still zero)
+        partial = [
+            series_cls.from_mdarray(solution.coefficients[i, : k + 1])
+            for i in range(n)
+        ]
+        t = TruncatedSeries.variable(k, prec)
+        residuals = _coerce_residual(system(partial, t), n, k, prec, series_cls)
+        rhs = _residual_column(residuals, k)
+        qhb = linalg.matvec(q_conjugate, rhs)
+        trace.add(
+            "apply_qt",
+            STAGE_APPLY_QT,
+            blocks=max(1, stages.ceil_div(n, tile_size)),
+            threads_per_block=tile_size,
+            limbs=limbs,
+            tally=stages.tally_matvec(n, n, complex_data),
+            bytes_read=md_bytes(n * n + n, limbs, complex_data),
+            bytes_written=md_bytes(n, limbs, complex_data),
+        )
+        bs = tiled_back_substitution(
+            upper, qhb[:n], bs_tile_size, device=device, trace=trace
+        )
+        solution.set_coefficient(k, bs.x)
+
+    return NewtonSeriesResult(
+        series=solution.components(),
+        trace=trace,
+        tile_size=tile_size,
+        bs_tile_size=bs_tile_size,
+        head_residual=head_residual,
+        vector=solution,
     )
 
 

@@ -4,10 +4,11 @@ identity test.
 :func:`repro.series.tracker.track_path` is a fleet of one — it returns
 ``repro.batch.fleet.track_paths(..., [start]).paths[0]`` — so the
 library holds one step loop.  This module keeps the unbatched loop the
-fleet was built from: per step one
-:func:`~repro.series.newton.newton_series` expansion, one unbatched
-Padé construction per solution component (the oracle
-``tests.oracles.series.pade``), and one
+fleet was built from: per step one unbatched Newton staircase (the
+oracle ``tests.oracles.series.unbatched_newton_series``; the library's
+:func:`~repro.series.newton.newton_series` is a batch of one over the
+fleet's staircase), one unbatched Padé construction per solution
+component (the oracle ``tests.oracles.series.pade``), and one
 :func:`~repro.core.least_squares.lstsq` per Newton polish iteration.
 The residuals of a :class:`~repro.poly.homotopy.Homotopy` run on the
 unbatched evaluation oracles of ``tests.oracles.poly``
@@ -19,9 +20,10 @@ precision escalation follow the per-path logic of
 Every batched kernel is bit-identical to a loop over its unbatched
 counterpart, so each path of a fleet must equal :func:`solo_track_path`
 bit for bit: steps, escalations, model accounting, final limbs.  The
-oracle never calls the fleet or :func:`~repro.batch.pade.batched_pade`,
-nor, on a homotopy or a plain residual callable, the batched series
-evaluator, so a bug in them cannot hide in its own reference.  It records no telemetry.
+oracle never calls the fleet (neither its staircase nor its polish) or
+:func:`~repro.batch.pade.batched_pade`, nor, on a homotopy or a plain
+residual callable, the batched series evaluator, so a bug in them
+cannot hide in its own reference.  It records no telemetry.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from repro.series.newton import (
     _coerce_jacobian,
     _coerce_residual,
     _coerce_start,
-    _residual_column,
-    newton_series,
     resolve_system_arguments,
 )
 from repro.series.tracker import (
@@ -59,7 +59,7 @@ from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
 
 from .poly import unbatched_residual
-from .series import pade
+from .series import _residual_column, pade, unbatched_newton_series
 
 __all__ = ["solo_track_path"]
 
@@ -146,7 +146,7 @@ def solo_track_path(
                 shifted = TruncatedSeries.variable(s.order, _prec, head=_t0)
                 return residual(x, shifted)
 
-            expansion = newton_series(
+            expansion = unbatched_newton_series(
                 local_system,
                 lambda x0, _t0=t_current: jacobian(x0, _t0),
                 heads,

@@ -264,8 +264,8 @@ class TestSingleVectorIsABatchOfOne:
 
     @pytest.mark.parametrize("backend", ["realified", "complex"])
     def test_zero_imaginary_parameter_gives_the_real_bits(self, backend):
-        """What :func:`repro.series.newton.newton_series` passes for a
-        complex start: a complex ``t`` whose imaginary planes are zero."""
+        """A complex ``t`` whose imaginary planes are zero gives the
+        bits of the real ``t``: ``Homotopy.__call__`` takes either."""
         homotopy, x, t = _homotopy_arguments(backend, LIMBS, ORDER)
         complex_t = ComplexTruncatedSeries.from_mdarray(
             MDComplexArray(t.coefficients, MDArray.zeros(t.coefficients.shape, LIMBS))

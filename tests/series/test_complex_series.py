@@ -34,6 +34,7 @@ from repro.series.tracker import _resolve_pole_safety, track_path
 from repro.series.truncated import TruncatedSeries
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
+from repro.vec.random import random_vector
 
 
 def _random_complex_series(rng, order, limbs):
@@ -144,6 +145,28 @@ class TestKindHelpers:
         assert value.precision.limbs == 4
         real = coerce_scalar(1.5, prec)
         assert isinstance(real, MultiDouble)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_coerce_scalar_keeps_limbs_at_the_same_precision(self, m):
+        """Random limbs are not canonical: construction would re-round
+        them, ``coerce_scalar`` must hand them back untouched, on both
+        planes of a complex value, and re-round only on a precision
+        change."""
+        rng = np.random.default_rng(m)
+        reals = [random_vector(1, m, rng).to_multidouble(0) for _ in range(20)]
+        imags = [random_vector(1, m, rng).to_multidouble(0) for _ in range(20)]
+        rounded = [MultiDouble(value, m).limbs != value.limbs for value in reals]
+        assert any(rounded)  # the inputs do need re-rounding
+        prec = get_precision(m)
+        for re, im in zip(reals, imags):
+            assert coerce_scalar(re, prec) is re
+            value = coerce_scalar(ComplexMultiDouble(re, im), prec)
+            assert (value.real.limbs, value.imag.limbs) == (re.limbs, im.limbs)
+            other = get_precision(2 * m if m < 8 else 4)
+            assert coerce_scalar(re, other).limbs == MultiDouble(re, other).limbs
+            changed = coerce_scalar(ComplexMultiDouble(re, im), other)
+            assert changed.real.limbs == MultiDouble(re, other).limbs
+            assert changed.imag.limbs == MultiDouble(im, other).limbs
 
     def test_leading_value(self):
         assert leading_value(MultiDouble(1.5, 2)) == 1.5
