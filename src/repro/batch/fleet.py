@@ -25,8 +25,10 @@ one):
   :class:`~repro.poly.homotopy.Homotopy`) compute every residual of a
   sub-batch — each order of the expansion and each polish iteration —
   with **one fleet-wide batched series evaluation** over a shared
-  power table; plain callables are evaluated in a Python loop of
-  per-path series calls, for the expansion and the polish alike;
+  power table, and their bound ``jacobian`` gives way to one
+  ``jacobian_fleet`` call per staircase head and per polish iteration
+  (the same pass at order 0); plain callables are evaluated in a
+  Python loop of per-path calls, residuals and Jacobians alike;
 * step control and precision escalation (d → dd → qd → od) are
   decided *per path*, with the step-control helpers of
   :mod:`repro.series.tracker`.
@@ -229,17 +231,20 @@ def track_paths(
     Parameters are those of :func:`repro.series.tracker.track_path`
     (which see), except ``starts``: a sequence of start points, one per
     path, all of the same dimension.  ``system`` and ``jacobian`` are
-    shared by the fleet and are called per path (each path has its own
-    expansion point), while all linear algebra — Jacobian QR, per-order
-    solves, Hankel solves, Newton correction — runs batched across the
-    paths of each precision sub-batch.  A
+    shared by the fleet; plain callables are called per path (each path
+    has its own expansion point), while all linear algebra — Jacobian
+    QR, per-order solves, Hankel solves, Newton correction — runs
+    batched across the paths of each precision sub-batch.  A
     :class:`~repro.poly.system.PolynomialSystem` or
     :class:`~repro.poly.homotopy.Homotopy` may be passed directly as
     ``system`` with the start points in the second slot
     (``track_paths(homotopy, starts)``) — the residual/Jacobian
     adapters are generated from the object, no hand-written callables
-    required, and every residual of the expansion and of the polish
-    is evaluated fleet-wide through its ``residual_fleet``.  Complex
+    required, every residual of the expansion and of the polish is
+    evaluated fleet-wide through its ``residual_fleet``, and its bound
+    ``jacobian`` (generated, or passed as ``homotopy.jacobian``) through
+    one ``jacobian_fleet`` call per sub-batch head and polish
+    iteration.  Complex
     start points track natively in ``n`` complex variables on the
     separated-plane batched kernels.
 
@@ -465,11 +470,6 @@ def _advance_sub_batch(
         device,
         label=f"path fleet b={batch} dim={n} order={order} {prec.name}",
     )
-    head_matrices = [
-        _coerce_jacobian(jacobian(list(state.heads), state.t_current), n, limbs)
-        for state in batch_states
-    ]
-
     array_cls = MDComplexArray if complex_data else MDArray
     vector_cls = ComplexVectorSeries if complex_data else VectorSeries
     # the fleet-wide series expansion: element shape (batch, n, K+1),
@@ -477,6 +477,8 @@ def _advance_sub_batch(
     solution = array_cls.zeros((batch, n, order + 1), limbs)
     for p, state in enumerate(batch_states):
         solution[p, :, 0] = array_cls.from_multidoubles(state.heads, limbs)
+    t_heads = [state.t_current for state in batch_states]
+    head_matrices = _head_jacobians(jacobian, solution[:, :, 0], t_heads)
 
     with recorder.span(
         "fleet_expansion",
@@ -486,9 +488,9 @@ def _advance_sub_batch(
     ) as expansion_span, np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _newton_staircase(
             system,
-            vb.stack(head_matrices),
+            head_matrices,
             solution,
-            [state.t_current for state in batch_states],
+            t_heads,
             tile_size=qr_tile,
             bs_tile_size=bs_tile,
             device=device,
@@ -806,19 +808,51 @@ def _residual_columns(system, partials, t_heads, k, *, trace=None, device="V100"
     return -vb.stack(rows)
 
 
+def _head_jacobians(jacobian, heads, t_heads):
+    """The Jacobians of a batch of paths at their heads, element shape
+    ``(b, n, n)``.
+
+    ``heads`` holds the paths' points as limb planes of element shape
+    ``(b, n)``, ``t_heads`` their parameter values.  The bound
+    ``jacobian`` of an object with ``jacobian_fleet``
+    (:class:`~repro.poly.system.PolynomialSystem`,
+    :class:`~repro.poly.homotopy.Homotopy`; what ``track_paths(system,
+    starts)``, ``Homotopy.track`` and ``Homotopy.track_fleet`` pass)
+    evaluates the whole batch in one call, recording nothing; any other
+    callable is called path by path as ``jacobian(x_p, t_p)`` on the
+    heads' scalars.  Both give every path the bits of its own per-path
+    call.
+    """
+    batch, n = heads.shape
+    owner = getattr(jacobian, "__self__", None)
+    if hasattr(owner, "jacobian_fleet") and jacobian == owner.jacobian:
+        matrices = owner.jacobian_fleet(heads, t_heads)
+        if matrices.shape != (batch, n, n):
+            raise ValueError(
+                f"the Jacobian must be {n}x{n}, got shape {matrices.shape[1:]}"
+            )
+        return matrices
+    return vb.stack(
+        [
+            _coerce_jacobian(jacobian(list(heads[p]), t_head), n, heads.limbs)
+            for p, t_head in enumerate(t_heads)
+        ]
+    )
+
+
 def _batched_newton_correct(
     system, jacobian, heads_list, t_values, prec, tile_size, device, iterations=2
 ):
     """Polish the predicted points of a sub-batch in lock-step.
 
-    Every polish iteration takes the residuals of the whole sub-batch
-    from :func:`_residual_columns` at order 0 (one fleet-wide call for
-    a system exposing ``residual_fleet``, a per-path loop for a plain
-    callable) and runs the ``b`` least squares solves as one batched
-    launch sequence; the Jacobians are evaluated per path.  Nothing is
-    recorded into the round traces.  Per path this matches an unbatched
-    polish (one ``lstsq`` per iteration) bit for bit — on complex
-    fleets through the separated-plane complex kernels.
+    Every polish iteration takes the Jacobians of the whole sub-batch
+    from :func:`_head_jacobians` and its residuals from
+    :func:`_residual_columns` at order 0 (one fleet-wide call each for
+    a system object, a per-path loop for a plain callable) and runs the
+    ``b`` least squares solves as one batched launch sequence.  Nothing
+    is recorded into the round traces.  Per path this matches an
+    unbatched polish (one ``lstsq`` per iteration) bit for bit — on
+    complex fleets through the separated-plane complex kernels.
     """
     limbs = prec.limbs
     batch = len(heads_list)
@@ -831,16 +865,12 @@ def _batched_newton_correct(
     heads = vb.stack([from_scalars(list(row), limbs) for row in heads_list])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iterations):
-            rows = [list(heads[p]) for p in range(batch)]
-            matrices = [
-                _coerce_jacobian(jacobian(row, t_value), n, limbs)
-                for row, t_value in zip(rows, t_values)
-            ]
+            matrices = _head_jacobians(jacobian, heads, t_values)
             rhs = _residual_columns(
                 system, heads.reshape(batch, n, 1), t_values, 0, device=device
             )
             solve = batched_least_squares(
-                vb.stack(matrices), rhs, tile_size=tile_size, device=device
+                matrices, rhs, tile_size=tile_size, device=device
             )
             heads = heads + solve.x
     return [list(heads[p]) for p in range(batch)]

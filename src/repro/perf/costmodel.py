@@ -700,9 +700,6 @@ COSTMODEL_TWINS = {
     "lstsq": lstsq_trace,
     "solve_matrix_series": matrix_series_trace,
     "newton_series": newton_series_trace,
-    # the quadratic refinement runs the same per-order launches, one
-    # doubling column block at a time
-    "newton_series_quadratic": newton_series_trace,
     "pade": pade_trace,
     # the batched driver prices one Padé trace per batch slice
     "batched_pade": pade_trace,

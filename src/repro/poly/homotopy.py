@@ -39,14 +39,16 @@ A :class:`Homotopy` is itself the residual/Jacobian object the
 trackers consume: ``homotopy(x, t)`` evaluates the combination with
 truncated series arithmetic — one path is a batch of one through the
 residual core of its backend, the code :meth:`Homotopy.residual_fleet`
-runs for a whole fleet, and the unbatched twin of each core is the test
-oracle ``tests/oracles/poly.py`` — ``homotopy.jacobian(x0, t0)``
-assembles the real ``2n x 2n`` Jacobian from the realified start and
-target Jacobians (one shared power-product pass each), and
-:meth:`Homotopy.track` / :meth:`Homotopy.track_fleet` seed the start
-solutions (products of roots of unity for the total-degree start
-system ``x_i^{d_i} - 1``) and hand the whole fleet to
-:func:`repro.batch.fleet.track_paths`.
+runs for a whole fleet — and ``homotopy.jacobian(x0, t0)`` combines
+the start and target Jacobians (one shared power-product pass each) in
+the Jacobian core of its backend, which :meth:`Homotopy.jacobian_fleet`
+runs for a whole sub-batch of heads: the realified backend assembles
+the real ``2n x 2n`` matrix, the complex one the ``n x n`` complex
+matrix.  The unbatched twin of each core is the test oracle
+``tests/oracles/poly.py``.  :meth:`Homotopy.track` /
+:meth:`Homotopy.track_fleet` seed the start solutions (products of
+roots of unity for the total-degree start system ``x_i^{d_i} - 1``)
+and hand the whole fleet to :func:`repro.batch.fleet.track_paths`.
 """
 
 from __future__ import annotations
@@ -554,40 +556,74 @@ class Homotopy:
     # ------------------------------------------------------------------
     # Jacobian (one shared power-product pass per system)
     # ------------------------------------------------------------------
-    def jacobian(self, x0, t0):
+    def jacobian(self, x0, t0=0.0):
         """The Jacobian ``dH/dx`` at ``(x0, t0)``: the real ``2n x 2n``
         matrix on the realified backend, the native complex ``n x n``
         matrix (an :class:`~repro.vec.complexmd.MDComplexArray`) on the
-        complex backend."""
-        if self._backend == "complex":
-            return self._complex_jacobian(x0, t0)
-        n = self._dimension
+        complex backend.  ``t0`` defaults to ``0.0``, the expansion
+        point of :func:`~repro.series.newton.newton_series`.  The start
+        and target Jacobians come from
+        :meth:`~repro.poly.system.PolynomialSystem.jacobian_matrix`, and
+        a batch of one runs through the combination core of
+        :meth:`jacobian_fleet`."""
         point = self._target._coerce_point(x0)
-        prec = point.precision
-        jg = self._start.jacobian_matrix(point)
-        jf = self._target.jacobian_matrix(point)
-        t_md = MultiDouble(t0, prec)
-        s_md = MultiDouble(1, prec) - t_md
-        a_s = MultiDouble(self.gamma.real, prec) * s_md
-        b_s = MultiDouble(self.gamma.imag, prec) * s_md
-        top = jg[:n] * a_s - jg[n:] * b_s + jf[:n] * t_md
-        bottom = jg[:n] * b_s + jg[n:] * a_s + jf[n:] * t_md
-        return MDArray(np.concatenate([top.data, bottom.data], axis=1))
-
-    def _complex_jacobian(self, x0, t0) -> MDComplexArray:
-        point = self._target._coerce_point(list(x0))
-        if not isinstance(point, MDComplexArray):
+        if self._backend == "complex" and not isinstance(point, MDComplexArray):
             point = MDComplexArray(point, MDArray.zeros(point.shape, point.limbs))
-        prec = point.precision
-        jg = self._start.jacobian_matrix(point)
-        jf = self._target.jacobian_matrix(point)
-        t_md = MultiDouble(t0, prec)
-        s_md = MultiDouble(1, prec) - t_md
-        gamma_s = ComplexMultiDouble(
-            MultiDouble(self.gamma.real, prec) * s_md,
-            MultiDouble(self.gamma.imag, prec) * s_md,
+        jg, jf = (
+            map_planes(system.jacobian_matrix(point), lambda data: data[:, None])
+            for system in (self._start, self._target)
         )
-        return jg * gamma_s + jf * t_md
+        t_planes = _parameter_planes([t0], 1, 0, point.precision)
+        return map_planes(self._jacobian(jg, jf, t_planes), lambda data: data[:, 0])
+
+    def jacobian_fleet(self, heads, t_heads):
+        """Fleet-wide Jacobians ``dH/dx`` at the heads of a sub-batch of
+        paths (:func:`repro.batch.fleet.track_paths`).
+
+        ``heads`` holds every path's point as limb planes of element
+        shape ``(b, tracking_dimension)``, ``t_heads`` one parameter
+        value per path (``ValueError`` otherwise, before any
+        evaluation).  The start and target systems each run one
+        order-0 pass over the whole batch
+        (:meth:`~repro.poly.system.PolynomialSystem.jacobian_series`),
+        and one core per backend combines them with ``gamma``,
+        ``1 - t`` and ``t`` as plane operations.  Returns Jacobians of
+        element shape ``(b, tracking_dimension, tracking_dimension)``,
+        slice ``p`` bit-identical to ``self.jacobian(x_p, t_p)``.
+        """
+        batch = heads.shape[0]
+        t_planes = _parameter_planes(t_heads, batch, 0, get_precision(heads.limbs))
+        if self._backend == "complex" and not isinstance(heads, MDComplexArray):
+            heads = MDComplexArray(heads, MDArray.zeros(heads.shape, heads.limbs))
+        planes = map_planes(heads, lambda data: data[..., None])
+        jg, jf = (
+            map_planes(system.jacobian_series(planes), lambda data: data[..., 0])
+            for system in (self._start, self._target)
+        )
+        return self._jacobian(jg, jf, t_planes)
+
+    def _jacobian(self, jg, jf, t_planes):
+        """The Jacobian core of the backend: start and target Jacobians
+        of element shape ``(b, N, N)`` and the parameter values, element
+        shape ``(b, 1)``, in, ``dH/dx`` out.  ``gamma (1 - t)`` scales
+        (complex) or rotates (realified) the start Jacobian and ``t``
+        scales the target Jacobian, each factor broadcast over its
+        path's matrix; every product with a Jacobian keeps the operand
+        order of the scalar formula (a dd product is not bitwise
+        commutative; ``(1 - t) gamma`` equals ``gamma (1 - t)`` in every
+        bit, ``gamma`` being a double)."""
+        batch = t_planes.shape[0]
+        t = t_planes.reshape(batch, 1, 1)
+        s = _one_minus(t_planes).reshape(batch, 1, 1)
+        a_s = s * MultiDouble(self.gamma.real, s.limbs)
+        b_s = s * MultiDouble(self.gamma.imag, s.limbs)
+        if self._backend == "complex":
+            return jg * MDComplexArray(a_s, b_s) + jf * t
+        n = self._dimension
+        g_re, g_im = jg[:, :n], jg[:, n:]
+        top = g_re * a_s - g_im * b_s + jf[:, :n] * t
+        bottom = g_re * b_s + g_im * a_s + jf[:, n:] * t
+        return MDArray(np.concatenate([top.data, bottom.data], axis=2))
 
     # ------------------------------------------------------------------
     # tracking drivers
@@ -698,7 +734,8 @@ class Homotopy:
 
 def _one_minus(t_series: MDArray) -> MDArray:
     """``1 - t`` on parameter planes of element shape ``(b, K+1)``: the
-    same vectorized subtraction ``1 - t`` performs on one series."""
+    same vectorized subtraction ``1 - t`` performs on one series (and,
+    at order 0, ``MultiDouble(1) - t`` on one value)."""
     one = np.zeros_like(t_series.data)
     one[0, :, 0] = 1.0
     return MDArray(one) - t_series

@@ -20,21 +20,28 @@ Evaluation is fully vectorized on the limb-major
 :class:`~repro.vec.mdarray.MDArray` layout: the variable power table is
 built level by level (one batched multiplication per degree), the
 power products are reduced with a ones-padded pairwise (binary tree)
-product (:meth:`MDArray.prod <repro.vec.mdarray.MDArray.prod>` /
-:func:`repro.vec.linalg.cauchy_product_reduce`), and each equation is
-one coefficient weighting plus a zero-padded pairwise term reduction —
-a handful of vectorized limb launches regardless of how many monomials
-the system carries.  On truncated-series arguments every
-multiplication is a batched Cauchy product through
-:func:`repro.vec.linalg.cauchy_product`, which is what lets a
+product (:func:`repro.vec.linalg.cauchy_product_reduce`, the tree of
+:meth:`MDArray.prod <repro.vec.mdarray.MDArray.prod>`), and each
+equation is one coefficient weighting plus a zero-padded pairwise term
+reduction — a handful of vectorized limb launches regardless of how
+many monomials the system carries.  Every multiplication is a batched
+Cauchy product through :func:`repro.vec.linalg.cauchy_product`, which
+is what lets a
 ``PolynomialSystem`` be handed **directly** to
 :func:`repro.series.newton.newton_series`,
 :func:`repro.series.tracker.track_path` and the batched
 :func:`repro.batch.fleet.track_paths` fleet (they generate the
-residual/Jacobian adapters from the object).  There is one series
-evaluator, and it carries a leading batch axis: the fleet hands it
-every path's series at once (:meth:`PolynomialSystem.residual_fleet`),
-and one series vector is a batch of one through the same code.
+residual/Jacobian adapters from the object).  There is one
+power-product pass, the series evaluator, and it carries a leading
+batch axis: the fleet hands it every path's series at once
+(:meth:`PolynomialSystem.residual_fleet`) and every path's head at
+once (:meth:`PolynomialSystem.jacobian_fleet`), and one series vector
+is a batch of one through the same code.  A point is an order-0 series:
+:meth:`~PolynomialSystem.evaluate`,
+:meth:`~PolynomialSystem.jacobian_matrix` and
+:meth:`~PolynomialSystem.evaluate_with_jacobian` run the pass on a
+batch of one with one coefficient per series, where every Cauchy
+product is the elementwise product.
 
 The scalar loop-per-monomial test oracle (``tests/oracles/poly.py``)
 replays the identical power table, product trees and term reductions on
@@ -42,8 +49,9 @@ replays the identical power table, product trees and term reductions on
 is **bit-identical** to this vectorized path at every paper precision —
 the same contract its scalar series (``tests/oracles/series.py``) hold
 against :class:`~repro.series.truncated.TruncatedSeries`.  The same
-module keeps the unbatched vectorized series evaluator, real and
-complex, which every batch slice must equal bit for bit.  Operation
+module keeps the unbatched vectorized series evaluator and the
+unbatched point pass, real and complex, which every batch slice must
+equal bit for bit.  Operation
 counts live in :func:`repro.md.opcounts.polynomial_counts`; the
 analytic launch trace in
 :func:`repro.perf.costmodel.polynomial_evaluation_trace` (which the
@@ -378,7 +386,7 @@ class PolynomialSystem:
         )
 
     # ------------------------------------------------------------------
-    # vectorized point evaluation
+    # point evaluation (an order-0 batch of one through the series pass)
     # ------------------------------------------------------------------
     def _coerce_point(self, x, precision=None):
         if isinstance(x, (MDArray, MDComplexArray)):
@@ -425,43 +433,20 @@ class PolynomialSystem:
             )
         return point
 
-    def _point_products(self, point):
-        """All distinct power products at a point, shape ``(products,)``.
-
-        One batched multiplication per power level, one gather, one
-        ones-padded pairwise product reduction over the variables axis
-        (complex points run the identical structure on separated
-        real/imaginary planes).
-        """
-        m = point.limbs
-        if isinstance(point, MDComplexArray):
-            table_re = np.zeros((m, self._max_degree + 1, self._variables))
-            table_im = np.zeros_like(table_re)
-            table_re[0, 0, :] = 1.0  # the exact complex one
-            if self._max_degree >= 1:
-                table_re[:, 1, :] = point.real.data
-                table_im[:, 1, :] = point.imag.data
-                power = point
-                for degree in range(2, self._max_degree + 1):
-                    power = power * point
-                    table_re[:, degree, :] = power.real.data
-                    table_im[:, degree, :] = power.imag.data
-            select = (self._product_exponents, np.arange(self._variables))
-            gathered = MDComplexArray(
-                MDArray(table_re[:, select[0], select[1]]),
-                MDArray(table_im[:, select[0], select[1]]),
+    def _point_pass(self, x, precision, trace, device, *, evaluate, jacobian):
+        """The order-0 series pass at one point: the coerced point is
+        viewed as planes of element shape ``(1, variables, 1)``, and
+        slice 0 of the values (``(equations,)``) and of the Jacobian
+        (``(equations, variables)``) comes back, ``None`` for the one
+        not asked for."""
+        point = self._coerce_point(x, precision)
+        planes = map_planes(point, lambda data: data[:, None, :, None])
+        return [
+            None if result is None else map_planes(result, lambda data: data[:, 0, ..., 0])
+            for result in self._series_pass(
+                planes, evaluate=evaluate, jacobian=jacobian, trace=trace, device=device
             )
-            return gathered.prod(axis=1)
-        table = np.zeros((m, self._max_degree + 1, self._variables))
-        table[0, 0, :] = 1.0
-        if self._max_degree >= 1:
-            table[:, 1, :] = point.data
-            power = point
-            for degree in range(2, self._max_degree + 1):
-                power = power * point
-                table[:, degree, :] = power.data
-        gathered = table[:, self._product_exponents, np.arange(self._variables)]
-        return MDArray(gathered).prod(axis=1)
+        ]
 
     @profiled("poly_eval")
     def evaluate(self, x, precision=None, *, trace=None, device="V100") -> MDArray:
@@ -473,30 +458,10 @@ class PolynomialSystem:
         :func:`repro.perf.costmodel.polynomial_evaluation_trace` (the
         shared launch structure of the numeric and analytic paths).
         """
-        point = self._coerce_point(x, precision)
-        products = self._point_products(point)
-        values = self._reduce_terms(products, point.limbs)
-        if trace is not None:
-            self._record_trace(
-                trace,
-                point.limbs,
-                device,
-                evaluate=True,
-                complex_data=isinstance(point, MDComplexArray),
-            )
+        values, _ = self._point_pass(
+            x, precision, trace, device, evaluate=True, jacobian=False
+        )
         return values
-
-    @staticmethod
-    def _take(array, indices):
-        """Kind-aware index gather along the first element axis."""
-        return map_planes(array, lambda data: data[:, indices])
-
-    def _reduce_terms(self, products, limbs: int):
-        complex_data = isinstance(products, MDComplexArray)
-        coefficients, _ = self._coefficient_arrays(limbs, complex_data)
-        gathered = self._take(products, self._term_index)
-        weighted = coefficients * gathered
-        return weighted.sum(axis=1)
 
     @profiled("poly_jacobian")
     def jacobian_matrix(
@@ -504,26 +469,10 @@ class PolynomialSystem:
     ) -> MDArray:
         """The Jacobian ``dF_i/dx_j`` at a point, shape
         ``(equations, variables)``."""
-        point = self._coerce_point(x, precision)
-        products = self._point_products(point)
-        matrix = self._reduce_jacobian(products, point.limbs)
-        if trace is not None:
-            self._record_trace(
-                trace,
-                point.limbs,
-                device,
-                evaluate=False,
-                jacobian=True,
-                complex_data=isinstance(point, MDComplexArray),
-            )
+        _, matrix = self._point_pass(
+            x, precision, trace, device, evaluate=False, jacobian=True
+        )
         return matrix
-
-    def _reduce_jacobian(self, products, limbs: int):
-        complex_data = isinstance(products, MDComplexArray)
-        _, jac_coefficients = self._coefficient_arrays(limbs, complex_data)
-        gathered = self._take(products, self._jacobian_index)
-        weighted = jac_coefficients * gathered
-        return weighted.sum(axis=2)
 
     @profiled("poly_eval_jacobian")
     def evaluate_with_jacobian(
@@ -531,19 +480,9 @@ class PolynomialSystem:
     ) -> tuple:
         """Values and Jacobian from **one** shared power-product pass —
         the payoff of the shared-monomial tables."""
-        point = self._coerce_point(x, precision)
-        products = self._point_products(point)
-        values = self._reduce_terms(products, point.limbs)
-        matrix = self._reduce_jacobian(products, point.limbs)
-        if trace is not None:
-            self._record_trace(
-                trace,
-                point.limbs,
-                device,
-                evaluate=True,
-                jacobian=True,
-                complex_data=isinstance(point, MDComplexArray),
-            )
+        values, matrix = self._point_pass(
+            x, precision, trace, device, evaluate=True, jacobian=True
+        )
         return values, matrix
 
     def jacobian(self, x0, t0=None) -> MDArray:
@@ -557,7 +496,9 @@ class PolynomialSystem:
         unknown columns; otherwise ``t0`` is ignored — the system does
         not depend on the parameter.  Either way the object can be
         handed to :func:`~repro.series.tracker.track_path` /
-        :func:`~repro.batch.fleet.track_paths` directly.
+        :func:`~repro.batch.fleet.track_paths` directly; handed this
+        bound method, the fleet calls :meth:`jacobian_fleet` instead,
+        which runs the same order-0 pass over a whole sub-batch.
         """
         values = list(x0)
         if len(values) + 1 == self._variables:
@@ -663,37 +604,38 @@ class PolynomialSystem:
         weights = map_planes(coefficients, lambda data: data[:, None, ..., None])
         return (weights * gathered).sum(axis=index.ndim)
 
-    def _series_pass(self, x, jacobian: bool, trace, device):
-        """One shared power-product pass on a series argument, reduced to
-        the values (element shape ``(b, equations, K+1)``) or the
-        Jacobian (``(b, equations, variables, K+1)``); a single series
-        vector returns slice 0.  Returns ``(planes, single)``."""
-        planes, single = self._series_planes(x)
+    def _series_pass(self, planes, *, evaluate, jacobian, trace, device):
+        """The one shared power-product pass, on batched planes of
+        element shape ``(b, variables, K+1)``: the values (element shape
+        ``(b, equations, K+1)``) if ``evaluate``, the Jacobian
+        (``(b, equations, variables, K+1)``) if ``jacobian``, ``None``
+        for the one not asked for.  The launches of the pass are
+        recorded into ``trace`` once.  Point evaluation runs it at
+        order 0 on a batch of one."""
         batch, _, terms = planes.shape
         limbs = planes.limbs
         complex_data = isinstance(planes, MDComplexArray)
-        values, jacobian_values = self._coefficient_arrays(limbs, complex_data)
         products = self._series_products(planes, limbs)
-        if jacobian:
-            result = self._reduce_series_slots(
-                jacobian_values, self._jacobian_index, products
+        results = [
+            self._reduce_series_slots(coefficients, index, products) if wanted else None
+            for wanted, coefficients, index in zip(
+                (evaluate, jacobian),
+                self._coefficient_arrays(limbs, complex_data),
+                (self._term_index, self._jacobian_index),
             )
-        else:
-            result = self._reduce_series_slots(values, self._term_index, products)
+        ]
         if trace is not None:
             self._record_trace(
                 trace,
                 limbs,
                 device,
-                evaluate=not jacobian,
+                evaluate=evaluate,
                 jacobian=jacobian,
                 order=terms - 1,
                 complex_data=complex_data,
                 batch=batch,
             )
-        if single:
-            result = map_planes(result, lambda data: data[:, 0])
-        return result, single
+        return results
 
     def evaluate_series(self, x, *, trace=None, device="V100"):
         """Telemetry shim over :meth:`_evaluate_series_impl`.
@@ -742,9 +684,13 @@ class PolynomialSystem:
         from ..series.complexvec import ComplexVectorSeries
         from ..series.vector import VectorSeries
 
-        values, single = self._series_pass(x, False, trace, device)
+        planes, single = self._series_planes(x)
+        values, _ = self._series_pass(
+            planes, evaluate=True, jacobian=False, trace=trace, device=device
+        )
         if not single:
             return values
+        values = map_planes(values, lambda data: data[:, 0])
         if isinstance(values, MDComplexArray):
             return ComplexVectorSeries(values)
         return VectorSeries(values)
@@ -775,7 +721,11 @@ class PolynomialSystem:
         variables, K+1)`` for batched ``(b, variables, K+1)`` input —
         both from the power-product pass of the evaluation.
         """
-        return self._series_pass(x, True, trace, device)[0]
+        planes, single = self._series_planes(x)
+        _, matrices = self._series_pass(
+            planes, evaluate=False, jacobian=True, trace=trace, device=device
+        )
+        return map_planes(matrices, lambda data: data[:, 0]) if single else matrices
 
     def residual_fleet(self, coefficients, t_heads, *, trace=None, device="V100"):
         """Fleet-wide batched residual evaluation for the path fleet
@@ -794,8 +744,36 @@ class PolynomialSystem:
         """
         batch, unknowns, terms = coefficients.shape
         if unknowns + 1 == self._variables:
-            coefficients = _append_parameter_planes(coefficients, t_heads, terms)
+            t_planes = _parameter_planes(
+                t_heads, batch, terms - 1, get_precision(coefficients.limbs)
+            )
+            coefficients = _append_variable(coefficients, t_planes)
         return self.evaluate_series(coefficients, trace=trace, device=device)
+
+    def jacobian_fleet(self, heads, t_heads):
+        """Fleet-wide Jacobians at the heads of a sub-batch of paths
+        (:func:`repro.batch.fleet.track_paths`).
+
+        ``heads`` holds every path's point as limb planes of element
+        shape ``(b, n)``, ``t_heads`` one parameter value per path
+        (``ValueError`` otherwise, before any evaluation).  A
+        parametric system (``variables == n + 1``) appends ``t_p``,
+        rounded as :meth:`jacobian` rounds it, as its last variable and
+        drops that column, as :meth:`residual_fleet` does; a square
+        system does not depend on ``t_heads``.  Returns Jacobians of element shape
+        ``(b, equations, n)`` from one order-0 pass of
+        :meth:`jacobian_series`, slice ``p`` bit-identical to
+        ``self.jacobian(x_p, t_p)``.
+        """
+        batch, unknowns = heads.shape
+        t_planes = _parameter_planes(t_heads, batch, 0, get_precision(heads.limbs))
+        planes = map_planes(heads, lambda data: data[..., None])
+        if unknowns + 1 != self._variables:
+            matrices = self.jacobian_series(planes)
+            return map_planes(matrices, lambda data: data[..., 0])
+        planes = _append_variable(planes, t_planes)
+        matrices = self.jacobian_series(planes)
+        return map_planes(matrices, lambda data: data[..., :-1, 0])
 
     def __call__(self, x, t=None):
         """Residual adapter ``system(x, t)`` for the series solvers.
@@ -863,8 +841,10 @@ def _parameter_planes(t_heads, batch: int, order: int, prec) -> MDArray:
 
     Path ``p`` contributes the linear series ``[t_p, 1, 0, ...]`` —
     exactly the coefficients of ``TruncatedSeries.variable(order, prec,
-    head=t_p)``, so a fleet-wide residual equals the per-path call on
-    that series bit for bit.  ``t_heads`` must hold one head per path.
+    head=t_p)``, ``t_p`` rounded once as ``MultiDouble(t_p, prec)``, so
+    a fleet-wide residual equals the per-path call on that series bit
+    for bit; at order 0 these are the parameter values the Jacobians
+    take.  ``t_heads`` must hold one head per path.
     """
     if len(t_heads) != batch:
         raise ValueError(
@@ -873,29 +853,25 @@ def _parameter_planes(t_heads, batch: int, order: int, prec) -> MDArray:
         )
     data = np.zeros((prec.limbs, batch, order + 1))
     for p, head in enumerate(t_heads):
-        data[:, p, 0] = MultiDouble(float(head), prec).limbs
+        data[:, p, 0] = MultiDouble(head, prec).limbs
     if order >= 1:
         data[0, :, 1] = 1.0
     return MDArray(data)
 
 
-def _append_parameter_planes(coefficients, t_heads, terms: int):
-    """Append the per-path parameter series (:func:`_parameter_planes`)
-    as one extra trailing variable of a batched plane stack."""
-    prec = get_precision(coefficients.limbs)
-    t_planes = _parameter_planes(
-        t_heads, coefficients.shape[0], terms - 1, prec
-    ).data[:, :, None, :]
-    if isinstance(coefficients, MDComplexArray):
+def _append_variable(planes, values: MDArray):
+    """Append real planes of element shape ``(b, K+1)`` as one extra
+    trailing variable of batched ``(b, n, K+1)`` planes (with an exact
+    zero imaginary plane on complex planes)."""
+    column = values.data[:, :, None, :]
+    if isinstance(planes, MDComplexArray):
         return MDComplexArray(
-            MDArray(np.concatenate([coefficients.real.data, t_planes], axis=2)),
+            MDArray(np.concatenate([planes.real.data, column], axis=2)),
             MDArray(
-                np.concatenate(
-                    [coefficients.imag.data, np.zeros_like(t_planes)], axis=2
-                )
+                np.concatenate([planes.imag.data, np.zeros_like(column)], axis=2)
             ),
         )
-    return MDArray(np.concatenate([coefficients.data, t_planes], axis=2))
+    return MDArray(np.concatenate([planes.data, column], axis=2))
 
 
 def _scale_coefficient(coefficient, factor: int):

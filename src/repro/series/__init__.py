@@ -53,7 +53,7 @@ from .matrix_series import (
     series_from_vectors,
     solve_matrix_series,
 )
-from .newton import NewtonSeriesResult, newton_series, newton_series_quadratic
+from .newton import NewtonSeriesResult, newton_series
 from .pade import PadeApproximant, pade
 from .tracker import PathResult, PathStep, track_path
 from .truncated import TruncatedSeries
@@ -69,7 +69,6 @@ __all__ = [
     "series_from_vectors",
     "NewtonSeriesResult",
     "newton_series",
-    "newton_series_quadratic",
     "PadeApproximant",
     "pade",
     "PathStep",

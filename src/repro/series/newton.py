@@ -28,10 +28,6 @@ test oracles of ``tests/oracles/series.py``: the unbatched staircase
 ``tests/series/test_newton_oracle.py`` and
 ``tests/series/test_vectorized_cross.py``, and the baseline of
 ``benchmarks/bench_series_vectorized.py``).
-:func:`newton_series_quadratic` implements the classical quadratically
-convergent Newton iteration on series, where each pass doubles the
-number of correct coefficients at the price of a full block Toeplitz
-solve (:mod:`repro.series.matrix_series`) per pass.
 """
 
 from __future__ import annotations
@@ -39,26 +35,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral
 
-import numpy as np
-
-from ..core.least_squares import _default_tile_size, resolve_tile_sizes
+from ..core.least_squares import resolve_tile_sizes
 from ..core.tile_inverse import check_nonsingular
 from ..gpu.kernel import KernelTrace
 from ..md.constants import get_precision
 from ..md.number import ComplexMultiDouble, MultiDouble
-from ..md.opcounts import series_newton_orders
 from ..obs.profile import profiled
 from ..vec.complexmd import MDComplexArray
 from ..vec.mdarray import MDArray
 from .complexvec import ComplexVectorSeries, coerce_scalar, is_complex_scalar
-from .matrix_series import solve_matrix_series
 from .truncated import TruncatedSeries
 from .vector import VectorSeries
 
 __all__ = [
     "NewtonSeriesResult",
     "newton_series",
-    "newton_series_quadratic",
     "resolve_system_arguments",
 ]
 
@@ -312,109 +303,4 @@ def newton_series(
         bs_tile_size=bs_tile_size,
         head_residual=head_residual,
         vector=vector,
-    )
-
-
-@profiled("newton_series_quadratic", trace_of=lambda result: result.trace)
-def newton_series_quadratic(
-    system,
-    jacobian_series,
-    start,
-    order: int,
-    precision=2,
-    *,
-    tile_size=None,
-    bs_tile_size=None,
-    device="V100",
-) -> NewtonSeriesResult:
-    """Quadratically convergent Newton iteration on power series.
-
-    Each pass solves the full linearized system
-    ``J(x(t)) dx(t) = -F(x(t), t)`` with the block Toeplitz machinery of
-    :func:`repro.series.matrix_series.solve_matrix_series` and doubles
-    the number of correct series coefficients, mirroring the
-    limb-doubling scalar Newton methods of :mod:`repro.md.functions`.
-    The Jacobian and residual coefficients are gathered straight from
-    the limb-major series arrays into the batched matrix/right-hand-side
-    coefficients of the solve.
-
-    Parameters are as for :func:`newton_series` except ``jacobian_series``:
-    a callable ``jacobian_series(x, t) -> rows`` returning the
-    ``n``-by-``n`` Jacobian as a nested list whose entries are
-    :class:`TruncatedSeries` (or scalars), evaluated at a series ``x``.
-    The iteration expands real systems only: a complex start point
-    raises ``ValueError``.
-    """
-    order = _check_order(order)
-    prec = get_precision(precision)
-    limbs = prec.limbs
-    heads = _coerce_start(start, prec)
-    if isinstance(heads[0], ComplexMultiDouble):
-        raise ValueError(
-            "newton_series_quadratic expands real systems only; use "
-            "newton_series for a complex start point"
-        )
-    n = len(heads)
-
-    trace = KernelTrace(
-        device, label=f"newton series (quadratic) dim={n} order={order} {prec.name}"
-    )
-    solution = VectorSeries.from_components(
-        [TruncatedSeries([h], prec) for h in heads]
-    )
-    head_residual = None
-    chosen_tile = tile_size
-    chosen_bs_tile = bs_tile_size
-
-    for target in series_newton_orders(order) or (0,):
-        x = solution.pad(target)
-        components = x.components()
-        t = TruncatedSeries.variable(target, prec)
-        residuals = _coerce_residual(system(components, t), n, target, prec)
-        if head_residual is None:
-            head_residual = max(abs(float(r.coefficient(0))) for r in residuals)
-        rows = jacobian_series(components, t)
-        # pad-or-truncate every entry to exactly the staircase target so
-        # the coefficient stacks line up (user-supplied entries may
-        # carry any truncation order)
-        entries = [
-            entry.pad(target).truncate(target) if isinstance(entry, TruncatedSeries)
-            else TruncatedSeries.constant(entry, target, prec)
-            for row in rows
-            for entry in row
-        ]
-        if len(entries) != n * n:
-            raise ValueError(f"the Jacobian series must be {n}x{n}")
-        # (m, n*n, target+1): one gather for all Jacobian series entries
-        entry_data = np.stack(
-            [entry.coefficients.data for entry in entries], axis=1
-        )
-        matrix_coefficients = [
-            MDArray(entry_data[:, :, k].reshape(limbs, n, n).copy())
-            for k in range(target + 1)
-        ]
-        rhs_data = np.stack(
-            [residual.truncate(target).coefficients.data for residual in residuals],
-            axis=1,
-        )
-        solve = solve_matrix_series(
-            matrix_coefficients,
-            MDArray(-rhs_data),
-            tile_size=tile_size,
-            bs_tile_size=bs_tile_size,
-            device=device,
-        )
-        trace.extend(solve.trace)
-        chosen_tile = solve.tile_size
-        chosen_bs_tile = solve.bs_tile_size
-        solution = (x + solve.vector_series()).truncate(target)
-
-    solution = solution.pad(order)
-    return NewtonSeriesResult(
-        series=solution.components(),
-        trace=trace,
-        tile_size=chosen_tile if chosen_tile is not None else _default_tile_size(n),
-        bs_tile_size=chosen_bs_tile if chosen_bs_tile is not None else _default_tile_size(n),
-        head_residual=head_residual if head_residual is not None else 0.0,
-        vector=solution,
     )

@@ -232,6 +232,9 @@ def cauchy_product(a, b, order=None):
     reduction of the paper's kernels.  The scalar test oracle
     (``tests/oracles/series.py``) replays exactly this product grid and
     reduction tree, which is what makes the two paths bit-identical.
+    With one coefficient asked for, the grid has one product per
+    series, the gather moves nothing and the one-term sum returns its
+    term, so the elementwise product is the whole kernel.
     """
     if _is_complex(a) or _is_complex(b):
         return _cauchy_product_complex(a, b, order)
@@ -255,6 +258,8 @@ def cauchy_product(a, b, order=None):
         )
     adata = a.data[..., :terms]
     bdata = b.data[..., :terms]
+    if terms == 1:
+        return MDArray(adata) * MDArray(bdata)
     # one vectorized multiplication over the full product grid
     products = MDArray(adata[..., :, None]) * MDArray(bdata[..., None, :])
     # gather onto anti-diagonals: diagonals[..., i, k] = a_i * b_{k-i}

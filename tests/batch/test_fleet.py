@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.batch import PathFleetResult, track_paths
+from repro.md.number import ComplexMultiDouble
 from repro.perf.costmodel import path_fleet_trace
 from repro.series import newton_series, track_path
 from repro.series.tracker import PathResult
@@ -74,9 +75,13 @@ def assert_path_matches_reference(path: PathResult, reference: PathResult):
     assert path.escalations == reference.escalations
     assert path.precisions_used == reference.precisions_used
     assert path.total_model_ms == reference.total_model_ms
-    assert [v.limbs for v in path.final_point] == [
-        v.limbs for v in reference.final_point
-    ]
+    def limbs(point):
+        return [
+            (v.real.limbs, v.imag.limbs) if isinstance(v, ComplexMultiDouble) else v.limbs
+            for v in point
+        ]
+
+    assert limbs(path.final_point) == limbs(reference.final_point)
 
 
 class TestFleetOfOne:
@@ -339,6 +344,32 @@ class TestReferenceOracle:
         reference = solo_track_path(sqrt_system, sqrt_jacobian, [1.0])
         assert reference.reached and reference.final_t == 1.0
         assert abs(float(reference.final_point[0]) - 2.0**0.5) < 1e-8
+
+    @pytest.mark.parametrize("backend", ["realified", "complex"])
+    def test_oracle_does_not_call_the_batched_jacobians(self, monkeypatch, backend):
+        """On a homotopy the reference differentiates through the
+        unbatched point pass: never ``jacobian_fleet``, never the
+        batched series pass behind the library's point evaluation."""
+        from repro.poly import Homotopy, PolynomialSystem, cyclic
+
+        homotopy = Homotopy.total_degree(cyclic(2), seed=7, backend=backend)
+        start = homotopy.start_solutions()[1]
+        kwargs = dict(tol=1e-8, order=8, max_steps=2)
+        fleet = track_paths(homotopy, [start], **kwargs)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a batched Jacobian was evaluated")
+
+        for owner in (Homotopy, PolynomialSystem):
+            monkeypatch.setattr(owner, "jacobian_fleet", broken)
+        monkeypatch.setattr(PolynomialSystem, "_series_pass", broken)
+        # the patches are live: the fleet and the per-path Jacobian reach them
+        with pytest.raises(RuntimeError, match="batched Jacobian"):
+            track_paths(homotopy, [start], **kwargs)
+        with pytest.raises(RuntimeError, match="batched Jacobian"):
+            homotopy.jacobian(start)
+        reference = solo_track_path(homotopy, start, **kwargs)
+        assert_path_matches_reference(fleet.paths[0], reference)
 
 
 class TestFleetCostModel:

@@ -22,12 +22,15 @@ function under test, so a bitwise comparison against it can fail.
   a batch of one);
 * ``poly`` — the loop-per-monomial evaluation of polynomial systems
   (values, Jacobians, scalar series, operation counts) and of the
-  realified homotopy, the reference for ``repro.poly``; and the
-  unbatched vectorized series evaluation (values and Jacobians, real
-  and complex) and homotopy residual of both backends, the reference
-  for the batched series evaluator that ``evaluate_series``,
+  realified homotopy, the reference for ``repro.poly``; the unbatched
+  vectorized series evaluation (values and Jacobians, real and
+  complex) and homotopy residual of both backends, the reference for
+  the batched series evaluator that ``evaluate_series``,
   ``jacobian_series``, ``residual_fleet`` and ``Homotopy.__call__``
-  share.
+  share; and the unbatched point pass with the per-path homotopy
+  Jacobian combination (``unbatched_jacobian``), the reference for the
+  same evaluator at order 0 that ``evaluate``, ``jacobian_matrix``,
+  ``jacobian_fleet`` and both ``jacobian`` adapters run.
 
 Test modules import these relatively (``from ..oracles.dense import
 ...``), which works with or without ``src`` on ``PYTHONPATH``.  The

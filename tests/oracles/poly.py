@@ -50,6 +50,16 @@ complex (the scalar references above have no complex form): every
 batch slice must equal them bit for bit.  They never call the batched
 evaluator, and :func:`unbatched_residual` lets the single-path tracker
 oracle run a homotopy on them.
+
+A point is an order-0 series for the library: ``evaluate``,
+``jacobian_matrix``, ``evaluate_with_jacobian`` and the fleet's
+``jacobian_fleet`` run the same evaluator at order 0.  Their twin is
+the unbatched point pass (:func:`unbatched_evaluate`,
+:func:`unbatched_jacobian_matrix`: plain array products, no Cauchy
+kernel, no batch axis), and :func:`unbatched_jacobian` routes the
+bound ``jacobian`` of a system object to it, combining a homotopy's
+start and target Jacobians with scalar ``MultiDouble`` ``gamma``,
+``1 - t`` and ``t`` per path.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ import numpy as np
 from repro.md.constants import get_precision
 from repro.md.number import ComplexMultiDouble, MultiDouble
 from repro.poly.homotopy import Homotopy
+from repro.poly.system import PolynomialSystem
 from repro.series.complexvec import ComplexTruncatedSeries, ComplexVectorSeries
 from repro.series.vector import VectorSeries
 from repro.vec import linalg
@@ -77,6 +88,9 @@ __all__ = [
     "unbatched_jacobian_series",
     "unbatched_homotopy",
     "unbatched_residual",
+    "unbatched_evaluate",
+    "unbatched_jacobian_matrix",
+    "unbatched_jacobian",
     "instrumented_counts",
 ]
 
@@ -446,6 +460,127 @@ def unbatched_residual(system):
     if isinstance(system, Homotopy):
         return lambda x, t: unbatched_homotopy(system, x, t)
     return system
+
+
+# ---------------------------------------------------------------------------
+# unbatched point evaluation
+# ---------------------------------------------------------------------------
+
+
+def _point_products(system, point):
+    """All distinct power products at a point, shape ``(products,)``:
+    one multiplication per power level, one gather and one ones-padded
+    pairwise product reduction over the variables axis, with no batch
+    axis and no Cauchy product (complex points run the same structure
+    on separated real/imaginary planes)."""
+    m = point.limbs
+    max_degree = system.max_degree
+    select = (system._product_exponents, np.arange(system.variables))
+    if isinstance(point, MDComplexArray):
+        table_re = np.zeros((m, max_degree + 1, system.variables))
+        table_im = np.zeros_like(table_re)
+        table_re[0, 0, :] = 1.0  # the exact complex one
+        if max_degree >= 1:
+            table_re[:, 1, :] = point.real.data
+            table_im[:, 1, :] = point.imag.data
+            power = point
+            for degree in range(2, max_degree + 1):
+                power = power * point
+                table_re[:, degree, :] = power.real.data
+                table_im[:, degree, :] = power.imag.data
+        gathered = MDComplexArray(
+            MDArray(table_re[:, select[0], select[1]]),
+            MDArray(table_im[:, select[0], select[1]]),
+        )
+        return gathered.prod(axis=1)
+    table = np.zeros((m, max_degree + 1, system.variables))
+    table[0, 0, :] = 1.0
+    if max_degree >= 1:
+        table[:, 1, :] = point.data
+        power = point
+        for degree in range(2, max_degree + 1):
+            power = power * point
+            table[:, degree, :] = power.data
+    return MDArray(table[:, select[0], select[1]]).prod(axis=1)
+
+
+def _point_pass(system, x, precision, slots):
+    """Weight the power products at a point through one padded slot
+    table (``"terms"`` or ``"jacobian"``) and reduce the slot axis."""
+    point = system._coerce_point(x, precision)
+    products = _point_products(system, point)
+    complex_data = isinstance(point, MDComplexArray)
+    values, jacobian_values = system._coefficient_arrays(point.limbs, complex_data)
+    if slots == "terms":
+        coefficients, index = values, system._term_index
+    else:
+        coefficients, index = jacobian_values, system._jacobian_index
+    gathered = map_planes(products, lambda data: data[:, index])
+    return (coefficients * gathered).sum(axis=index.ndim - 1)
+
+
+def unbatched_evaluate(system, x, precision=None):
+    """Every equation of ``system`` at one point, real or complex, shape
+    ``(equations,)``: the twin of
+    :meth:`PolynomialSystem.evaluate
+    <repro.poly.system.PolynomialSystem.evaluate>`, which runs the
+    batched series pass at order 0."""
+    return _point_pass(system, x, precision, "terms")
+
+
+def unbatched_jacobian_matrix(system, x, precision=None):
+    """The Jacobian ``dF_i/dx_j`` of ``system`` at one point, shape
+    ``(equations, variables)``: the twin of
+    :meth:`PolynomialSystem.jacobian_matrix
+    <repro.poly.system.PolynomialSystem.jacobian_matrix>`."""
+    return _point_pass(system, x, precision, "jacobian")
+
+
+def _system_jacobian(system, x0, t0=None):
+    """``PolynomialSystem.jacobian`` on the unbatched point pass."""
+    values = list(x0)
+    if len(values) + 1 == system.variables:
+        values = values + [0 if t0 is None else t0]
+        return unbatched_jacobian_matrix(system, values)[:, :-1]
+    return unbatched_jacobian_matrix(system, values)
+
+
+def _homotopy_jacobian(homotopy, x0, t0=0.0):
+    """``dH/dx`` of a :class:`~repro.poly.homotopy.Homotopy` at one point
+    on either backend: the unbatched start and target Jacobians
+    combined with scalar ``MultiDouble`` ``gamma``, ``1 - t`` and ``t``
+    in the operand order of the library's plane core."""
+    n = homotopy.dimension
+    point = homotopy.target_system._coerce_point(x0)
+    if homotopy.backend == "complex" and not isinstance(point, MDComplexArray):
+        point = MDComplexArray(point, MDArray.zeros(point.shape, point.limbs))
+    prec = point.precision
+    jg = unbatched_jacobian_matrix(homotopy.start_system, point)
+    jf = unbatched_jacobian_matrix(homotopy.target_system, point)
+    t_md = MultiDouble(t0, prec)
+    s_md = MultiDouble(1, prec) - t_md
+    a_s = MultiDouble(homotopy.gamma.real, prec) * s_md
+    b_s = MultiDouble(homotopy.gamma.imag, prec) * s_md
+    if homotopy.backend == "complex":
+        return jg * ComplexMultiDouble(a_s, b_s) + jf * t_md
+    top = jg[:n] * a_s - jg[n:] * b_s + jf[:n] * t_md
+    bottom = jg[:n] * b_s + jg[n:] * a_s + jf[n:] * t_md
+    return MDArray(np.concatenate([top.data, bottom.data], axis=1))
+
+
+def unbatched_jacobian(jacobian):
+    """The Jacobian callable ``jacobian(x0, t0)`` of a tracker: the bound
+    ``jacobian`` of a :class:`~repro.poly.homotopy.Homotopy` or a
+    :class:`~repro.poly.system.PolynomialSystem` evaluates through
+    :func:`unbatched_jacobian_matrix` (the homotopy's start and target
+    Jacobians combined per path); any other callable is returned
+    unchanged."""
+    owner = getattr(jacobian, "__self__", None)
+    if isinstance(owner, Homotopy) and jacobian == owner.jacobian:
+        return lambda x0, t0=0.0: _homotopy_jacobian(owner, x0, t0)
+    if isinstance(owner, PolynomialSystem) and jacobian == owner.jacobian:
+        return lambda x0, t0=None: _system_jacobian(owner, x0, t0)
+    return jacobian
 
 
 # ---------------------------------------------------------------------------

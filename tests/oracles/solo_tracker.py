@@ -12,9 +12,13 @@ component (the oracle ``tests.oracles.series.pade``), and one
 :func:`~repro.core.least_squares.lstsq` per Newton polish iteration.
 The residuals of a :class:`~repro.poly.homotopy.Homotopy` run on the
 unbatched evaluation oracles of ``tests.oracles.poly``
-(:func:`~tests.oracles.poly.unbatched_residual`); other residual
-callables are called as given.  Step control, the Padé pole cap, the noise test and the
-precision escalation follow the per-path logic of
+(:func:`~tests.oracles.poly.unbatched_residual`), and the bound
+``jacobian`` of a homotopy or a
+:class:`~repro.poly.system.PolynomialSystem` on its unbatched point
+pass (:func:`~tests.oracles.poly.unbatched_jacobian`, where the fleet
+calls ``jacobian_fleet`` once per sub-batch); other callables are
+called as given.  Step control, the Padé pole cap, the noise test and
+the precision escalation follow the per-path logic of
 ``repro.batch.fleet._advance_sub_batch`` decision for decision.
 
 Every batched kernel is bit-identical to a loop over its unbatched
@@ -22,8 +26,9 @@ counterpart, so each path of a fleet must equal :func:`solo_track_path`
 bit for bit: steps, escalations, model accounting, final limbs.  The
 oracle never calls the fleet (neither its staircase nor its polish) or
 :func:`~repro.batch.pade.batched_pade`, nor, on a homotopy or a plain
-residual callable, the batched series evaluator, so a bug in them
-cannot hide in its own reference.  It records no telemetry.
+residual callable, the batched series evaluator, nor any
+``jacobian_fleet``, so a bug in them cannot hide in its own reference.
+It records no telemetry.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from repro.series.truncated import TruncatedSeries
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
 
-from .poly import unbatched_residual
+from .poly import unbatched_jacobian, unbatched_residual
 from .series import _residual_column, pade, unbatched_newton_series
 
 __all__ = ["solo_track_path"]
@@ -113,6 +118,7 @@ def solo_track_path(
     """
     system, jacobian, start = resolve_system_arguments(system, jacobian, start)
     residual = unbatched_residual(system)
+    jacobian = unbatched_jacobian(jacobian)
     if numerator_degree is None:
         numerator_degree = (order - 1) // 2
     if denominator_degree is None:

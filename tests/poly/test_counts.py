@@ -119,6 +119,52 @@ class TestLaunchTrace:
             assert observed.bytes_read == expected.bytes_read
             assert observed.bytes_written == expected.bytes_written
 
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "method, evaluate, jacobian",
+        [
+            ("evaluate", True, False),
+            ("jacobian_matrix", False, True),
+            ("evaluate_with_jacobian", True, True),
+        ],
+    )
+    def test_point_evaluations_record_the_analytic_launches(
+        self, method, evaluate, jacobian, complex_data
+    ):
+        """Each point evaluation, an order-0 batch of one through the
+        series pass, records exactly the launches of one analytic pass."""
+        system = katsura(3)
+        point = [0.25 + 0.5j, -0.5, 0.75, 0.125] if complex_data else [0.25, -0.5, 0.75, 0.125]
+        numeric = KernelTrace("V100")
+        getattr(system, method)(point, 4, trace=numeric)
+        analytic = polynomial_evaluation_trace(
+            system.equations,
+            system.variables,
+            system.distinct_products,
+            system.max_degree,
+            system._term_slots,
+            4,
+            jacobian_slots=system._jacobian_slots if jacobian else None,
+            evaluate=evaluate,
+            complex_data=complex_data,
+        )
+
+        def launch(record):
+            return (
+                record.name,
+                record.stage,
+                record.blocks,
+                record.threads_per_block,
+                record.limbs,
+                record.tally.as_dict(),
+                record.bytes_read,
+                record.bytes_written,
+            )
+
+        assert [launch(r) for r in numeric.launches] == [
+            launch(r) for r in analytic.launches
+        ]
+
     def test_trace_tallies_equal_analytic_counts(self):
         """The trace's summed tallies agree with polynomial_counts."""
         system = katsura(3)

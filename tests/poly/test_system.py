@@ -18,6 +18,7 @@ from ..oracles.poly import (
     reference_evaluate,
     reference_evaluate_series,
     reference_jacobian,
+    unbatched_jacobian,
 )
 from ..oracles.series import ScalarSeries
 
@@ -221,7 +222,7 @@ class TestSeriesOverloads:
         assert observed == pytest.approx(expected, rel=1e-12)
         reference = scalar_oracle.newton_series(
             lambda x, t: reference_evaluate_series(system, [*x, t]),
-            system.jacobian,
+            unbatched_jacobian(system.jacobian),
             [1.0],
             6,
             2,
@@ -245,7 +246,7 @@ class TestSeriesOverloads:
             newton_series(system, [1.0], 6, 2)
         reference = scalar_oracle.newton_series(
             lambda x, t: reference_evaluate_series(system, [*x, t]),
-            system.jacobian,
+            unbatched_jacobian(system.jacobian),
             [1.0],
             6,
             2,

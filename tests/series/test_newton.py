@@ -17,11 +17,7 @@ from fractions import Fraction
 import pytest
 
 from repro.md import get_precision
-from repro.series import (
-    TruncatedSeries,
-    newton_series,
-    newton_series_quadratic,
-)
+from repro.series import newton_series
 
 ORDER = 10
 
@@ -41,12 +37,6 @@ def sqrt_system(x, t):
 def sqrt_jacobian(x0):
     x1, x2 = x0
     return [[2 * x1, 0], [x2, x1]]
-
-
-def sqrt_jacobian_series(x, t):
-    x1, x2 = x
-    zero = TruncatedSeries.zero(x1.order, x1.precision)
-    return [[x1 * 2, zero], [x2, x1]]
 
 
 def test_series_coefficients_match_exact_fractions(limbs):
@@ -82,18 +72,6 @@ def test_precision_ladder_improves_accuracy():
     assert worst[2] < worst[1] * 1e-10
     assert worst[4] < worst[2] * 1e-10
     assert worst[8] < worst[4] * 1e-10
-
-
-def test_quadratic_newton_matches_staircase(md_limbs):
-    staircase = newton_series(
-        sqrt_system, sqrt_jacobian, [1, 1], ORDER, md_limbs, tile_size=1
-    )
-    quadratic = newton_series_quadratic(
-        sqrt_system, sqrt_jacobian_series, [1, 1], ORDER, md_limbs, tile_size=1
-    )
-    tol = 256 * get_precision(md_limbs).eps
-    for i in range(2):
-        assert quadratic.series[i].allclose(staircase.series[i], tol=tol)
 
 
 def test_trace_records_one_solve_per_order():
@@ -138,19 +116,3 @@ def _unreachable_jacobian(x0):
 def test_bad_order_rejected_before_the_jacobian(order):
     with pytest.raises(ValueError, match="order"):
         newton_series(sqrt_system, _unreachable_jacobian, [1, 1], order, 2)
-
-
-@pytest.mark.parametrize("order", [-1, 2.5, True], ids=["negative", "float", "bool"])
-def test_quadratic_bad_order_rejected(order):
-    def unreachable_system(x, t):
-        raise AssertionError("the system was evaluated")
-
-    with pytest.raises(ValueError, match="order"):
-        newton_series_quadratic(
-            unreachable_system, sqrt_jacobian_series, [1, 1], order, 2
-        )
-
-
-def test_quadratic_rejects_a_complex_start():
-    with pytest.raises(ValueError, match="real systems only"):
-        newton_series_quadratic(sqrt_system, sqrt_jacobian_series, [1j, 1], 4, 2)

@@ -8,10 +8,14 @@ every system through the unbatched evaluators of ``tests/oracles/poly.py``
 (a :class:`~repro.poly.homotopy.Homotopy` through
 :func:`~tests.oracles.poly.unbatched_residual`, a
 :class:`~repro.poly.system.PolynomialSystem` through
-:func:`~tests.oracles.poly.unbatched_evaluate_series`), so neither the
-fleet's staircase nor the batched evaluator checks itself.  Every limb
-of every coefficient, the head residual and every launch record must
-agree, real and complex, at d, dd and qd.
+:func:`~tests.oracles.poly.unbatched_evaluate_series`) and takes the
+Jacobian of a system object from
+:func:`~tests.oracles.poly.unbatched_jacobian`, so neither the fleet's
+staircase nor the batched evaluator checks itself.  The library side
+passes a homotopy alone (``newton_series(homotopy, start, order)``),
+as a system object may be passed.  Every limb of every coefficient,
+the head residual and every launch record must agree, real and
+complex, at d, dd and qd.
 """
 
 from __future__ import annotations
@@ -23,7 +27,11 @@ from repro.poly import Homotopy, PolynomialSystem, cyclic
 from repro.series import TruncatedSeries, newton_series
 from repro.vec.complexmd import MDComplexArray
 
-from ..oracles.poly import unbatched_evaluate_series, unbatched_residual
+from ..oracles.poly import (
+    unbatched_evaluate_series,
+    unbatched_jacobian,
+    unbatched_residual,
+)
 from ..oracles.series import unbatched_newton_series
 
 ORDER = 6
@@ -83,11 +91,11 @@ PARAMETRIC = PolynomialSystem(
 def _homotopy_case(backend):
     homotopy = Homotopy.total_degree(cyclic(2), seed=7, backend=backend)
     start = homotopy.start_solutions()[1]
-
-    def jacobian(x0):
-        return homotopy.jacobian(x0, 0.0)
-
-    return (homotopy, jacobian, start), (unbatched_residual(homotopy), jacobian, start)
+    return (homotopy, start), (
+        unbatched_residual(homotopy),
+        unbatched_jacobian(homotopy.jacobian),
+        start,
+    )
 
 
 CASES = {
@@ -101,11 +109,15 @@ CASES = {
     ),
     "square-system": lambda: (
         (SQUARE, SQUARE.jacobian, [1.8, 0.5]),
-        (polynomial_residual(SQUARE), SQUARE.jacobian, [1.8, 0.5]),
+        (polynomial_residual(SQUARE), unbatched_jacobian(SQUARE.jacobian), [1.8, 0.5]),
     ),
     "parametric-system": lambda: (
         (PARAMETRIC, PARAMETRIC.jacobian, [1.0, 1.25]),
-        (polynomial_residual(PARAMETRIC), PARAMETRIC.jacobian, [1.0, 1.25]),
+        (
+            polynomial_residual(PARAMETRIC),
+            unbatched_jacobian(PARAMETRIC.jacobian),
+            [1.0, 1.25],
+        ),
     ),
     "homotopy-realified": lambda: _homotopy_case("realified"),
     "homotopy-complex": lambda: _homotopy_case("complex"),

@@ -183,25 +183,6 @@ def test_newton_staircase_backends_bit_identical(md_limbs, order):
     assert vectorized.head_residual == reference.head_residual
 
 
-def test_quadratic_newton_accepts_mixed_order_jacobian_entries(md_limbs):
-    """Jacobian series entries of any truncation order are padded or
-    truncated to the staircase target before the coefficient gather."""
-    from repro.series import newton_series_quadratic
-
-    def jacobian_series(x, t):
-        x1, x2 = x
-        # deliberately mixed orders: one entry padded far beyond the
-        # staircase target, scalars, and natural-order series
-        return [[x1.scale(2).pad(24), 0], [x2, x1]]
-
-    result = newton_series_quadratic(
-        sqrt_system, jacobian_series, [1, 1], 4, md_limbs, tile_size=1
-    )
-    assert result.order == 4
-    product = result.series[0].evaluate(0.25) * result.series[1].evaluate(0.25)
-    assert abs(float(product) - 1.0) < 1e-3
-
-
 def test_vector_series_on_result_matches_components(md_limbs):
     result = newton_series(sqrt_system, sqrt_jacobian, [1, 1], 6, md_limbs, tile_size=1)
     assert result.vector.dimension == 2

@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.exec.backend import get_backend
 from repro.md import MultiDouble
 from repro.vec import MDArray, MDComplexArray, linalg
+from repro.vec.complexmd import combine_product_grid
 from repro.vec import random as mdrandom
 
 
@@ -224,3 +226,90 @@ class TestRandomGenerators:
     def test_lstsq_problem_rejects_wide(self):
         with pytest.raises(ValueError):
             mdrandom.random_lstsq_problem(3, 5, 2)
+
+
+def _product_grid_cauchy(a, b, terms):
+    """The product-grid path of :func:`linalg.cauchy_product` at any
+    number of coefficients: one multiplication over the ``(terms,
+    terms)`` grid, the anti-diagonal gather and the pairwise sum (a
+    complex operand on the ``(2, 2)`` channel grid, folded by
+    :func:`combine_product_grid`)."""
+    if isinstance(a, MDComplexArray) or isinstance(b, MDComplexArray):
+        planes = []
+        for operand in (a, b):
+            if not isinstance(operand, MDComplexArray):
+                operand = MDComplexArray(operand, MDArray.zeros(operand.shape, operand.limbs))
+            planes.append(np.stack([operand.real.data, operand.imag.data], axis=1))
+        shape = planes[0].shape[:1] + (2, 2) + planes[0].shape[2:]
+        left = np.broadcast_to(planes[0][:, :, None], shape)
+        right = np.broadcast_to(planes[1][:, None, :], shape)
+        grid = _product_grid_cauchy(MDArray(left), MDArray(right), terms)
+        return combine_product_grid(grid.data)
+    products = MDArray(a.data[..., :terms, None]) * MDArray(b.data[..., None, :terms])
+    diagonals = MDArray(get_backend().gather_antidiagonals(products.data, terms))
+    return diagonals.sum(axis=diagonals.ndim - 2)
+
+
+def _special_operand(rng, limbs, terms, kind):
+    """Series of 12 components with signed zeros, infinities and NaNs
+    among the heads of the leading coefficient."""
+
+    def plane():
+        data = rng.standard_normal((limbs, 12, terms))
+        data[1:] *= 1e-17 * 2.0 ** -(52 * np.arange(limbs - 1))[:, None, None]
+        data[:, :6, 0] = 0.0
+        data[0, :6, 0] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        return MDArray(data)
+
+    if kind == "complex":
+        return MDComplexArray(plane(), plane())
+    return plane()
+
+
+class TestCauchyOneCoefficient:
+    """With one coefficient asked for, ``cauchy_product`` runs the
+    elementwise product only; it must equal the product-grid path in
+    every non-NaN bit and in where the NaNs are."""
+
+    @staticmethod
+    def assert_same_bits(ours, theirs):
+        __tracebackhide__ = True
+        assert type(ours) is type(theirs)
+        for a, b in zip(
+            (ours.real.data, ours.imag.data) if isinstance(ours, MDComplexArray) else (ours.data,),
+            (theirs.real.data, theirs.imag.data)
+            if isinstance(theirs, MDComplexArray)
+            else (theirs.data,),
+            strict=True,
+        ):
+            assert a.shape == b.shape
+            nan = np.isnan(a)
+            assert np.array_equal(nan, np.isnan(b))
+            assert np.array_equal(a.view(np.int64)[~nan], b.view(np.int64)[~nan])
+
+    @pytest.mark.parametrize(
+        "kinds", [("real", "real"), ("complex", "complex"), ("real", "complex")], ids="-".join
+    )
+    @pytest.mark.parametrize("terms", [1, 4], ids=["one-coefficient", "order-0-of-4"])
+    def test_matches_the_product_grid(self, md_limbs, kinds, terms):
+        rng = np.random.default_rng(md_limbs + 10 * terms)
+        a = _special_operand(rng, md_limbs, terms, kinds[0])
+        b = _special_operand(rng, md_limbs, terms, kinds[1])
+        with np.errstate(all="ignore"):
+            for x, y in ((a, b), (b, a), (a, a)):
+                expected = _product_grid_cauchy(x, y, 1)
+                order = 0 if terms > 1 else None
+                self.assert_same_bits(linalg.cauchy_product(x, y, order), expected)
+                assert linalg.cauchy_product(x, y, 0).shape == (12, 1)
+
+    def test_a_one_ulp_change_is_caught(self):
+        rng = np.random.default_rng(2)
+        a = _special_operand(rng, 2, 1, "real")
+        b = _special_operand(rng, 2, 1, "real")
+        data = a.data.copy()
+        data[0, 8, 0] = np.nextafter(data[0, 8, 0], np.inf)
+        with np.errstate(all="ignore"):
+            with pytest.raises(AssertionError):
+                self.assert_same_bits(
+                    linalg.cauchy_product(MDArray(data), b), _product_grid_cauchy(a, b, 1)
+                )
