@@ -1,4 +1,5 @@
-"""Fleet-wide residual evaluation vs the per-path loop on a straggler fleet.
+"""Fleet-wide residual evaluation vs the per-path loop on a straggler
+fleet, and batched step control vs the per-path scalar loop.
 
 Given a system object (:class:`~repro.poly.system.PolynomialSystem`,
 :class:`~repro.poly.homotopy.Homotopy`), ``track_paths`` expands each
@@ -42,17 +43,33 @@ measured on generic: the default fused backend speeds up the kernels
 both sides share, not the residual evaluation this benchmark isolates.
 The floor is deliberately below the measured 1.5-1.9x so it fails on
 regression, not on jitter.
+
+The second benchmark records every step-control call of the cyclic-3
+fleet (the end-to-end ``cyclic3`` workload's homotopy and tolerances,
+first 24 steps per path) and replays the sub-batches two ways: the
+fleet's batched step control (``repro.batch.fleet._control_steps``: one
+eigenvalue call per denominator degree, one denominator Horner per
+halving round, one series Horner for the noise) and the scalar oracle's
+per-path loop (``tests.oracles.step_control.control_steps``: ``np.roots``
+and scalar ``MultiDouble`` Horner sweeps per component).  Both sides
+must return the same floats bit for bit before anything is timed; they
+run on the default execution backend, the one the tracker uses.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+
+import numpy as np
 
 import harness
+from repro.batch import fleet as fleet_module
 from repro.batch import track_paths
 from repro.exec import use_backend
 from repro.obs import recording
-from repro.poly import PolynomialSystem
+from repro.poly import Homotopy, PolynomialSystem, cyclic
+from tests.oracles import step_control
 
 #: Minimum per-path-loop over fleet-wide-residuals wall-clock ratio
 #: (measured 1.5-1.9x).
@@ -193,4 +210,79 @@ def test_fleet_residuals_beat_per_path_loop_on_straggler_fleet():
     assert speedup >= FLOOR, (
         f"fleet-wide residuals {fleet_seconds:.2f} s vs per-path residuals "
         f"{per_path_seconds:.2f} s: {speedup:.2f}x under the {FLOOR}x floor"
+    )
+
+
+#: Minimum per-path-scalar-loop over batched step-control wall-clock
+#: ratio on the recorded cyclic-3 sub-batches (measured 12-19x on a
+#: 2-vCPU x86-64 VM; the floor is under half the lowest reading).
+STEP_CONTROL_FLOOR = 5.0
+
+
+def recorded_cyclic3_sub_batches(monkeypatch):
+    """Every step-control call of the cyclic-3 fleet, as
+    ``(approximants, solution, paths, states, kwargs)`` with the path
+    states frozen at the call."""
+    recorded = []
+    control = fleet_module._control_steps
+
+    def recording_control(approximants, solution, paths, states, **kwargs):
+        frozen = [
+            SimpleNamespace(t_current=state.t_current, trial_step=state.trial_step)
+            for state in states
+        ]
+        recorded.append((approximants, solution.copy(), paths, frozen, kwargs))
+        return control(approximants, solution, paths, states, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fleet_module, "_control_steps", recording_control)
+        Homotopy.total_degree(cyclic(3)).track_fleet(tol=1e-6, order=8, max_steps=24)
+    return recorded
+
+
+def test_batched_step_control_beats_per_path_scalar_loop(monkeypatch):
+    sub_batches = recorded_cyclic3_sub_batches(monkeypatch)
+
+    def batched():
+        return [
+            fleet_module._control_steps(a, s, p, states, **kw)
+            for a, s, p, states, kw in sub_batches
+        ]
+
+    def scalar():
+        return [
+            step_control.control_steps(a, s, p, states, **kw)
+            for a, s, p, states, kw in sub_batches
+        ]
+
+    # -- identical floats first (int64 views: signed zeros count) -------
+    for want, got in zip(scalar(), batched()):
+        assert np.array_equal(
+            np.array(want, dtype=np.float64).view(np.int64),
+            np.array(got, dtype=np.float64).view(np.int64),
+        )
+
+    scalar_seconds = harness.best_seconds(scalar, repeats=3)
+    batched_seconds = harness.best_seconds(batched, repeats=9)
+    speedup = scalar_seconds / batched_seconds
+    widths = [len(paths) for _, _, paths, _, _ in sub_batches]
+    harness.record(
+        "fleet",
+        "step_control_cyclic3",
+        shape=harness.problem_shape(n=6, degree=3, batch=max(widths), order=8),
+        scalar_step_control_seconds=scalar_seconds,
+        batched_step_control_seconds=batched_seconds,
+        speedup=speedup,
+        floor=STEP_CONTROL_FLOOR,
+        sub_batches=len(sub_batches),
+        path_steps=sum(widths),
+    )
+    print(
+        f"\nstep control on {len(sub_batches)} cyclic-3 sub-batches "
+        f"({sum(widths)} path attempts): scalar loop {scalar_seconds:.3f} s, "
+        f"batched {batched_seconds:.3f} s ({speedup:.2f}x, floor {STEP_CONTROL_FLOOR}x)"
+    )
+    assert speedup >= STEP_CONTROL_FLOOR, (
+        f"batched step control {batched_seconds:.3f} s vs scalar loop "
+        f"{scalar_seconds:.3f} s: {speedup:.2f}x under the {STEP_CONTROL_FLOOR}x floor"
     )

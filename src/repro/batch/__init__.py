@@ -24,12 +24,15 @@ launch scales linearly — exactly how polynomial-homotopy workloads
   :func:`~repro.batch.least_squares.batched_least_squares`, the
   combined Table 11 solver over a batch;
 * :mod:`repro.batch.pade` — :func:`~repro.batch.pade.batched_pade`,
-  all Hankel systems of a fleet solved in one batched launch sequence;
+  all Hankel systems of a fleet solved in one batched launch sequence,
+  returned as one :class:`~repro.series.pade.PadeBatch` over the
+  coefficient planes;
 * :mod:`repro.batch.fleet` — :func:`~repro.batch.fleet.track_paths`,
-  the path *fleet*: batched Newton/Padé steps with per-path adaptive
-  d → dd → qd → od escalation, handled by re-packing the active paths
-  after every sub-batch (the paths at the lowest occupied precision
-  rung advance next, finished paths leave the launches immediately).
+  the path *fleet*: batched Newton/Padé steps and batched step control
+  with per-path adaptive d → dd → qd → od escalation, handled by
+  re-packing the active paths after every sub-batch (the paths at the
+  lowest occupied precision rung advance next, finished paths leave
+  the launches immediately).
 
 The batch-aware analytic accounting lives in
 :func:`repro.perf.costmodel.batched_qr_trace` /

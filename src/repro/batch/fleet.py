@@ -29,9 +29,17 @@ one):
   ``jacobian_fleet`` call per staircase head and per polish iteration
   (the same pass at order 0); plain callables are evaluated in a
   Python loop of per-path calls, residuals and Jacobians alike;
-* step control and precision escalation (d → dd → qd → od) are
-  decided *per path*, with the step-control helpers of
-  :mod:`repro.series.tracker`.
+* step control runs on the limb planes of the whole sub-batch: the
+  pole radii of all its approximants (companion matrices grouped by
+  effective degree, one eigenvalue call per degree), the truncation
+  halving loop on a mask (one batched denominator Horner per round
+  over the paths still over budget), the precision-noise estimate (one
+  series Horner) and the predictions of the accepted paths (one
+  numerator and one denominator Horner), all on the
+  :class:`~repro.series.pade.PadeBatch` that
+  :func:`~repro.batch.pade.batched_pade` returns; only the per-path
+  decisions (step clamp, accept or escalate d → dd → qd → od, events)
+  are a Python loop.
 
 Because every batched kernel is bit-identical to a loop over its
 unbatched counterpart, each path of a fleet takes **exactly** the steps
@@ -66,29 +74,18 @@ from ..md.number import ComplexMultiDouble, MultiDouble
 from ..obs.events import get_recorder
 from ..obs.log import get_logger
 from ..obs.profile import attach_trace
-from ..series.complexvec import (
-    ComplexTruncatedSeries,
-    ComplexVectorSeries,
-    coerce_scalar,
-    evaluation_magnitudes,
-    leading_value,
-)
+from ..series.complexvec import ComplexTruncatedSeries, coerce_scalar
 from ..series.newton import (
     _coerce_jacobian,
     _coerce_residual,
     _coerce_start,
     resolve_system_arguments,
 )
-from ..series.tracker import (
-    _BUDGET_SPLIT,
-    _pole_step_cap,
-    _resolve_pole_safety,
-    PathResult,
-    PathStep,
-)
+from ..series.tracker import _BUDGET_SPLIT, _resolve_pole_safety, PathResult, PathStep
 from ..series.truncated import TruncatedSeries
-from ..series.vector import VectorSeries
+from ..series.vector import coefficient_conditions, evaluation_magnitudes
 from ..vec import batched as vb
+from ..vec import linalg
 from ..vec.complexmd import MDComplexArray, finite_mask
 from ..vec.mdarray import MDArray
 from .back_substitution import batched_back_substitution
@@ -194,7 +191,9 @@ class _PathState:
     """Mutable tracker state of one fleet member."""
 
     index: int
-    heads: list
+    #: the path's point: limb planes of element shape ``(n,)`` at the
+    #: precision of the last sub-batch it ran in
+    heads: object
     t_current: float
     trial_step: object  # float or None, as in track_path
     rung: int = 0
@@ -326,13 +325,36 @@ def track_paths(
             for heads in head_lists
         ]
 
+    # one step's predicted kernel milliseconds depend, within one call,
+    # only on the width and the rung: priced once per (width, limbs)
+    prices = {}
+
+    def step_price(width, limbs):
+        key = (width, limbs)
+        if key not in prices:
+            trace = path_fleet_trace(
+                width,
+                n,
+                order,
+                limbs,
+                tile_size=tile_size,
+                bs_tile_size=bs_tile_size,
+                numerator_degree=numerator_degree,
+                denominator_degree=denominator_degree,
+                device=device,
+                complex_data=complex_data,
+            )
+            prices[key] = model.attribute(trace).kernel_ms
+        return prices[key]
+
     fleet = PathFleetResult(device=device)
     fleet.paths = [PathResult(device=device) for _ in starts]
+    array_cls = MDComplexArray if complex_data else MDArray
     states = []
     for index, heads in enumerate(head_lists):
         state = _PathState(
             index=index,
-            heads=heads,
+            heads=array_cls.from_multidoubles(heads, prec0.limbs),
             t_current=float(t_start),
             trial_step=float(initial_step) if initial_step is not None else None,
             precisions_used=[prec0.name],
@@ -387,8 +409,7 @@ def track_paths(
                 pole_safety=pole_safety,
                 complex_data=complex_data,
                 device=device,
-                model=model,
-                path_fleet_trace=path_fleet_trace,
+                step_price=step_price,
             )
             recorder.gauge("fleet_occupancy", fleet.occupancy)
         if run_span:
@@ -437,18 +458,23 @@ def _advance_sub_batch(
     pole_safety,
     complex_data,
     device,
-    model,
-    path_fleet_trace,
+    step_price,
 ):
     """One batched step attempt for one precision sub-batch: the
     series Newton staircase (:func:`_newton_staircase`), one batched
-    Padé construction, per-path step control and the batched polish of
-    the accepted paths (:func:`_batched_newton_correct`)."""
+    Padé construction, step control over the whole sub-batch
+    (:func:`_control_steps`), the per-path decisions and the batched
+    polish of the accepted paths (:func:`_batched_newton_correct`).
+    ``step_price(width, limbs)`` prices a step of ``width`` paths."""
     prec = get_precision(ladder[rung])
     limbs = prec.limbs
     batch = len(batch_states)
+    array_cls = MDComplexArray if complex_data else MDArray
     for state in batch_states:
-        state.heads = [coerce_scalar(h, prec) for h in state.heads]
+        if state.heads.limbs != limbs:  # escalated since its last step
+            state.heads = array_cls.from_multidoubles(
+                [coerce_scalar(h, prec) for h in state.heads], limbs
+            )
     fleet.sub_batches.append(
         (fleet.rounds, prec.name, tuple(state.index for state in batch_states))
     )
@@ -470,13 +496,10 @@ def _advance_sub_batch(
         device,
         label=f"path fleet b={batch} dim={n} order={order} {prec.name}",
     )
-    array_cls = MDComplexArray if complex_data else MDArray
-    vector_cls = ComplexVectorSeries if complex_data else VectorSeries
     # the fleet-wide series expansion: element shape (batch, n, K+1),
     # heads written now, one column per solved order
     solution = array_cls.zeros((batch, n, order + 1), limbs)
-    for p, state in enumerate(batch_states):
-        solution[p, :, 0] = array_cls.from_multidoubles(state.heads, limbs)
+    solution[:, :, 0] = vb.stack([state.heads for state in batch_states])
     t_heads = [state.t_current for state in batch_states]
     head_matrices = _head_jacobians(jacobian, solution[:, :, 0], t_heads)
 
@@ -501,7 +524,7 @@ def _advance_sub_batch(
         # --------------------------------------------------------------
         # one batched Padé construction for all batch * n components
         # --------------------------------------------------------------
-        approximants_flat = batched_pade(
+        approximants = batched_pade(
             solution.reshape(batch * n, order + 1).copy(),
             numerator_degree,
             denominator_degree,
@@ -511,38 +534,43 @@ def _advance_sub_batch(
     attach_trace(expansion_span, round_trace)
     fleet.round_traces.append(round_trace)
 
-    def model_ms(width):
-        """Predicted kernel milliseconds of this step over ``width`` paths."""
-        trace = path_fleet_trace(
-            width,
-            n,
-            order,
-            limbs,
-            tile_size=tile_size,
-            bs_tile_size=bs_tile_size,
-            numerator_degree=numerator_degree,
-            denominator_degree=denominator_degree,
-            device=device,
-            complex_data=complex_data,
-        )
-        return model.attribute(trace).kernel_ms
-
-    fleet.fleet_model_ms += model_ms(batch)
+    fleet.fleet_model_ms += step_price(batch, limbs)
 
     # ------------------------------------------------------------------
-    # per-path step control
+    # step control over the whole sub-batch, on the Padé planes
+    # ------------------------------------------------------------------
+    healthy = (
+        finite_mask(solution, axis=(0, 2, 3))
+        & finite_mask(approximants.numerators.reshape(batch, -1), axis=(0, 2))
+        & finite_mask(approximants.denominators.reshape(batch, -1), axis=(0, 2))
+    )
+    live = np.flatnonzero(healthy)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        controls = _control_steps(
+            approximants,
+            solution,
+            live,
+            [batch_states[p] for p in live],
+            t_end=t_end,
+            tol=tol,
+            min_step=min_step,
+            pole_safety=pole_safety,
+            eps=prec.eps,
+        )
+    controls = dict(zip(live.tolist(), controls))
+
+    # ------------------------------------------------------------------
+    # per-path decisions
     # ------------------------------------------------------------------
     # one path's expansion attempt is priced as the fleet of one it
-    # would run as alone; the price is sub-batch-invariant (same
-    # dimension, order, precision, tiles), so compute it once
-    step_ms = model_ms(1)
+    # would run as alone
+    step_ms = step_price(1, limbs)
     accepted = []
     for p, state in enumerate(batch_states):
         result = fleet.paths[state.index]
         state.step_model_ms += step_ms
 
-        approximants = approximants_flat[p * n : (p + 1) * n]
-        if not (finite_mask(solution[p]) and _approximants_finite(approximants)):
+        if not healthy[p]:
             result.failed = True
             result.failure = (
                 "singular batched linear solve: non-finite series expansion "
@@ -565,27 +593,11 @@ def _advance_sub_batch(
             _log.warning("path %d failed: %s", state.index, result.failure)
             continue
 
-        expansion_vector = vector_cls.from_mdarray(solution[p])
-        remaining = t_end - state.t_current
-
-        # step control on the Padé truncation estimate (pole_radius
-        # shrunk by the pole_safety fraction)
-        h = min(remaining, state.trial_step) if state.trial_step else remaining
-        h = _pole_step_cap(h, approximants, pole_safety)
-        h = min(remaining, max(h, min_step))
-        truncation = max(a.error_estimate(h) for a in approximants)
-        while truncation > _BUDGET_SPLIT * tol and h > min_step:
-            h = max(h / 2.0, min_step)
-            truncation = max(a.error_estimate(h) for a in approximants)
-
-        # precision control on the coefficient-condition estimate
-        values = evaluation_magnitudes(expansion_vector.evaluate(h))
-        conditions = expansion_vector.coefficient_condition(h, values=values)
-        noise = prec.eps * float(np.max(conditions * np.maximum(values, 1.0)))
+        h, truncation, noise, pole = controls[p]
         converged = truncation <= _BUDGET_SPLIT * tol
         clean = noise <= _BUDGET_SPLIT * tol
         if (clean and converged) or rung == len(ladder) - 1:
-            accepted.append((state, approximants, h, truncation, noise))
+            accepted.append((p, state, h, truncation, noise, pole))
         else:
             reason = "precision_noise" if not clean else "truncation_stalled"
             recorder.event(
@@ -630,26 +642,23 @@ def _advance_sub_batch(
         return
 
     # ------------------------------------------------------------------
-    # advance the accepted paths (batched Newton correction)
+    # advance the accepted paths: one batched prediction, then the
+    # batched Newton correction
     # ------------------------------------------------------------------
-    new_heads_list = [
-        [a.evaluate(h) for a in approximants]
-        for state, approximants, h, _, _ in accepted
-    ]
-    t_next_list = [state.t_current + h for state, _, h, _, _ in accepted]
+    positions = np.array([p for p, *_ in accepted])
+    steps = [h for _, _, h, *_ in accepted]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        heads = approximants.evaluate(
+            np.repeat(steps, n), _component_rows(positions, n)
+        ).reshape(len(accepted), n)
+    t_next_list = [state.t_current + h for _, state, h, *_ in accepted]
     if correct:
-        new_heads_list = _batched_newton_correct(
-            system,
-            jacobian,
-            new_heads_list,
-            t_next_list,
-            prec,
-            tile_size,
-            device,
+        heads = _batched_newton_correct(
+            system, jacobian, heads, t_next_list, tile_size, device
         )
 
-    for (state, approximants, h, truncation, noise), new_heads, t_next in zip(
-        accepted, new_heads_list, t_next_list
+    for (_, state, h, truncation, noise, pole), new_heads, t_next in zip(
+        accepted, heads, t_next_list
     ):
         result = fleet.paths[state.index]
         result.steps.append(
@@ -662,7 +671,7 @@ def _advance_sub_batch(
                 precision_noise=noise,
                 escalations=state.step_escalations,
                 model_ms=state.step_model_ms,
-                point=tuple(leading_value(value) for value in new_heads),
+                point=_leading_values(new_heads),
             )
         )
         result.escalations += state.step_escalations
@@ -680,7 +689,7 @@ def _advance_sub_batch(
                 precision_noise=noise,
                 escalations=state.step_escalations,
                 model_ms=state.step_model_ms,
-                pole_radius=min(a.pole_radius() for a in approximants),
+                pole_radius=pole,
             )
             recorder.count("steps")
         state.heads = new_heads
@@ -710,6 +719,85 @@ def _advance_sub_batch(
                     result.step_count,
                     max_steps,
                 )
+
+
+def _component_rows(paths, n):
+    """The approximant rows of ``paths`` (``n`` components each, path
+    by path), as one index array."""
+    return (np.asarray(paths)[:, None] * n + np.arange(n)).ravel()
+
+
+def _control_steps(
+    approximants, solution, paths, states, *, t_end, tol, min_step, pole_safety, eps
+):
+    """Step control for the sub-batch paths ``paths`` (with their
+    ``states``), on the planes of the whole sub-batch.
+
+    ``approximants`` is the sub-batch's :class:`~repro.series.pade.PadeBatch`
+    (``n`` rows per path, path by path) and ``solution`` its series
+    expansion, element shape ``(b, n, K+1)``.  One call makes
+
+    * the pole radii of every row of ``paths`` (one eigenvalue call per
+      effective denominator degree), which cap each trial step at
+      ``pole_safety`` times the path's closest pole;
+    * the truncation estimates: one batched error estimate (one
+      denominator Horner) per halving round over the paths still over
+      budget, each path halving its own step as it would alone;
+    * the precision noise ``eps * max_i cond_i * max(|x_i(h)|, 1)``:
+      one series Horner of all paths at their steps, the coefficient
+      conditions in NumPy.
+
+    Maxima and minima over a path's components are Python ``max`` and
+    ``min`` in component order, and every float is a Python float, so a
+    path gets the values of its scalar step control.  Returns one
+    ``(h, truncation, noise, pole radius)`` tuple per path.
+    """
+    paths = np.asarray(paths)
+    count = len(paths)
+    if count == 0:
+        return []
+    n = solution.shape[1]
+    radii = approximants.pole_radii(_component_rows(paths, n)).reshape(count, n)
+    poles = [min(row) for row in radii.tolist()]
+
+    steps = []
+    for state, pole in zip(states, poles):
+        remaining = t_end - state.t_current
+        h = min(remaining, state.trial_step) if state.trial_step else remaining
+        if pole != float("inf"):
+            h = min(h, pole_safety * pole)
+        steps.append(min(remaining, max(h, min_step)))
+
+    budget = _BUDGET_SPLIT * tol
+    truncations = [0.0] * count
+    pending = list(range(count))
+    while pending:
+        estimates = approximants.error_estimates(
+            np.repeat([steps[j] for j in pending], n),
+            _component_rows(paths[pending], n),
+        )
+        over = []
+        for j, row in zip(pending, estimates.reshape(len(pending), n).tolist()):
+            truncations[j] = max(row)
+            if truncations[j] > budget and steps[j] > min_step:
+                steps[j] = max(steps[j] / 2.0, min_step)
+                over.append(j)
+        pending = over
+
+    coefficients = solution[paths]
+    values = evaluation_magnitudes(
+        linalg.horner(
+            coefficients,
+            MDArray.from_double(np.repeat(steps, n).reshape(count, n), solution.limbs),
+        )
+    )
+    complex_data = isinstance(solution, MDComplexArray)
+    series_cls = ComplexTruncatedSeries if complex_data else TruncatedSeries
+    conditions = coefficient_conditions(
+        series_cls._magnitudes(coefficients), np.abs(steps)[:, None], values
+    )
+    noises = (eps * np.max(conditions * np.maximum(values, 1.0), axis=1)).tolist()
+    return list(zip(steps, truncations, noises, poles))
 
 
 def _newton_staircase(
@@ -841,12 +929,14 @@ def _head_jacobians(jacobian, heads, t_heads):
 
 
 def _batched_newton_correct(
-    system, jacobian, heads_list, t_values, prec, tile_size, device, iterations=2
+    system, jacobian, heads, t_values, tile_size, device, iterations=2
 ):
     """Polish the predicted points of a sub-batch in lock-step.
 
-    Every polish iteration takes the Jacobians of the whole sub-batch
-    from :func:`_head_jacobians` and its residuals from
+    ``heads`` holds the predictions as limb planes of element shape
+    ``(b, n)``; the polished points come back in the same form.  Every
+    polish iteration takes the Jacobians of the whole sub-batch from
+    :func:`_head_jacobians` and its residuals from
     :func:`_residual_columns` at order 0 (one fleet-wide call each for
     a system object, a per-path loop for a plain callable) and runs the
     ``b`` least squares solves as one batched launch sequence.  Nothing
@@ -854,15 +944,7 @@ def _batched_newton_correct(
     unbatched polish (one ``lstsq`` per iteration) bit for bit — on
     complex fleets through the separated-plane complex kernels.
     """
-    limbs = prec.limbs
-    batch = len(heads_list)
-    n = len(heads_list[0])
-    from_scalars = (
-        MDComplexArray.from_multidoubles
-        if isinstance(heads_list[0][0], ComplexMultiDouble)
-        else MDArray.from_multidoubles
-    )
-    heads = vb.stack([from_scalars(list(row), limbs) for row in heads_list])
+    batch, n = heads.shape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iterations):
             matrices = _head_jacobians(jacobian, heads, t_values)
@@ -873,16 +955,19 @@ def _batched_newton_correct(
                 matrices, rhs, tile_size=tile_size, device=device
             )
             heads = heads + solve.x
-    return [list(heads[p]) for p in range(batch)]
+    return heads
 
 
-def _approximants_finite(approximants) -> bool:
-    """Whether one path's Padé approximants are all finite."""
-    return all(
-        finite_mask(approximant.numerator_array)
-        and finite_mask(approximant.denominator_array)
-        for approximant in approximants
-    )
+def _leading_values(heads) -> tuple:
+    """The leading doubles of a head row, as
+    :func:`~repro.series.complexvec.leading_value` reads each component:
+    floats, or complex numbers built from both planes' heads."""
+    if isinstance(heads, MDComplexArray):
+        return tuple(
+            complex(re, im)
+            for re, im in zip(heads.real.data[0].tolist(), heads.imag.data[0].tolist())
+        )
+    return tuple(heads.data[0].tolist())
 
 
 def _finalize(state, result, t_end) -> None:

@@ -11,7 +11,9 @@ convolution each.  It is the one Padé construction of the library:
 :func:`repro.series.pade.pade` runs it on a batch of one.  Batch slices
 never mix, so every approximant is bit-identical to the unbatched
 construction of the test oracle ``tests/oracles/series.py`` on its
-series alone.
+series alone.  The result is a :class:`~repro.series.pade.PadeBatch`
+over the construction's coefficient planes, on which the path fleet
+evaluates, estimates and caps its steps for the whole sub-batch.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..core.least_squares import resolve_tile_sizes
 from ..md.constants import get_precision
 from ..obs.profile import profiled
 from ..series.complexvec import ComplexTruncatedSeries
-from ..series.pade import PadeApproximant
+from ..series.pade import PadeBatch
 from ..series.truncated import TruncatedSeries
 from ..vec import linalg
 from ..vec.complexmd import MDComplexArray, map_planes
@@ -52,7 +54,7 @@ def batched_pade(
     tile_size=None,
     device="V100",
     trace=None,
-) -> list:
+) -> PadeBatch:
     """Construct ``[L/M]`` Padé approximants for a batch of series.
 
     Parameters
@@ -76,10 +78,12 @@ def batched_pade(
 
     Returns
     -------
-    list of :class:`~repro.series.pade.PadeApproximant`, one per series,
-    each bit-identical to the unbatched construction of its series
-    alone (their ``trace`` fields are ``None``; the batched solve owns
-    one shared trace).
+    :class:`~repro.series.pade.PadeBatch` over the coefficient planes,
+    one row per series; it indexes and iterates as
+    :class:`~repro.series.pade.PadeApproximant` values, each
+    bit-identical to the unbatched construction of its series alone
+    (their ``trace`` fields are ``None``; the batched solve owns one
+    shared trace).
     """
     if isinstance(series_batch, (MDArray, MDComplexArray)):
         if series_batch.ndim != 2:
@@ -196,19 +200,4 @@ def batched_pade(
             coefficients, denominator_array, L + M + 1
         )
 
-    approximants = []
-    for index in range(B):
-        numerator_i = numerator_array[index]
-        denominator_i = denominator_array[index]
-        approximants.append(
-            PadeApproximant(
-                numerator=tuple(numerator_i),
-                denominator=tuple(denominator_i),
-                precision=prec,
-                defect=defects.to_multidouble(index) if defects is not None else None,
-                trace=None,
-                numerator_array=numerator_i,
-                denominator_array=denominator_i,
-            )
-        )
-    return approximants
+    return PadeBatch(numerator_array, denominator_array, defects, prec)

@@ -25,10 +25,15 @@ Two a posteriori error estimates control the step:
   multiprecision adds significant value.
 
 The step loop lives in :func:`repro.batch.fleet.track_paths`, and
-:func:`track_path` is a fleet of one.  This module keeps the per-path
-records and step-control helpers; every step is priced with the
-analytic cost model as the fleet of one it runs as
-(:func:`repro.perf.costmodel.path_fleet_trace` at ``batch=1``).
+:func:`track_path` is a fleet of one.  Step control runs there on the
+limb planes of a whole sub-batch: pole radii, truncation estimates,
+precision noise and predictions come from the batch of approximants
+(:class:`repro.series.pade.PadeBatch`) in a few batched launches, and
+only the per-path decisions are a Python loop.  This module keeps the
+per-path records, the error budget split and the pole safety fraction;
+every step is priced with the analytic cost model as the fleet of one
+it runs as (:func:`repro.perf.costmodel.path_fleet_trace` at
+``batch=1``).
 """
 
 from __future__ import annotations
@@ -78,19 +83,6 @@ def _resolve_pole_safety(pole_safety) -> float:
             f"the pole safety fraction must lie in (0, 1], got {pole_safety}"
         )
     return pole_safety
-
-
-def _pole_step_cap(h, approximants, pole_safety) -> float:
-    """Cap a trial step at ``pole_safety`` times the closest Padé pole.
-
-    A constant-denominator approximant reports an infinite pole radius;
-    the cap is skipped explicitly (``inf`` would otherwise poison the
-    ``min`` with NaNs on 0 * inf style arithmetic downstream).
-    """
-    pole = min(a.pole_radius() for a in approximants)
-    if pole == float("inf"):
-        return h
-    return min(h, pole_safety * pole)
 
 
 @dataclass

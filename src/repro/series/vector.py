@@ -38,15 +38,37 @@ from ..vec.complexmd import MDComplexArray
 from ..vec.mdarray import MDArray
 from .truncated import TruncatedSeries
 
-__all__ = ["VectorSeries", "evaluation_magnitudes"]
+__all__ = ["VectorSeries", "coefficient_conditions", "evaluation_magnitudes"]
 
 
 def evaluation_magnitudes(array) -> np.ndarray:
-    """Leading-double magnitudes of an evaluated ``(n,)`` array — the
-    moduli for complex data, the absolute heads for real data."""
+    """Leading-double magnitudes of an evaluated array — the moduli for
+    complex data, the absolute heads for real data."""
     if isinstance(array, MDComplexArray):
         return np.abs(array.to_complex())
     return np.abs(array.to_double())
+
+
+def coefficient_conditions(magnitudes, t, values) -> np.ndarray:
+    """Evaluation condition numbers ``sum |c_k| t^k / |value|`` of a
+    stack of series, on leading doubles.
+
+    ``magnitudes`` holds the coefficient magnitudes along its last axis
+    (shape ``(..., K+1)``), ``t`` the nonnegative evaluation distance
+    (a float, or an array broadcasting against ``(...)``: one per
+    series) and ``values`` the evaluation magnitudes (shape ``(...)``,
+    see :func:`evaluation_magnitudes`).  A zero value reads ``inf``
+    over a nonzero sum and 1.0 over a zero one.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    absolute = np.zeros(magnitudes.shape[:-1])
+    power = 1.0
+    for k in range(magnitudes.shape[-1]):
+        absolute += magnitudes[..., k] * power
+        power = power * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = absolute / values
+    return np.where(values == 0.0, np.where(absolute > 0.0, np.inf, 1.0), ratios)
 
 
 class _VectorSeriesBase:
@@ -267,42 +289,30 @@ class _VectorSeriesBase:
     # evaluation and diagnostics
     # ------------------------------------------------------------------
     def evaluate(self, point):
-        """Batched Horner: every component evaluated at ``point`` in one
-        sweep of ``K`` vectorized multiply-adds, returning ``(n,)``."""
-        point = self._series._scalar(point, self._precision)
-        total = self.coefficient(self.order)
-        for k in range(self.order - 1, -1, -1):
-            total = total * point + self.coefficient(k)
-        return total
+        """Batched Horner (:func:`repro.vec.linalg.horner`): every
+        component evaluated at ``point`` in one sweep of ``K``
+        vectorized multiply-adds, returning ``(n,)``."""
+        return linalg.horner(
+            self._coefficients, self._series._scalar(point, self._precision)
+        )
 
     def coefficient_condition(self, point, values=None) -> np.ndarray:
         """Evaluation condition number of every component at ``point``:
         ``sum |c_k| |t|^k / |value|`` on the leading doubles of the
         coefficient magnitudes (moduli for complex data; see
         :meth:`TruncatedSeries.coefficient_condition`), for the whole
-        system at once.
+        system at once (:func:`coefficient_conditions`).
 
         ``values`` may supply the precomputed evaluation magnitudes
         (shape ``(n,)``, see :func:`evaluation_magnitudes`) so callers
         that already evaluated the system do not pay the Horner sweep
         twice.
         """
-        t = abs(float(point))
-        heads = self._series._magnitudes(self._coefficients)  # (n, K+1)
-        absolute = np.zeros(self.dimension)
-        power = 1.0
-        for k in range(self.order + 1):
-            absolute += heads[:, k] * power
-            power *= t
         if values is None:
             values = evaluation_magnitudes(self.evaluate(point))
-        out = np.empty(self.dimension)
-        for i in range(self.dimension):
-            if values[i] == 0.0:
-                out[i] = float("inf") if absolute[i] > 0.0 else 1.0
-            else:
-                out[i] = absolute[i] / values[i]
-        return out
+        return coefficient_conditions(
+            self._series._magnitudes(self._coefficients), abs(float(point)), values
+        )
 
     # ------------------------------------------------------------------
     # comparisons

@@ -40,6 +40,7 @@ __all__ = [
     "cauchy_product_reduce",
     "convolution_coefficient",
     "convolve_matvec",
+    "horner",
 ]
 
 
@@ -307,6 +308,27 @@ def convolution_coefficient(a, b, k):
     window = np.where(valid, a.data[..., np.where(valid, source, 0)], 0.0)
     products = MDArray(window) * b
     return products.sum(axis=products.ndim - 1)
+
+
+def horner(coefficients, points):
+    """A stack of polynomials, each evaluated at its own point.
+
+    ``coefficients`` holds the polynomials along its *last* element
+    axis, constant term first (element shape ``(..., d+1)``), and
+    ``points`` one point per polynomial (element shape ``(...)``) or
+    one scalar for all; a real point array meets complex coefficients
+    with an exact zero imaginary plane, as a real scalar does.  The
+    sweep is ``d`` vectorized multiply-adds ``total * point + c_k``
+    over the whole stack — the elementwise operations of a scalar
+    Horner sweep, so every value carries the bits of its polynomial
+    evaluated alone.
+    """
+    if _is_complex(coefficients) and isinstance(points, MDArray):
+        points = _coerce_complex(points, coefficients.limbs)
+    total = coefficients[..., -1].copy()
+    for k in range(coefficients.shape[-1] - 2, -1, -1):
+        total = total * points + coefficients[..., k]
+    return total
 
 
 def convolve_matvec(matrices, vectors):

@@ -13,7 +13,9 @@ The edge cases the batched execution layer must get right:
 * a **singular step** in one path (degenerate Jacobian) fails that
   path alone — its batch mates' results stay bit-identical;
 * the reference comparison itself can fail, and the reference does not
-  call the fleet it checks.
+  call the fleet it checks, nor its batched step control;
+* step control is batched per sub-batch: one denominator evaluation per
+  halving round, not one per path.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ import numpy as np
 import pytest
 
 from repro.batch import PathFleetResult, track_paths
+from repro.batch import fleet as fleet_module
 from repro.md.number import ComplexMultiDouble
 from repro.perf.costmodel import path_fleet_trace
 from repro.series import newton_series, track_path
+from repro.series.pade import PadeBatch
 from repro.series.tracker import PathResult
 
+from ..oracles import step_control
 from ..oracles.solo_tracker import solo_track_path
 
 
@@ -370,6 +375,104 @@ class TestReferenceOracle:
             homotopy.jacobian(start)
         reference = solo_track_path(homotopy, start, **kwargs)
         assert_path_matches_reference(fleet.paths[0], reference)
+
+
+    @pytest.mark.parametrize("case", ["callable", "complex homotopy"])
+    def test_oracle_does_not_call_the_batched_step_control(self, monkeypatch, case):
+        """The fleet steps through the batched Padé evaluation, error
+        estimate, pole radius, series Horner and condition estimate; the
+        reference runs the scalar step control instead."""
+        if case == "callable":
+            args, kwargs = (sqrt_system, sqrt_jacobian, [1.0]), {}
+        else:
+            from repro.poly import Homotopy, cyclic
+
+            homotopy = Homotopy.total_degree(cyclic(2), seed=7, backend="complex")
+            args = (homotopy, homotopy.start_solutions()[1])
+            kwargs = dict(tol=1e-8, order=8, max_steps=2)
+        fleet = track_paths(args[0], *args[1:-1], [args[-1]], **kwargs)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("the batched step control was called")
+
+        for name in (
+            "evaluate_numerators",
+            "evaluate_denominators",
+            "error_estimates",
+            "pole_estimates",
+            "pole_radii",
+        ):
+            monkeypatch.setattr(PadeBatch, name, broken)
+        monkeypatch.setattr("repro.vec.linalg.horner", broken)
+        monkeypatch.setattr(fleet_module, "coefficient_conditions", broken)
+        # the patches are live: the fleet and the one-path tracker hit them
+        with pytest.raises(RuntimeError, match="batched step control"):
+            track_paths(args[0], *args[1:-1], [args[-1]], **kwargs)
+        with pytest.raises(RuntimeError, match="batched step control"):
+            track_path(*args, **kwargs)
+        reference = solo_track_path(*args, **kwargs)
+        assert_path_matches_reference(fleet.paths[0], reference)
+
+
+class TestBatchedStepControl:
+    def test_one_denominator_evaluation_per_halving_round(self, monkeypatch):
+        """Each sub-batch evaluates its denominators 1 + (most halvings
+        of any of its paths) times, whatever its width; the halvings
+        come from the scalar oracle."""
+        from repro.poly import Homotopy, noon
+
+        homotopy = Homotopy.total_degree(noon(2), seed=3)
+        calls = []
+        sub_batches = []
+        evaluate = PadeBatch.evaluate_denominators
+        control = fleet_module._control_steps
+
+        def counting_evaluate(self, *args, **kwargs):
+            calls[-1] += 1
+            return evaluate(self, *args, **kwargs)
+
+        def spying_control(approximants, solution, paths, states, **kwargs):
+            n = solution.shape[1]
+            halvings = [
+                _scalar_halvings(approximants, n, p, state, **kwargs)
+                for p, state in zip(paths, states)
+            ]
+            calls.append(0)
+            result = control(approximants, solution, paths, states, **kwargs)
+            sub_batches.append((len(paths), halvings, calls[-1]))
+            return result
+
+        monkeypatch.setattr(PadeBatch, "evaluate_denominators", counting_evaluate)
+        monkeypatch.setattr(fleet_module, "_control_steps", spying_control)
+        homotopy.track_fleet(tol=1e-8, order=8, max_steps=4)
+        assert sub_batches
+        for width, halvings, evaluations in sub_batches:
+            assert evaluations == 1 + max(halvings, default=-1)
+        # the fleet is wide and its paths halve unevenly: a per-path
+        # loop would have made more evaluations than the batched rounds
+        per_path = sum(len(h) + sum(h) for _, h, _ in sub_batches)
+        batched = sum(evaluations for _, _, evaluations in sub_batches)
+        assert max(width for width, _, _ in sub_batches) > 1
+        assert any(max(h) > 0 for _, h, _ in sub_batches if h)
+        assert batched < per_path
+
+
+def _scalar_halvings(
+    approximants, n, p, state, *, t_end, tol, min_step, pole_safety, eps
+):
+    """How often the scalar step control halves path ``p``'s step."""
+    members = [approximants[p * n + i] for i in range(n)]
+    remaining = t_end - state.t_current
+    h = min(remaining, state.trial_step) if state.trial_step else remaining
+    h = step_control.pole_step_cap(h, members, pole_safety)
+    h = min(remaining, max(h, min_step))
+    count = 0
+    while h > min_step and max(
+        step_control.error_estimate(a, h) for a in members
+    ) > 0.5 * tol:
+        h = max(h / 2.0, min_step)
+        count += 1
+    return count
 
 
 class TestFleetCostModel:

@@ -14,8 +14,10 @@ Two contracts are pinned here:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.batch import fleet as fleet_module
 from repro.obs import (
     metrics_summary,
     predicted_vs_measured,
@@ -27,6 +29,8 @@ from repro.obs import (
 from repro.obs.profile import predicted_kernel_ms
 from repro.obs.report import path_timeline
 from repro.poly import Homotopy, cyclic
+
+from ..oracles.step_control import pole_radius
 
 CYCLIC2_KWARGS = dict(tol=1e-6, order=8, max_steps=12, precision_ladder=(1, 2))
 
@@ -44,13 +48,30 @@ class TestRecordingIsObserveOnly:
 
     @pytest.fixture(scope="class")
     def runs(self, homotopy):
+        """Both runs, plus each sub-batch's approximants and paths as
+        the recorded run's step control saw them."""
         reference = homotopy.track_fleet(**CYCLIC2_KWARGS)
-        with recording(label="cyclic-2 fleet") as recorder:
-            observed = homotopy.track_fleet(**CYCLIC2_KWARGS)
-        return reference, observed, recorder
+        controls = []
+        control = fleet_module._control_steps
+
+        def spying_control(approximants, solution, paths, states, **kwargs):
+            n = solution.shape[1]
+            controls.append(
+                {
+                    state.index: approximants[p * n : (p + 1) * n]
+                    for p, state in zip(paths, states)
+                }
+            )
+            return control(approximants, solution, paths, states, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fleet_module, "_control_steps", spying_control)
+            with recording(label="cyclic-2 fleet") as recorder:
+                observed = homotopy.track_fleet(**CYCLIC2_KWARGS)
+        return reference, observed, recorder, controls
 
     def test_fleet_results_bit_identical(self, runs):
-        reference, observed, _ = runs
+        reference, observed, _, _ = runs
         assert reference.batch == observed.batch
         for ref_path, obs_path in zip(reference.paths, observed.paths):
             assert ref_path.steps == obs_path.steps
@@ -63,7 +84,7 @@ class TestRecordingIsObserveOnly:
             ]
 
     def test_regrouping_and_launches_identical(self, runs):
-        reference, observed, _ = runs
+        reference, observed, _, _ = runs
         assert reference.sub_batches == observed.sub_batches
         assert reference.fleet_model_ms == observed.fleet_model_ms
         assert [launch_names(t) for t in reference.round_traces] == [
@@ -78,12 +99,27 @@ class TestRecordingIsObserveOnly:
         assert reference.final_t == observed.final_t
 
     def test_recorder_saw_the_run(self, runs):
-        _, observed, recorder = runs
+        _, observed, recorder, _ = runs
         assert recorder.counters["steps"] == sum(
             path.step_count for path in observed.paths
         )
         assert recorder.counters["sub_batches"] == len(observed.sub_batches)
         assert len(recorder.spans("track_paths", "run")) == 1
+
+    def test_step_events_carry_the_oracle_pole_radius(self, runs):
+        """Each recorded ``step`` event's ``pole_radius`` is the smallest
+        scalar-oracle pole radius of its path's approximants in that
+        round (the sub-batch's radii, reused)."""
+        _, observed, recorder, controls = runs
+        steps = recorder.events("step")
+        assert len(steps) == sum(path.step_count for path in observed.paths)
+        for event in steps:
+            members = controls[event.fields["round"] - 1][event.fields["path"]]
+            expected = min(pole_radius(a) for a in members)
+            assert type(event.fields["pole_radius"]) is float
+            assert np.float64(event.fields["pole_radius"]).view(np.int64) == np.float64(
+                expected
+            ).view(np.int64)
 
 
 class TestCyclic3FleetArtifacts:

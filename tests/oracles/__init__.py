@@ -7,6 +7,11 @@ function under test, so a bitwise comparison against it can fail.
 
 * ``solo_tracker`` — the unbatched single-path step loop, the reference
   for every path fleet (``repro.batch.fleet.track_paths``);
+* ``step_control`` — the scalar Padé evaluation (a ``MultiDouble``
+  Horner sweep), error estimate, ``np.roots`` pole radius, pole cap and
+  per-path noise estimate, the reference for the fleet's batched step
+  control (``repro.series.pade.PadeBatch``, which ``PadeApproximant``
+  runs as a batch of one); ``solo_tracker`` steps with it;
 * ``dense`` — the unbatched Householder QR, WY accumulation, tile
   inversion, tiled back substitution and least squares, the reference
   for the batched dense drivers of ``repro.batch`` (which the

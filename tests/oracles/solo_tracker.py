@@ -18,8 +18,12 @@ unbatched evaluation oracles of ``tests.oracles.poly``
 pass (:func:`~tests.oracles.poly.unbatched_jacobian`, where the fleet
 calls ``jacobian_fleet`` once per sub-batch); other callables are
 called as given.  Step control, the Padé pole cap, the noise test and
-the precision escalation follow the per-path logic of
-``repro.batch.fleet._advance_sub_batch`` decision for decision.
+the precision escalation follow the per-path decisions of
+``repro.batch.fleet._advance_sub_batch`` one path at a time, on the
+scalar step control of ``tests.oracles.step_control``: a scalar Horner
+sweep per component, the ``np.roots`` pole radius, the per-path
+halving loop and noise estimate, where the fleet runs one batched
+Horner, error estimate and eigenvalue call per sub-batch.
 
 Every batched kernel is bit-identical to a loop over its unbatched
 counterpart, so each path of a fleet must equal :func:`solo_track_path`
@@ -27,25 +31,20 @@ bit for bit: steps, escalations, model accounting, final limbs.  The
 oracle never calls the fleet (neither its staircase nor its polish) or
 :func:`~repro.batch.pade.batched_pade`, nor, on a homotopy or a plain
 residual callable, the batched series evaluator, nor any
-``jacobian_fleet``, so a bug in them cannot hide in its own reference.
+``jacobian_fleet``, nor the batched step control (``PadeBatch``,
+``repro.vec.linalg.horner``, ``coefficient_conditions``), so a bug in
+them cannot hide in its own reference.
 It records no telemetry.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.least_squares import lstsq
 from repro.md.constants import get_precision
 from repro.md.number import ComplexMultiDouble, MultiDouble
 from repro.perf.costmodel import path_fleet_trace
 from repro.perf.model import PerformanceModel
-from repro.series.complexvec import (
-    ComplexTruncatedSeries,
-    coerce_scalar,
-    evaluation_magnitudes,
-    leading_value,
-)
+from repro.series.complexvec import ComplexTruncatedSeries, coerce_scalar, leading_value
 from repro.series.newton import (
     _coerce_jacobian,
     _coerce_residual,
@@ -56,7 +55,6 @@ from repro.series.tracker import (
     _BUDGET_SPLIT,
     PathResult,
     PathStep,
-    _pole_step_cap,
     _resolve_pole_safety,
 )
 from repro.series.truncated import TruncatedSeries
@@ -65,6 +63,7 @@ from repro.vec.mdarray import MDArray
 
 from .poly import unbatched_jacobian, unbatched_residual
 from .series import _residual_column, pade, unbatched_newton_series
+from .step_control import evaluate, path_step
 
 __all__ = ["solo_track_path"]
 
@@ -181,19 +180,18 @@ def solo_track_path(
             step_model_ms += timed.kernel_ms
 
             # step control on the Padé truncation estimate, capped below
-            # the closest Padé pole
-            h = min(remaining, trial_step) if trial_step else remaining
-            h = _pole_step_cap(h, approximants, pole_safety)
-            h = min(remaining, max(h, min_step))
-            truncation = max(a.error_estimate(h) for a in approximants)
-            while truncation > _BUDGET_SPLIT * tol and h > min_step:
-                h = max(h / 2.0, min_step)
-                truncation = max(a.error_estimate(h) for a in approximants)
-
-            # precision control on the coefficient-condition estimate
-            values = evaluation_magnitudes(expansion.vector.evaluate(h))
-            conditions = expansion.vector.coefficient_condition(h, values=values)
-            noise = prec.eps * float(np.max(conditions * np.maximum(values, 1.0)))
+            # the closest Padé pole; precision control on the
+            # coefficient-condition estimate
+            h, truncation, noise, _ = path_step(
+                approximants,
+                expansion.series,
+                remaining,
+                trial_step,
+                tol=tol,
+                min_step=min_step,
+                pole_safety=pole_safety,
+                eps=prec.eps,
+            )
             converged = truncation <= _BUDGET_SPLIT * tol
             clean = noise <= _BUDGET_SPLIT * tol
             if (clean and converged) or rung == len(ladder) - 1:
@@ -205,7 +203,7 @@ def solo_track_path(
                 precisions_used.append(next_name)
 
         # advance to the predicted point
-        new_heads = [a.evaluate(h) for a in approximants]
+        new_heads = [evaluate(a, h) for a in approximants]
         t_next = t_current + h
         if correct:
             new_heads = _newton_correct(
