@@ -59,7 +59,6 @@ XP_BOUNDARY_MODULES = frozenset(
         "repro.batch.back_substitution",
         "repro.batch.pade",
         "repro.batch.fleet",
-        "repro.batch.tracing",
     }
 )
 

@@ -37,8 +37,8 @@ launch scales linearly — exactly how polynomial-homotopy workloads
 The batch-aware analytic accounting lives in
 :func:`repro.perf.costmodel.batched_qr_trace` /
 ``batched_back_substitution_trace`` / ``batched_lstsq_trace`` /
-``path_fleet_trace`` (launch-identical to the numeric drivers here)
-and :func:`repro.md.opcounts.series_counts` (``batch`` parameter);
+``path_fleet_trace`` (the dense drivers here record the first three
+for the shapes they run) and :func:`repro.md.opcounts.series_counts` (``batch`` parameter);
 ``benchmarks/bench_batched_qr.py`` measures the throughput payoff and
 asserts its floor.
 """

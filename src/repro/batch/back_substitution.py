@@ -6,7 +6,10 @@ The library's one implementation of Algorithm 1 of the paper, on a
 a batch of one): all diagonal tiles of **all** systems are inverted in
 one launch, and every stage-2 step advances all ``b`` right-hand sides
 at once.  The launch count is that of one system (flat in ``b``); the
-block counts, tallies and memory traffic scale linearly.
+block counts, tallies and memory traffic scale linearly.  The driver
+records the launches of the cost model's
+:func:`repro.perf.costmodel.batched_back_substitution_trace` for its
+shape.
 
 Per batch slice the arithmetic is bit-identical to the unbatched tile
 inversion and stage-2 loop kept as the test oracle
@@ -23,19 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import stages
-from ..core.back_substitution import (
-    BS_MULTIPLY_EFFICIENCY,
-    BS_UPDATE_EFFICIENCY,
-    TILE_INVERSION_EFFICIENCY,
-)
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..obs.profile import profiled
 from ..vec import batched as vb
 from ..vec.complexmd import MDComplexArray, finite_mask
 from ..vec.mdarray import MDArray
-from .tracing import add_batched_launch
 
 __all__ = [
     "BatchedBackSubstitutionResult",
@@ -114,7 +109,11 @@ def batched_back_substitution(
     Algorithm 1; parameters mirror the unbatched driver, ``matrices``
     and ``rhs`` carry one extra leading batch axis.  Complex matrices
     take real or complex right-hand sides; real matrices need real
-    ones."""
+    ones.  The launches are those of
+    :func:`repro.perf.costmodel.batched_back_substitution_trace`,
+    appended to ``trace`` (a new trace by default)."""
+    from ..perf.costmodel import batched_back_substitution_trace
+
     batch, dim = _check_inputs(matrices, rhs)
     if tile_size <= 0 or dim % tile_size != 0:
         raise ValueError(f"tile size {tile_size} must divide the dimension {dim}")
@@ -137,19 +136,6 @@ def batched_back_substitution(
             inverses.append(
                 batched_invert_upper_triangular(matrices[:, lo:hi, lo:hi])
             )
-        add_batched_launch(
-            trace,
-            batch,
-            "invert_tiles",
-            stages.STAGE_INVERT_TILES,
-            blocks=tiles,
-            threads_per_block=n,
-            limbs=limbs,
-            tally=stages.tally_tile_inverse(n, complex_data).scaled(tiles),
-            bytes_read=md_bytes(tiles * n * n, limbs, complex_data),
-            bytes_written=md_bytes(tiles * n * n, limbs, complex_data),
-            efficiency=TILE_INVERSION_EFFICIENCY,
-        )
 
         # --------------------------------------------------------------
         # stage 2: back substitution over the tiles
@@ -167,39 +153,16 @@ def batched_back_substitution(
             # x_i := U_i^{-1} b_i for every system, one block each
             xi = vb.batched_matvec(inverses[i], b[:, lo:hi])
             x[:, lo:hi] = xi
-            add_batched_launch(
-                trace,
-                batch,
-                "multiply_inverse",
-                stages.STAGE_MULTIPLY_INVERSE,
-                blocks=1,
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_matvec(n, n, complex_data),
-                bytes_read=md_bytes(n * n + n, limbs, complex_data),
-                bytes_written=md_bytes(n, limbs, complex_data),
-                efficiency=BS_MULTIPLY_EFFICIENCY,
-            )
             # b_j := b_j - A_{j,i} x_i for all j < i, one launch
             if i > 0:
                 for j in range(i):
                     jlo, jhi = j * n, (j + 1) * n
                     update = vb.batched_matvec(matrices[:, jlo:jhi, lo:hi], xi)
                     b[:, jlo:jhi] = b[:, jlo:jhi] - update
-                add_batched_launch(
-                    trace,
-                    batch,
-                    "update_rhs",
-                    stages.STAGE_BACK_SUBSTITUTION,
-                    blocks=i,
-                    threads_per_block=n,
-                    limbs=limbs,
-                    tally=stages.tally_update_rhs(n, complex_data).scaled(i),
-                    bytes_read=md_bytes(i * (n * n + 2 * n), limbs, complex_data),
-                    bytes_written=md_bytes(i * n, limbs, complex_data),
-                    efficiency=BS_UPDATE_EFFICIENCY,
-                )
 
+    trace.extend(
+        batched_back_substitution_trace(batch, tiles, n, limbs, device, complex_data)
+    )
     return BatchedBackSubstitutionResult(x=x, trace=trace, tile_size=n, tiles=tiles)
 
 

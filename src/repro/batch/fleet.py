@@ -65,10 +65,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import stages
-from ..core.least_squares import STAGE_APPLY_QT, resolve_tile_sizes
+from ..core.least_squares import resolve_tile_sizes
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..md.constants import get_precision
 from ..md.number import ComplexMultiDouble, MultiDouble
 from ..obs.events import get_recorder
@@ -92,7 +90,6 @@ from .back_substitution import batched_back_substitution
 from .least_squares import batched_least_squares
 from .pade import batched_pade
 from .qr import batched_blocked_qr
-from .tracing import add_batched_launch
 
 __all__ = ["PathFleetResult", "track_paths"]
 
@@ -827,6 +824,8 @@ def _newton_staircase(
     :func:`track_paths` runs it per sub-batch and
     :func:`repro.series.newton.newton_series` as a batch of one.
     """
+    from ..perf.costmodel import _apply_qt_launch
+
     batch, n, terms = solution.shape
     limbs = solution.limbs
     complex_data = isinstance(solution, MDComplexArray)
@@ -844,17 +843,8 @@ def _newton_staircase(
             device=device,
         )
         qhb = vb.batched_matvec(q_conjugate, rhs)
-        add_batched_launch(
-            trace,
-            batch,
-            "apply_qt",
-            STAGE_APPLY_QT,
-            blocks=max(1, stages.ceil_div(n, tile_size)),
-            threads_per_block=tile_size,
-            limbs=limbs,
-            tally=stages.tally_matvec(n, n, complex_data),
-            bytes_read=md_bytes(n * n + n, limbs, complex_data),
-            bytes_written=md_bytes(n, limbs, complex_data),
+        trace.record(
+            _apply_qt_launch(n, tile_size, limbs, complex_data).batched(batch)
         )
         bs = batched_back_substitution(
             uppers, qhb[:, :n], bs_tile_size, device=device, trace=trace

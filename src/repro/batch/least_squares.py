@@ -16,17 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import stages
-from ..core.least_squares import STAGE_APPLY_QT, resolve_tile_sizes
+from ..core.least_squares import resolve_tile_sizes
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..obs.profile import profiled
 from ..vec import batched as vb
 from ..vec.complexmd import MDComplexArray, finite_mask
 from ..vec.mdarray import MDArray
 from .back_substitution import _check_rhs, batched_back_substitution
 from .qr import batched_blocked_qr
-from .tracing import add_batched_launch
 
 __all__ = ["BatchedLeastSquaresResult", "batched_least_squares", "batched_solve"]
 
@@ -78,6 +75,8 @@ def batched_least_squares(
     system alone bit for bit.  A complex right-hand side needs a
     complex matrix; both must share the precision.
     """
+    from ..perf.costmodel import _apply_qt_launch
+
     if matrices.ndim != 3:
         raise ValueError("batched_least_squares expects a (b, rows, cols) batch")
     batch, rows, cols = matrices.shape
@@ -93,17 +92,8 @@ def batched_least_squares(
         device, label=f"batched least squares back substitution b={batch} dim={cols}"
     )
     qhb = vb.batched_apply_qt(qr.Q, rhs)
-    add_batched_launch(
-        bs_trace,
-        batch,
-        "apply_qt",
-        STAGE_APPLY_QT,
-        blocks=max(1, -(-rows // tile_size)),
-        threads_per_block=tile_size,
-        limbs=matrices.limbs,
-        tally=stages.tally_matvec(rows, rows, complex_data),
-        bytes_read=md_bytes(rows * rows + rows, matrices.limbs, complex_data),
-        bytes_written=md_bytes(rows, matrices.limbs, complex_data),
+    bs_trace.record(
+        _apply_qt_launch(rows, tile_size, matrices.limbs, complex_data).batched(batch)
     )
 
     uppers = qr.R[:, :cols, :cols]

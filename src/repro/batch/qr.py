@@ -7,7 +7,9 @@ of one): every stage — Householder vectors, panel updates, WY
 accumulation, ``Q``/trailing-column updates — runs as **one**
 vectorized limb operation over all ``b`` systems, so the kernel launch
 count is flat in the batch size while the work per launch scales
-linearly (the launch records say exactly that).
+linearly.  The driver records the launches of the cost model's
+:func:`repro.perf.costmodel.batched_qr_trace` for its shape: the one
+description of Algorithm 2's launch geometry, tallies and traffic.
 
 The arithmetic per batch slice is bit-identical to the unbatched panel
 loop kept as the test oracle ``tests/oracles/dense.py``: the batched
@@ -31,14 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import stages
 from ..gpu.kernel import KernelTrace
-from ..gpu.memory import md_bytes
 from ..obs.profile import profiled
 from ..vec import batched as vb
 from ..vec.complexmd import MDComplexArray, finite_mask
 from ..vec.mdarray import MDArray
-from .tracing import add_batched_launch
 
 __all__ = ["BatchedQRResult", "batched_blocked_qr"]
 
@@ -85,8 +84,12 @@ def batched_blocked_qr(matrices, tile_size, device="V100", trace=None) -> Batche
     Parameters mirror :func:`repro.core.blocked_qr.blocked_qr`;
     ``matrices`` carries one extra leading batch axis.  Each batch
     slice of the result is bit-identical to factoring the corresponding
-    matrix alone.
+    matrix alone.  The launches are those of
+    :func:`repro.perf.costmodel.batched_qr_trace`, appended to
+    ``trace`` (a new trace by default).
     """
+    from ..perf.costmodel import batched_qr_trace
+
     batch, rows, cols = _check_batch(matrices)
     n = tile_size
     if n <= 0 or cols % n != 0:
@@ -116,55 +119,17 @@ def batched_blocked_qr(matrices, tile_size, device="V100", trace=None) -> Batche
                 length = rows - j
                 column = R[:, j:rows, j]  # (b, length)
                 v, beta, _ = vb.batched_householder_vector(column)
-                add_batched_launch(
-                    trace,
-                    batch,
-                    "householder",
-                    stages.STAGE_BETA_V,
-                    blocks=max(1, -(-length // n)),
-                    threads_per_block=n,
-                    limbs=limbs,
-                    tally=stages.tally_householder_vector(length, complex_data),
-                    bytes_read=md_bytes(length, limbs, complex_data),
-                    bytes_written=md_bytes(length + 1, limbs, complex_data),
-                )
 
                 # t = beta * (panel block)^H v   (stage beta*R^T*v)
-                panel_cols = col0 + n - j
-                block = R[:, j:rows, j : col0 + n]  # (b, length, panel_cols)
+                block = R[:, j:rows, j : col0 + n]  # (b, length, col0 + n - j)
                 t = vb.batched_matvec(
                     vb.batched_transpose(block),
                     v.conj() if complex_data else v,
                 )
                 w = t * beta.reshape(batch, 1)
-                add_batched_launch(
-                    trace,
-                    batch,
-                    "beta_rtv",
-                    stages.STAGE_BETA_RTV,
-                    blocks=max(1, -(-length // n)),
-                    threads_per_block=n,
-                    limbs=limbs,
-                    tally=stages.tally_matvec(panel_cols, length, complex_data)
-                    + stages.tally_matvec(panel_cols, 1, complex_data),
-                    bytes_read=md_bytes(length * panel_cols + length, limbs, complex_data),
-                    bytes_written=md_bytes(panel_cols, limbs, complex_data),
-                )
 
                 # rank-1 update of the panel (stage update R)
                 R[:, j:rows, j : col0 + n] = block - vb.batched_outer(v, w)
-                add_batched_launch(
-                    trace,
-                    batch,
-                    "update_r",
-                    stages.STAGE_UPDATE_R,
-                    blocks=max(1, panel_cols),
-                    threads_per_block=n,
-                    limbs=limbs,
-                    tally=stages.tally_rank1_update(length, panel_cols, complex_data),
-                    bytes_read=md_bytes(length * panel_cols + length + panel_cols, limbs, complex_data),
-                    bytes_written=md_bytes(length * panel_cols, limbs, complex_data),
-                )
 
                 # the reflector annihilates the subdiagonal of column j exactly
                 if length > 1:
@@ -188,94 +153,29 @@ def batched_blocked_qr(matrices, tile_size, device="V100", trace=None) -> Batche
             # ----------------------------------------------------------
             # 2. aggregate the panel reflectors: W, Y and YWT = Y W^H
             # ----------------------------------------------------------
-            W, Y = _batched_accumulate_wy(
-                vectors, betas, trace=trace, batch=batch, threads_per_block=n,
-                complex_data=complex_data,
-            )
+            W, Y = _batched_accumulate_wy(vectors, betas)
             YWT = vb.batched_matmul(Y, vb.batched_conjugate_transpose(W))
-            add_batched_launch(
-                trace,
-                batch,
-                "ywt",
-                stages.STAGE_YWT,
-                blocks=max(1, -(-(r * r) // n)),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_matmul(r, n, r, complex_data),
-                bytes_read=md_bytes(2 * r * n, limbs, complex_data),
-                bytes_written=md_bytes(r * r, limbs, complex_data),
-            )
 
             # ----------------------------------------------------------
             # 3. update Q in two stages: QWY := Q * WY^H, then Q += QWY
             # ----------------------------------------------------------
             WYH = vb.batched_conjugate_transpose(YWT)
             QWY = vb.batched_matmul(Q[:, :, col0:rows], WYH)
-            add_batched_launch(
-                trace,
-                batch,
-                "q_wyt",
-                stages.STAGE_QWYT,
-                blocks=max(1, -(-(rows * r) // n)),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_matmul(rows, r, r, complex_data),
-                bytes_read=md_bytes(rows * r + r * r, limbs, complex_data),
-                bytes_written=md_bytes(rows * r, limbs, complex_data),
-            )
             Q[:, :, col0:rows] = Q[:, :, col0:rows] + QWY
-            add_batched_launch(
-                trace,
-                batch,
-                "q_add",
-                stages.STAGE_Q_ADD,
-                blocks=max(1, -(-(rows * r) // n)),
-                threads_per_block=n,
-                limbs=limbs,
-                tally=stages.tally_matrix_add(rows, r, complex_data),
-                bytes_read=md_bytes(2 * rows * r, limbs, complex_data),
-                bytes_written=md_bytes(rows * r, limbs, complex_data),
-            )
 
             # ----------------------------------------------------------
             # 4. update the trailing columns: YWTC := YWT * C, then R += YWTC
             # ----------------------------------------------------------
             if k < tiles - 1:
-                c = cols - (col0 + n)
                 C = R[:, col0:rows, col0 + n : cols]
                 YWTC = vb.batched_matmul(YWT, C)
-                add_batched_launch(
-                    trace,
-                    batch,
-                    "ywt_c",
-                    stages.STAGE_YWTC,
-                    blocks=max(1, -(-(r * c) // n)),
-                    threads_per_block=n,
-                    limbs=limbs,
-                    tally=stages.tally_matmul(r, r, c, complex_data),
-                    bytes_read=md_bytes(r * r + r * c, limbs, complex_data),
-                    bytes_written=md_bytes(r * c, limbs, complex_data),
-                )
                 R[:, col0:rows, col0 + n : cols] = C + YWTC
-                add_batched_launch(
-                    trace,
-                    batch,
-                    "r_add",
-                    stages.STAGE_R_ADD,
-                    blocks=max(1, -(-(r * c) // n)),
-                    threads_per_block=n,
-                    limbs=limbs,
-                    tally=stages.tally_matrix_add(r, c, complex_data),
-                    bytes_read=md_bytes(2 * r * c, limbs, complex_data),
-                    bytes_written=md_bytes(r * c, limbs, complex_data),
-                )
 
+    trace.extend(batched_qr_trace(batch, rows, cols, n, limbs, device, complex_data))
     return BatchedQRResult(Q=Q, R=R, trace=trace, tile_size=n, tiles=tiles)
 
 
-def _batched_accumulate_wy(
-    vectors, betas, *, trace, batch, threads_per_block, complex_data=False
-):
+def _batched_accumulate_wy(vectors, betas):
     """WY accumulation over the batch (formula 16, one launch per column).
 
     Aggregates the panel reflectors into ``P_1 ... P_n = I + W Y^H``
@@ -285,9 +185,10 @@ def _batched_accumulate_wy(
     data); each slice is bit-identical to the unbatched accumulation
     of the test oracle ``tests/oracles/dense.py``.
     """
-    r = vectors[0].shape[1]
+    batch, r = vectors[0].shape
     n = len(vectors)
     limbs = vectors[0].limbs
+    complex_data = isinstance(vectors[0], MDComplexArray)
     make_zeros = MDComplexArray.zeros if complex_data else MDArray.zeros
     W = make_zeros((batch, r, n), limbs)
     Y = make_zeros((batch, r, n), limbs)
@@ -304,18 +205,6 @@ def _batched_accumulate_wy(
             wyhv = vb.batched_matvec(W[:, :, :l], yhv)
             z = -((v + wyhv) * beta_column)
         W[:, :, l] = z
-        add_batched_launch(
-            trace,
-            batch,
-            "compute_w_column",
-            stages.STAGE_COMPUTE_W,
-            blocks=max(1, -(-r // threads_per_block)),
-            threads_per_block=threads_per_block,
-            limbs=limbs,
-            tally=stages.tally_compute_w_column(r, l, complex_data),
-            bytes_read=md_bytes(r * (2 * l + 1), limbs, complex_data),
-            bytes_written=md_bytes(r, limbs, complex_data),
-        )
     return W, Y
 
 

@@ -123,9 +123,8 @@ def resolve_tile_sizes(cols: int, tile_size=None, bs_tile_size=None) -> tuple:
     """Resolve the QR panel width and back substitution tile defaults.
 
     The single source of the default rule shared by :func:`lstsq`, the
-    series solvers (:mod:`repro.series`) and their analytic cost-model
-    twins (:mod:`repro.perf.costmodel`) — keeping it in one place is
-    what preserves the launch-identical numeric/analytic contract.
+    series solvers (:mod:`repro.series`) and the analytic cost model
+    (:mod:`repro.perf.costmodel`), whose traces the drivers record.
     A given tile size must be a positive integer (``ValueError``
     otherwise); whether it divides ``cols`` is left to the drivers.
     """

@@ -1,5 +1,4 @@
-"""Stage names and operation-tally formulas shared by the numeric and
-analytic execution paths.
+"""Stage names and operation-tally formulas of the kernel launches.
 
 The paper's tables break the runtime of Algorithm 1 (tiled back
 substitution) and Algorithm 2 (blocked Householder QR) into named
@@ -8,10 +7,13 @@ functions give the multiple double operation counts of the standard
 kernels (matrix-vector product, matrix-matrix product, rank-1 update,
 triangular-tile inversion, ...) as a function of the problem shape.
 
-Both the numeric drivers in :mod:`repro.core` and the paper-scale
-analytic cost model in :mod:`repro.perf.costmodel` obtain their kernel
-tallies from these same functions, which is what guarantees (and lets
-the tests assert) that the two paths agree exactly on operation counts.
+The analytic cost model in :mod:`repro.perf.costmodel` builds every
+launch's tally from these functions, and the numeric drivers record the
+model's traces, so each launch is described once.  The unbatched test
+oracle ``tests/oracles/dense.py`` describes the same launches inline
+from the same formulas; comparing the model with it checks which
+formula each launch applies to which shape, while the formulas
+themselves are shared by both.
 """
 
 from __future__ import annotations

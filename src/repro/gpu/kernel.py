@@ -9,13 +9,12 @@ double operation tally and the global memory traffic — and a
 the per-stage breakdown that the paper's tables report
 (``β,v``, ``βRᵀ⋆v``, ``update R``, ``compute W``, ...).
 
-The same trace type is filled both by the *numeric* execution path
-(:mod:`repro.core`, which really performs the arithmetic on
-:class:`~repro.vec.mdarray.MDArray` data) and by the *analytic* cost
-model (:mod:`repro.perf.costmodel`, which only generates the records at
-paper-scale dimensions); the test-suite checks that both agree exactly
-on the operation counts for dimensions where the numeric path is
-feasible.
+The launches are built in one place, the analytic cost model
+(:mod:`repro.perf.costmodel`), from the problem shape alone: it prices
+the paper's experiments at full scale, and the numeric drivers
+(:mod:`repro.batch`, :mod:`repro.series`, which really perform the
+arithmetic on :class:`~repro.vec.mdarray.MDArray` data) record its
+traces for the shapes they run.
 """
 
 from __future__ import annotations
@@ -72,12 +71,10 @@ class KernelLaunch:
 
         The grid grows by the batch factor (``batch`` times the blocks,
         same threads per block), and the tally and memory traffic scale
-        linearly — while it remains **one** launch.  This is the
-        transform the batched drivers of :mod:`repro.batch` apply to the
-        unbatched launch records, and the one
-        :meth:`KernelTrace.batched` applies to whole analytic traces;
-        sharing it is what keeps the numeric and analytic batched paths
-        launch-identical.
+        linearly — while it remains **one** launch.  The batched traces
+        of :mod:`repro.perf.costmodel` (``batched_qr_trace`` and the
+        others), which the batched drivers of :mod:`repro.batch` record,
+        apply it through :meth:`KernelTrace.batched`.
         """
         return KernelLaunch(
             name=self.name,

@@ -1,12 +1,11 @@
 """Wall-clock profiling hooks aligned with the analytic cost model.
 
-The library's drivers already describe their kernel work twice: the
-*numeric* path records every launch it performs into a
-:class:`~repro.gpu.kernel.KernelTrace`, and the *analytic* cost model
-(:mod:`repro.perf.costmodel`) generates launch-identical traces that
+The library's drivers record their kernel work in a
+:class:`~repro.gpu.kernel.KernelTrace`: the launches of the analytic
+cost model (:mod:`repro.perf.costmodel`) for the shapes they run, which
 the :class:`~repro.perf.model.PerformanceModel` prices in simulated
-milliseconds.  What was missing is the third column: what a run
-*actually* cost on the host.
+milliseconds.  What the trace cannot tell is what a run *actually*
+cost on the host.
 
 :func:`profiled` wraps a driver boundary so that — when a recorder is
 active — every call records a stage span carrying **both**

@@ -1,14 +1,17 @@
-"""Analytic kernel traces at paper-scale dimensions.
+"""Analytic kernel traces: the one description of every kernel launch.
 
-The numeric drivers of :mod:`repro.core` execute the multiple double
-arithmetic for real, which in Python is only feasible up to a few
-hundred rows.  The paper's experiments run at dimensions up to 20,480;
-for those, the functions below generate *exactly the same kernel
-launches* — same stages, same launch geometry, same operation tallies
-(taken from :mod:`repro.core.stages`), same byte counts — without
-touching any matrix data.  The test-suite verifies that, for dimensions
-where both paths are feasible, the analytic trace and the numeric trace
-agree launch by launch.
+Each function below generates the kernel launches of one numeric
+driver — its stages, launch geometry, operation tallies (taken from
+:mod:`repro.core.stages`) and byte counts — from the problem shape
+alone, without touching any matrix data.  The numeric drivers record
+exactly these traces for the shapes they run
+(:func:`repro.batch.qr.batched_blocked_qr` records
+:func:`batched_qr_trace`, and so on), so a launch is described once;
+the same functions price the paper's experiments at dimensions up to
+20,480, far beyond what the Python arithmetic can execute.  The
+test-suite checks the model against an independent description, the
+inline launch records of the unbatched test oracle
+``tests/oracles/dense.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from ..core.back_substitution import (
     BS_UPDATE_EFFICIENCY,
     TILE_INVERSION_EFFICIENCY,
 )
-from ..core.least_squares import STAGE_APPLY_QT, _default_tile_size, resolve_tile_sizes
-from ..gpu.kernel import KernelTrace
+from ..core.least_squares import STAGE_APPLY_QT, resolve_tile_sizes
+from ..gpu.kernel import KernelLaunch, KernelTrace
 from ..gpu.memory import md_bytes
 
 __all__ = [
@@ -44,12 +47,31 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def qr_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False, trace=None):
-    """Analytic trace of Algorithm 2 (blocked Householder QR).
+def _apply_qt_launch(rows, tile_size, limbs, complex_data=False) -> KernelLaunch:
+    """The ``Q^H b`` product that links a QR factorization of height
+    ``rows`` to its triangular solve, one unbatched launch.
 
-    Mirrors :func:`repro.core.blocked_qr.blocked_qr` launch for launch,
-    that is :func:`repro.batch.qr.batched_blocked_qr` at batch 1.
+    The least squares and series traces below and the batched drivers
+    (:func:`repro.batch.least_squares.batched_least_squares`, the
+    fleet's Newton staircase) all take this launch from here.  It stays
+    private: every public ``*_trace`` function is a driver's twin.
     """
+    return KernelLaunch(
+        name="apply_qt",
+        stage=STAGE_APPLY_QT,
+        blocks=max(1, _ceil_div(rows, tile_size)),
+        threads_per_block=int(tile_size),
+        limbs=limbs,
+        tally=stages.tally_matvec(rows, rows, complex_data),
+        bytes_read=float(md_bytes(rows * rows + rows, limbs, complex_data)),
+        bytes_written=float(md_bytes(rows, limbs, complex_data)),
+    )
+
+
+def qr_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False, trace=None):
+    """Analytic trace of Algorithm 2 (blocked Householder QR): the
+    launches :func:`repro.core.blocked_qr.blocked_qr` records, that is
+    :func:`repro.batch.qr.batched_blocked_qr` at batch 1."""
     if rows < cols:
         raise ValueError("expected rows >= cols")
     n = tile_size
@@ -175,12 +197,11 @@ def qr_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False, tr
 
 
 def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data=False, trace=None):
-    """Analytic trace of Algorithm 1 (tiled back substitution).
-
-    Mirrors :func:`repro.core.back_substitution.tiled_back_substitution`,
-    that is :func:`repro.batch.back_substitution.batched_back_substitution`
-    at batch 1.
-    """
+    """Analytic trace of Algorithm 1 (tiled back substitution): the
+    launches :func:`repro.core.back_substitution.tiled_back_substitution`
+    records, that is
+    :func:`repro.batch.back_substitution.batched_back_substitution` at
+    batch 1."""
     n = tile_size
     if n <= 0 or tiles <= 0:
         raise ValueError("tiles and tile size must be positive")
@@ -225,28 +246,23 @@ def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data
     return trace
 
 
-def lstsq_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False):
+def lstsq_trace(
+    rows, cols, tile_size, limbs, device="V100", complex_data=False, bs_tile_size=None
+):
     """Analytic traces of the least squares solver (QR trace, BS trace).
 
-    Mirrors :func:`repro.core.least_squares.lstsq`, that is
+    The launches of :func:`repro.core.least_squares.lstsq`, that is
     :func:`repro.batch.least_squares.batched_least_squares` at batch 1:
     the back substitution trace includes the ``Q^H b`` product that
-    links the two phases.
+    links the two phases.  The tile sizes resolve as the solver
+    resolves them (:func:`repro.core.least_squares.resolve_tile_sizes`).
     """
+    tile_size, bs_tile_size = resolve_tile_sizes(cols, tile_size, bs_tile_size)
     qr = qr_trace(rows, cols, tile_size, limbs, device, complex_data)
     bs = KernelTrace(device, label=f"least squares BS model dim={cols}")
-    bs.add(
-        "apply_qt",
-        STAGE_APPLY_QT,
-        blocks=max(1, _ceil_div(rows, tile_size)),
-        threads_per_block=tile_size,
-        limbs=limbs,
-        tally=stages.tally_matvec(rows, rows, complex_data),
-        bytes_read=md_bytes(rows * rows + rows, limbs, complex_data),
-        bytes_written=md_bytes(rows, limbs, complex_data),
-    )
+    bs.record(_apply_qt_launch(rows, tile_size, limbs, complex_data))
     back_substitution_trace(
-        cols // tile_size, tile_size, limbs, device, complex_data, trace=bs
+        cols // bs_tile_size, bs_tile_size, limbs, device, complex_data, trace=bs
     )
     return qr, bs
 
@@ -268,11 +284,6 @@ def problem_bytes(rows, cols, limbs, complex_data=False, with_q=True) -> float:
 # power series / Padé / path tracking workloads (repro.series)
 # ---------------------------------------------------------------------------
 
-#: The tile defaults of the series solvers are the numeric drivers'
-#: own rule — sharing it is what keeps the traces launch-identical.
-_series_tiles = resolve_tile_sizes
-
-
 def matrix_series_trace(
     dimension,
     order,
@@ -287,8 +298,8 @@ def matrix_series_trace(
 ):
     """Analytic trace of a linearized block Toeplitz series solve.
 
-    Mirrors :func:`repro.series.matrix_series.solve_matrix_series`
-    launch for launch: one blocked QR of the head matrix, then
+    The launches :func:`repro.series.matrix_series.solve_matrix_series`
+    records: one blocked QR of the head matrix, then
 
     * for a **constant head** (``matrix_terms == 1``), whose orders
       decouple, one *batched* ``Q^H B`` matrix-matrix launch over the
@@ -301,7 +312,7 @@ def matrix_series_trace(
     ``matrix_terms`` is the number of matrix series coefficients.
     """
     n = dimension
-    tile_size, bs_tile_size = _series_tiles(n, tile_size, bs_tile_size)
+    tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
     if trace is None:
         trace = KernelTrace(
             device, label=f"matrix series model dim={n} order={order}"
@@ -336,16 +347,7 @@ def matrix_series_trace(
                 bytes_read=md_bytes(terms * (n * n + n) + n, limbs, complex_data),
                 bytes_written=md_bytes(n, limbs, complex_data),
             )
-        trace.add(
-            "apply_qt",
-            STAGE_APPLY_QT,
-            blocks=max(1, _ceil_div(n, tile_size)),
-            threads_per_block=tile_size,
-            limbs=limbs,
-            tally=stages.tally_matvec(n, n, complex_data),
-            bytes_read=md_bytes(n * n + n, limbs, complex_data),
-            bytes_written=md_bytes(n, limbs, complex_data),
-        )
+        trace.record(_apply_qt_launch(n, tile_size, limbs, complex_data))
         back_substitution_trace(
             n // bs_tile_size, bs_tile_size, limbs, device, complex_data, trace=trace
         )
@@ -365,9 +367,9 @@ def newton_series_trace(
 ):
     """Analytic trace of the order-by-order series Newton staircase.
 
-    Mirrors :func:`repro.series.newton.newton_series`: one blocked QR of
-    the Jacobian head, then one ``Q^H r`` product and one tiled back
-    substitution per series order ``1 .. order``.  The residual
+    The launches :func:`repro.series.newton.newton_series` records: one
+    blocked QR of the Jacobian head, then one ``Q^H r`` product and one
+    tiled back substitution per series order ``1 .. order``.  The residual
     evaluations run in the vectorized limb-major series arithmetic on
     the host side of the simulation; their multiple double operation
     and launch counts are catalogued separately by
@@ -378,23 +380,14 @@ def newton_series_trace(
     sequence stays identical, only the tallies and bytes grow.
     """
     n = dimension
-    tile_size, bs_tile_size = _series_tiles(n, tile_size, bs_tile_size)
+    tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
     if trace is None:
         trace = KernelTrace(
             device, label=f"newton series model dim={n} order={order}"
         )
     qr_trace(n, n, tile_size, limbs, device, complex_data=complex_data, trace=trace)
     for _ in range(order):
-        trace.add(
-            "apply_qt",
-            STAGE_APPLY_QT,
-            blocks=max(1, _ceil_div(n, tile_size)),
-            threads_per_block=tile_size,
-            limbs=limbs,
-            tally=stages.tally_matvec(n, n, complex_data),
-            bytes_read=md_bytes(n * n + n, limbs, complex_data),
-            bytes_written=md_bytes(n, limbs, complex_data),
-        )
+        trace.record(_apply_qt_launch(n, tile_size, limbs, complex_data))
         back_substitution_trace(
             n // bs_tile_size, bs_tile_size, limbs, device, complex_data, trace=trace
         )
@@ -413,8 +406,8 @@ def pade_trace(
 ):
     """Analytic trace of one ``[L/M]`` Padé construction.
 
-    Mirrors :func:`repro.series.pade.pade`: the ``M``-by-``M`` Hankel
-    system is solved with the least squares solver (QR plus back
+    The launches of :func:`repro.series.pade.pade`: the ``M``-by-``M``
+    Hankel system is solved with the least squares solver (QR plus back
     substitution); an ``M = 0`` approximant needs no solve at all.
     """
     M = denominator_degree
@@ -425,8 +418,6 @@ def pade_trace(
         )
     if M == 0:
         return trace
-    if tile_size is None:
-        tile_size = _default_tile_size(M)
     qr, bs = lstsq_trace(M, M, tile_size, limbs, device, complex_data)
     trace.extend(qr)
     trace.extend(bs)
@@ -460,12 +451,10 @@ def polynomial_evaluation_trace(
 ):
     """Analytic trace of one shared-monomial polynomial evaluation.
 
-    Mirrors :meth:`repro.poly.system.PolynomialSystem.evaluate` /
-    :meth:`~repro.poly.system.PolynomialSystem.jacobian_matrix` launch
-    for launch (the numeric drivers record their launches through this
-    same function, exactly as the series solvers share
-    :func:`repro.core.least_squares.resolve_tile_sizes` with their
-    traces): the variable power table is built level by level
+    The launches :meth:`repro.poly.system.PolynomialSystem.evaluate` /
+    :meth:`~repro.poly.system.PolynomialSystem.jacobian_matrix` record
+    (through this same function, as every numeric driver records its
+    model trace): the variable power table is built level by level
     (``max_degree - 1`` batched multiplications), the ``products``
     distinct power products are reduced pairwise over the ``variables``
     axis (ones-padded binary tree, one batched launch per level), and
@@ -599,13 +588,10 @@ def _poly_term_stages(trace, name, stage, rows, slots, order, limbs, complex_dat
 def batched_qr_trace(
     batch, rows, cols, tile_size, limbs, device="V100", complex_data=False
 ):
-    """Analytic trace of the batched blocked QR.
-
-    Mirrors :func:`repro.batch.qr.batched_blocked_qr` launch for
-    launch: the same launches as :func:`qr_trace` with ``batch`` times
-    the blocks, tallies and bytes — the launch count is **flat** in the
-    batch size, the flops linear (the batching contract the tests
-    assert).
+    """Analytic trace of the batched blocked QR, the launches
+    :func:`repro.batch.qr.batched_blocked_qr` records: those of
+    :func:`qr_trace` with ``batch`` times the blocks, tallies and bytes
+    — the launch count is **flat** in the batch size, the flops linear.
     """
     return qr_trace(rows, cols, tile_size, limbs, device, complex_data).batched(batch)
 
@@ -613,17 +599,30 @@ def batched_qr_trace(
 def batched_back_substitution_trace(
     batch, tiles, tile_size, limbs, device="V100", complex_data=False
 ):
-    """Analytic trace of the batched tiled back substitution; mirrors
-    :func:`repro.batch.back_substitution.batched_back_substitution`."""
+    """Analytic trace of the batched tiled back substitution, the
+    launches :func:`repro.batch.back_substitution.batched_back_substitution`
+    records."""
     return back_substitution_trace(
         tiles, tile_size, limbs, device, complex_data
     ).batched(batch)
 
 
-def batched_lstsq_trace(batch, rows, cols, tile_size, limbs, device="V100"):
-    """Analytic traces (QR, BS) of the batched least squares solver;
-    mirrors :func:`repro.batch.least_squares.batched_least_squares`."""
-    qr, bs = lstsq_trace(rows, cols, tile_size, limbs, device)
+def batched_lstsq_trace(
+    batch,
+    rows,
+    cols,
+    tile_size,
+    limbs,
+    device="V100",
+    complex_data=False,
+    bs_tile_size=None,
+):
+    """Analytic traces (QR, BS) of the batched least squares solver,
+    :func:`repro.batch.least_squares.batched_least_squares`: those of
+    :func:`lstsq_trace` batched."""
+    qr, bs = lstsq_trace(
+        rows, cols, tile_size, limbs, device, complex_data, bs_tile_size
+    )
     return qr.batched(batch), bs.batched(batch)
 
 

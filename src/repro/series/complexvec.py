@@ -147,18 +147,8 @@ class ComplexTruncatedSeries(_TruncatedSeriesBase):
         return TruncatedSeries.from_mdarray(self._coefficients.imag)
 
     # ------------------------------------------------------------------
-    # evaluation and comparisons
+    # comparisons
     # ------------------------------------------------------------------
-    def evaluate(self, point) -> ComplexMultiDouble:
-        """Horner evaluation at a (real or complex) ``point``."""
-        point = self._scalar(point, self._precision)
-        total = self.coefficient(self.order)
-        for k in range(self.order - 1, -1, -1):
-            total = total * point + self.coefficient(k)
-        if not isinstance(total, ComplexMultiDouble):  # pragma: no cover
-            total = ComplexMultiDouble(total, precision=self._precision)
-        return total
-
     def allclose(self, other, tol=None) -> bool:
         other = self._coerce(other)
         order = min(self.order, other.order)

@@ -33,7 +33,7 @@ effective degree, one eigenvalue call per degree).
 :class:`PadeApproximant` keeps one approximant's coefficients and runs
 each of these as a batch of one; the scalar Horner, error estimate and
 ``np.roots`` radius they replaced are the test oracle
-``tests/oracles/pade.py``.
+``tests/oracles/step_control.py``.
 """
 
 from __future__ import annotations

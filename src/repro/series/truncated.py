@@ -64,7 +64,6 @@ from fractions import Fraction
 import numpy as np
 
 from ..md import functions as md_functions
-from ..md import generic
 from ..md.constants import Precision, get_precision
 from ..md.number import ComplexMultiDouble, MultiDouble
 from ..md.opcounts import series_newton_orders
@@ -321,6 +320,15 @@ class _TruncatedSeriesBase:
     def __pos__(self):
         return self
 
+    def evaluate(self, point):
+        """Horner evaluation at ``point`` in the working precision: a
+        batch of one over :func:`repro.vec.linalg.horner`, the sweep
+        :meth:`repro.series.vector.VectorSeries.evaluate` runs over a
+        whole system (a :class:`MultiDouble`, or a
+        :class:`ComplexMultiDouble` for the complex kind)."""
+        value = linalg.horner(self._coefficients, self._scalar(point, self._precision))
+        return value.to_multidouble(())
+
 
 class TruncatedSeries(_TruncatedSeriesBase):
     """A power series truncated at order ``K`` with multiple double
@@ -487,22 +495,6 @@ class TruncatedSeries(_TruncatedSeriesBase):
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, point) -> MultiDouble:
-        """Horner evaluation at ``point`` in the working precision.
-
-        The recurrence is inherently sequential in the order, so this
-        walks the coefficient columns with :mod:`repro.md.generic` limb
-        operations (batched evaluation of a whole system of series at
-        once is :meth:`repro.series.vector.VectorSeries.evaluate`).
-        """
-        m = self.limbs
-        point = MultiDouble(point, self._precision).limbs
-        data = self._coefficients.data
-        total = tuple(data[:, self.order])
-        for k in range(self.order - 1, -1, -1):
-            total = generic.add(generic.mul(total, point, m), tuple(data[:, k]), m)
-        return MultiDouble.from_limbs([float(v) for v in total], m)
-
     def evaluate_fraction(self, point: Fraction) -> Fraction:
         """Exact rational Horner evaluation of the stored coefficients."""
         point = Fraction(point)
@@ -558,20 +550,20 @@ class TruncatedSeries(_TruncatedSeriesBase):
 
         The working precision's unit roundoff times this number bounds
         the relative evaluation noise; the adaptive tracker escalates
-        the precision when that product exceeds the error budget."""
-        t = abs(float(point))
-        absolute = 0.0
-        power = 1.0
-        for magnitude in np.abs(self._coefficients.data[0]):
-            absolute += float(magnitude) * power
-            power *= t
-        # conditioning estimate: leading-limb magnitudes are all the
-        # noise-floor bound needs
-        # repro: allow[precision-loss]
-        value = abs(float(self.evaluate(point)))
-        if value == 0.0:
-            return float("inf") if absolute > 0.0 else 1.0
-        return absolute / value
+        the precision when that product exceeds the error budget.  A
+        batch of one over
+        :func:`repro.series.vector.coefficient_conditions`, which
+        :meth:`repro.series.vector.VectorSeries.coefficient_condition`
+        runs over a whole system."""
+        from .vector import coefficient_conditions, evaluation_magnitudes
+
+        value = linalg.horner(self._coefficients, self._scalar(point, self._precision))
+        condition = coefficient_conditions(
+            self._magnitudes(self._coefficients),
+            abs(float(point)),
+            evaluation_magnitudes(value),
+        )
+        return float(condition)
 
     # ------------------------------------------------------------------
     # comparisons

@@ -9,8 +9,10 @@ Two contracts are pinned here, at every paper precision (d/dd/qd/od):
   :func:`repro.series.pade` are batches of one, so comparing a slice
   against them checks only that a slice does not depend on its batch
   mates;
-* **launch-identity** — the numeric batched traces match the analytic
-  batch-aware cost model launch for launch, with the launch count flat
+* **launch-identity** — the batched drivers record the batch-aware
+  cost model's traces, so their traces and the model's are compared
+  with the dense oracle's inline launch records batched
+  (``KernelTrace.batched``), field by field, with the launch count flat
   in the batch size.
 """
 
@@ -43,6 +45,7 @@ from repro.vec.mdarray import MDArray
 
 from ..oracles import dense
 from ..oracles import series as series_oracle
+from ..oracles.dense import launch_records
 
 BATCH = 4
 
@@ -57,19 +60,20 @@ def assert_slice_matches(batched, index, reference, *fields):
             raise AssertionError(f"slice {index} of {field} differs from the reference")
 
 
-def assert_traces_match(analytic, numeric):
-    """Launch-by-launch comparison (as in tests/perf/test_costmodel.py)."""
-    assert len(analytic) == len(numeric)
-    for model_launch, real_launch in zip(analytic.launches, numeric.launches):
-        assert model_launch.stage == real_launch.stage
-        assert model_launch.name == real_launch.name
-        assert model_launch.blocks == real_launch.blocks
-        assert model_launch.threads_per_block == real_launch.threads_per_block
-        assert model_launch.limbs == real_launch.limbs
-        assert model_launch.efficiency == real_launch.efficiency
-        assert model_launch.bytes_read == pytest.approx(real_launch.bytes_read)
-        assert model_launch.bytes_written == pytest.approx(real_launch.bytes_written)
-        assert model_launch.tally.as_dict() == pytest.approx(real_launch.tally.as_dict())
+def random_matrices(count, rows, cols, limbs, complex_data, rng):
+    make = mdrandom.random_complex_matrix if complex_data else mdrandom.random_matrix
+    return [make(rows, cols, limbs, rng) for _ in range(count)]
+
+
+def random_vectors(count, n, limbs, complex_data, rng):
+    make = mdrandom.random_complex_vector if complex_data else mdrandom.random_vector
+    return [make(n, limbs, rng) for _ in range(count)]
+
+
+def assert_traces_match(expected, *traces):
+    """Every trace equals ``expected`` launch for launch, in every field."""
+    for trace in traces:
+        assert launch_records(trace) == launch_records(expected)
 
 
 class TestBatchedQR:
@@ -86,13 +90,28 @@ class TestBatchedQR:
         for index, matrix in enumerate(matrices):
             assert_slice_matches(result, index, dense.blocked_qr(matrix, 3), "R")
 
-    def test_trace_matches_batched_cost_model(self, rng):
-        matrices = vb.stack(
-            [mdrandom.random_matrix(8, 8, 2, rng) for _ in range(BATCH)]
-        )
-        numeric = batched_blocked_qr(matrices, 4).trace
-        analytic = batched_qr_trace(BATCH, 8, 8, 4, 2)
-        assert_traces_match(analytic, numeric)
+    @pytest.mark.parametrize(
+        "batch,complex_data",
+        [(BATCH, False), (3, True), (1, True)],
+        ids=["real", "complex", "complex-b1"],
+    )
+    def test_trace_matches_oracle_records(self, batch, complex_data, rng):
+        matrices = random_matrices(batch, 10, 8, 2, complex_data, rng)
+        numeric = batched_blocked_qr(vb.stack(matrices), 4).trace
+        analytic = batched_qr_trace(batch, 10, 8, 4, 2, complex_data=complex_data)
+        expected = dense.blocked_qr(matrices[0], 4).trace.batched(batch)
+        assert_traces_match(expected, numeric, analytic)
+
+    def test_shared_trace_gets_the_launches_appended(self, rng):
+        matrices = vb.stack(random_matrices(3, 8, 8, 2, False, rng))
+        shared = KernelTrace("V100", label="shared")
+        first = batched_blocked_qr(matrices, 4, trace=shared)
+        assert first.trace is shared
+        batched_blocked_qr(matrices, 2, trace=shared)
+        expected = KernelTrace("V100")
+        expected.extend(dense.blocked_qr(matrices[0], 4).trace.batched(3))
+        expected.extend(dense.blocked_qr(matrices[0], 2).trace.batched(3))
+        assert_traces_match(expected, shared)
 
     def test_launches_flat_in_batch(self, rng):
         single = batched_blocked_qr(
@@ -137,17 +156,25 @@ class TestBatchedBackSubstitution:
             assert_slice_matches(result, index, reference, "x")
         assert result.finite_systems().all()
 
-    def test_trace_matches_batched_cost_model(self, rng):
-        uppers = vb.stack(
-            [
-                mdrandom.random_well_conditioned_upper_triangular(8, 2, rng)
-                for _ in range(BATCH)
-            ]
+    @pytest.mark.parametrize(
+        "batch,complex_data,limbs",
+        [(BATCH, False, 2), (3, True, 4), (1, False, 8)],
+        ids=["real", "complex", "b1"],
+    )
+    def test_trace_matches_oracle_records(self, batch, complex_data, limbs, rng):
+        uppers = [
+            mdrandom.random_well_conditioned_upper_triangular(
+                8, limbs, rng, complex_data=complex_data
+            )
+            for _ in range(batch)
+        ]
+        rhs = random_vectors(batch, 8, limbs, complex_data, rng)
+        numeric = batched_back_substitution(vb.stack(uppers), vb.stack(rhs), 2).trace
+        analytic = batched_back_substitution_trace(
+            batch, 4, 2, limbs, complex_data=complex_data
         )
-        rhs = vb.stack([mdrandom.random_vector(8, 2, rng) for _ in range(BATCH)])
-        numeric = batched_back_substitution(uppers, rhs, 2).trace
-        analytic = batched_back_substitution_trace(BATCH, 4, 2, 2)
-        assert_traces_match(analytic, numeric)
+        expected = dense.tiled_back_substitution(uppers[0], rhs[0], 2).trace
+        assert_traces_match(expected.batched(batch), numeric, analytic)
 
     def test_singular_member_does_not_raise_or_leak(self, rng):
         uppers = [
@@ -192,15 +219,23 @@ class TestBatchedLeastSquares:
             assert_slice_matches(result, index, reference, "x")
             assert result.tile_size == reference.tile_size
 
-    def test_traces_match_batched_cost_model(self, rng):
-        matrices = vb.stack(
-            [mdrandom.random_matrix(10, 8, 2, rng) for _ in range(BATCH)]
+    @pytest.mark.parametrize(
+        "batch,complex_data,tile,bs_tile",
+        [(BATCH, False, 4, None), (3, True, 4, 2), (3, False, 2, 4), (1, True, None, None)],
+        ids=["real", "complex-bs2", "real-bs4", "complex-b1"],
+    )
+    def test_traces_match_oracle_records(self, batch, complex_data, tile, bs_tile, rng):
+        matrices = random_matrices(batch, 10, 8, 2, complex_data, rng)
+        rhs = random_vectors(batch, 10, 2, complex_data, rng)
+        numeric = batched_least_squares(
+            vb.stack(matrices), vb.stack(rhs), tile_size=tile, bs_tile_size=bs_tile
         )
-        rhs = vb.stack([mdrandom.random_vector(10, 2, rng) for _ in range(BATCH)])
-        numeric = batched_least_squares(matrices, rhs, tile_size=4)
-        qr_model, bs_model = batched_lstsq_trace(BATCH, 10, 8, 4, 2)
-        assert_traces_match(qr_model, numeric.qr_trace)
-        assert_traces_match(bs_model, numeric.bs_trace)
+        qr_model, bs_model = batched_lstsq_trace(
+            batch, 10, 8, tile, 2, complex_data=complex_data, bs_tile_size=bs_tile
+        )
+        expected = dense.lstsq(matrices[0], rhs[0], tile_size=tile, bs_tile_size=bs_tile)
+        assert_traces_match(expected.qr_trace.batched(batch), numeric.qr_trace, qr_model)
+        assert_traces_match(expected.bs_trace.batched(batch), numeric.bs_trace, bs_model)
         assert numeric.combined_trace.kernel_launch_count == len(qr_model) + len(
             bs_model
         )
@@ -293,12 +328,12 @@ class TestBatchedPade:
             )
             assert approximant.denominator_degree == 0
 
-    def test_trace_matches_pade_trace_batched(self, rng):
+    def test_trace_matches_oracle_records_batched(self, rng):
         batch = self._random_series(8, 2, rng, BATCH)
         trace = KernelTrace("V100", label="batched pade test")
         batched_pade(batch, 3, 3, trace=trace)
-        analytic = pade_trace(3, 3, 2).batched(BATCH)
-        assert_traces_match(analytic, trace)
+        expected = series_oracle.pade(batch[0], 3, 3).trace.batched(BATCH)
+        assert_traces_match(expected, trace, pade_trace(3, 3, 2).batched(BATCH))
 
     def test_validation(self, rng):
         batch = self._random_series(4, 2, rng, 2)

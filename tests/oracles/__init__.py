@@ -15,11 +15,15 @@ function under test, so a bitwise comparison against it can fail.
 * ``dense`` — the unbatched Householder QR, WY accumulation, tile
   inversion, tiled back substitution and least squares, the reference
   for the batched dense drivers of ``repro.batch`` (which the
-  ``repro.core`` drivers run as a batch of one);
+  ``repro.core`` drivers run as a batch of one); its inline launch
+  records are the reference for the cost model ``repro.perf.costmodel``,
+  whose traces the drivers record;
 * ``series`` — ``ScalarSeries``, one ``MultiDouble`` per coefficient
   with loop-per-coefficient arithmetic, and the scalar Newton
   staircase, the reference for ``repro.series.TruncatedSeries`` and
-  ``repro.series.newton_series``; the unbatched Newton staircase
+  ``repro.series.newton_series``; the scalar Horner and condition
+  walks of one series (``evaluate``, ``coefficient_condition``,
+  ``complex_evaluate``); the unbatched Newton staircase
   ``unbatched_newton_series``, the reference for the path fleet's
   staircase (which ``repro.series.newton_series`` runs as a batch of
   one); and the unbatched Padé construction ``pade``, the reference

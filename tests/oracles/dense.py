@@ -7,8 +7,15 @@ its :mod:`repro.batch` driver on a leading batch axis of 1 — so the
 library holds one implementation of Algorithms 1 and 2.  This module
 keeps the unbatched code the batched drivers were built from, written
 over :mod:`repro.vec.linalg`: the Householder panel loop, the WY
-accumulation, the tile inversion and the tiled stage-2 loop, with the
-same launch records.
+accumulation, the tile inversion and the tiled stage-2 loop.
+
+Every launch is recorded inline, next to the arithmetic it stands for.
+The library's drivers record the traces of the analytic cost model
+(:mod:`repro.perf.costmodel`), so these records are the one independent
+description of Algorithms 1 and 2's launches: the cost model is checked
+against them field by field (:func:`launch_records`), batched with
+:meth:`KernelTrace.batched <repro.gpu.kernel.KernelTrace.batched>` for
+the batched drivers.
 
 The batched kernels of :mod:`repro.vec.batched` reuse the limb
 arithmetic and reduction trees of :mod:`repro.vec.linalg`, so every
@@ -19,6 +26,8 @@ records no telemetry spans.
 """
 
 from __future__ import annotations
+
+from dataclasses import astuple
 
 import numpy as np
 
@@ -51,6 +60,7 @@ __all__ = [
     "blocked_qr",
     "tiled_back_substitution",
     "lstsq",
+    "launch_records",
 ]
 
 
@@ -495,3 +505,10 @@ def lstsq(matrix, rhs, tile_size=None, bs_tile_size=None, device="V100"):
         bs_trace=bs.trace,
         tile_size=tile_size,
     )
+
+
+def launch_records(trace) -> list:
+    """Every field of every launch of ``trace``, in order: the form two
+    traces are compared in, exactly (a one-field change in one tally
+    makes two traces differ)."""
+    return [astuple(launch) for launch in trace.launches]

@@ -25,9 +25,18 @@ it mirrors —
   identical operand order in every ring operation;
 * calculus and Horner evaluation perform the same
   :mod:`repro.md.generic` limb operations element by element;
-* the staircase shares the library's QR, back substitution and
+* the staircase runs the unbatched QR and back substitution of the
+  dense oracle (``tests/oracles/dense.py``) and the library's
   ``Q^H b`` product, and gathers each right-hand side from scalar
   residual coefficients instead of limb-major columns.
+
+:func:`evaluate`, :func:`coefficient_condition` and
+:func:`complex_evaluate` are the scalar walks of one
+:class:`~repro.series.truncated.TruncatedSeries` /
+:class:`~repro.series.complexvec.ComplexTruncatedSeries`, the
+reference for their evaluation and condition estimate, which run as
+batches of one over the vectorized Horner sweep
+(``tests/series/test_scalar_evaluation.py``).
 
 Because scalar :class:`MultiDouble` arithmetic and the vectorized
 arrays share the generic expansion arithmetic of
@@ -40,7 +49,7 @@ series kernels cannot hide in its own reference.  Conversion helpers
 round-trip between the two worlds.
 
 :func:`pade` is the per-series Padé construction on the limb-major
-arrays — Hankel gathers, one :func:`~repro.core.least_squares.lstsq`,
+arrays — Hankel gathers, one least squares solve of the dense oracle,
 the numerator convolution and the defect — that
 :func:`repro.batch.pade.batched_pade` batches and
 :func:`repro.series.pade.pade` runs as a batch of one.  It never calls
@@ -63,12 +72,11 @@ from fractions import Fraction
 import numpy as np
 
 from repro.core import stages
-from repro.core.back_substitution import tiled_back_substitution
-from repro.core.blocked_qr import blocked_qr
-from repro.core.least_squares import STAGE_APPLY_QT, lstsq, resolve_tile_sizes
+from repro.core.least_squares import STAGE_APPLY_QT, resolve_tile_sizes
 from repro.gpu.kernel import KernelTrace
 from repro.gpu.memory import md_bytes
 from repro.md import functions as md_functions
+from repro.md import generic
 from repro.md.constants import Precision, get_precision
 from repro.md.number import ComplexMultiDouble, MultiDouble
 from repro.md.opcounts import series_newton_orders
@@ -86,9 +94,14 @@ from repro.vec import linalg
 from repro.vec.complexmd import MDComplexArray, map_planes
 from repro.vec.mdarray import MDArray
 
+from .dense import blocked_qr, lstsq, tiled_back_substitution
+
 __all__ = [
     "ScalarSeries",
     "pairwise_sum",
+    "evaluate",
+    "coefficient_condition",
+    "complex_evaluate",
     "newton_series",
     "unbatched_newton_series",
     "pade",
@@ -480,6 +493,48 @@ class ScalarSeries:
         )
 
 
+def evaluate(series, point) -> MultiDouble:
+    """Horner evaluation of a :class:`TruncatedSeries` at ``point``,
+    walking the coefficient columns with :mod:`repro.md.generic` limb
+    operations on limb tuples; :meth:`TruncatedSeries.evaluate
+    <repro.series.truncated.TruncatedSeries.evaluate>` is a batch of
+    one over :func:`repro.vec.linalg.horner`."""
+    m = series.limbs
+    point = MultiDouble(point, series.precision).limbs
+    data = series.coefficients.data
+    total = tuple(data[:, series.order])
+    for k in range(series.order - 1, -1, -1):
+        total = generic.add(generic.mul(total, point, m), tuple(data[:, k]), m)
+    return MultiDouble.from_limbs([float(v) for v in total], m)
+
+
+def coefficient_condition(series, point) -> float:
+    """``sum |c_k| |t|^k / |sum c_k t^k|`` of a :class:`TruncatedSeries`
+    on leading limbs, one coefficient at a time in Python floats."""
+    t = abs(float(point))
+    absolute = 0.0
+    power = 1.0
+    for magnitude in np.abs(series.coefficients.data[0]):
+        absolute += float(magnitude) * power
+        power *= t
+    value = abs(float(evaluate(series, point)))
+    if value == 0.0:
+        return float("inf") if absolute > 0.0 else 1.0
+    return absolute / value
+
+
+def complex_evaluate(series, point) -> ComplexMultiDouble:
+    """Horner evaluation of a
+    :class:`~repro.series.complexvec.ComplexTruncatedSeries` at a real
+    or complex ``point`` on scalar :class:`ComplexMultiDouble`
+    coefficients."""
+    point = ComplexTruncatedSeries._scalar(point, series.precision)
+    total = series.coefficient(series.order)
+    for k in range(series.order - 1, -1, -1):
+        total = total * point + series.coefficient(k)
+    return total
+
+
 def newton_series(
     system, jacobian, start, order, precision=2, *, tile_size=None,
     bs_tile_size=None, device="V100",
@@ -487,10 +542,9 @@ def newton_series(
     """The order-by-order Newton staircase on :class:`ScalarSeries`.
 
     ``system(x, t)`` is evaluated on scalar series; the Jacobian head
-    is factored once with :func:`repro.core.blocked_qr.blocked_qr` and
-    every order runs one ``Q^H b`` product and one
-    :func:`repro.core.back_substitution.tiled_back_substitution`,
-    recording the same launches as
+    is factored once with the dense oracle's ``blocked_qr`` and every
+    order runs one ``Q^H b`` product and one ``tiled_back_substitution``
+    of the dense oracle, recording the same launches as
     :func:`repro.series.newton.newton_series`.  Real start points only.
     The result carries one :class:`ScalarSeries` per unknown and no
     ``vector``.
@@ -579,12 +633,12 @@ def unbatched_newton_series(
     Arguments and result are those of
     :func:`repro.series.newton.newton_series` with the three values
     passed in order (no argument shifting, inputs assumed valid).  The
-    Jacobian head is factored once by :func:`repro.core.blocked_qr.blocked_qr`;
+    Jacobian head is factored once by the dense oracle's ``blocked_qr``;
     every order calls ``system(x, t)`` on the partial series, with the
     real parameter series ``TruncatedSeries.variable(k, prec)``, gathers
     the residual column, forms ``Q^H b`` with
     :func:`repro.vec.linalg.matvec` and solves one
-    :func:`repro.core.back_substitution.tiled_back_substitution`.  The
+    ``tiled_back_substitution`` of the dense oracle.  The
     library's :func:`~repro.series.newton.newton_series` is a batch of
     one over the path fleet's staircase; this is the per-path loop both
     are checked against, and it never calls the fleet.
@@ -684,8 +738,8 @@ def pade(
     Arguments, defaults and result are those of
     :func:`repro.series.pade.pade`: the Hankel system and its
     right-hand side are gathered from the ``(m, K+1)`` coefficient
-    array, solved by one :func:`repro.core.least_squares.lstsq` (which
-    raises ``ZeroDivisionError`` on a singular system), the numerator
+    array, solved by the dense oracle's ``lstsq`` (which raises
+    ``ZeroDivisionError`` on a singular system), the numerator
     is one triangular convolution and the defect one windowed
     convolution coefficient.  The library's :func:`~repro.series.pade.pade`
     is a batch of one over :func:`repro.batch.pade.batched_pade`; this

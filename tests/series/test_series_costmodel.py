@@ -1,10 +1,12 @@
-"""Series operation counts and the analytic-vs-numeric trace contract.
+"""Series operation counts and the series cost-model traces.
 
-The repo-wide invariant: for every workload that both executes
-numerically and appears in the analytic cost model, the two paths must
-produce *identical* kernel traces (same launches, same stages, same
-geometry, same tallies, same byte counts).  This file extends that
-contract to the series workloads.
+The series drivers record the analytic cost model's traces, so their
+traces and the model's are both compared with an independent
+description: the records of the test oracles (``tests/oracles/series.py``
+for the Newton staircase and Padé, and for the matrix series solve,
+which no oracle runs, a trace assembled from the dense oracle's QR,
+``Q^H b`` and back substitution records).  The comparison is exact,
+launch for launch and field by field.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import stages
+from repro.core.least_squares import STAGE_APPLY_QT, resolve_tile_sizes
+from repro.gpu.kernel import KernelTrace
+from repro.gpu.memory import md_bytes
 from repro.md import MultiDouble, PAPER_TABLE1
 from repro.md.opcounts import (
     SERIES_OPERATIONS,
@@ -36,19 +42,12 @@ from repro.series import (
     solve_matrix_series,
 )
 from repro.vec import MDArray
+from repro.vec import random as mdrandom
+from repro.vec.complexmd import MDComplexArray
 
-
-def assert_traces_identical(numeric, analytic):
-    assert len(numeric.launches) == len(analytic.launches)
-    for ours, model in zip(numeric.launches, analytic.launches):
-        assert ours.name == model.name
-        assert ours.stage == model.stage
-        assert ours.blocks == model.blocks
-        assert ours.threads_per_block == model.threads_per_block
-        assert ours.limbs == model.limbs
-        assert ours.tally.as_dict() == model.tally.as_dict()
-        assert ours.bytes_read == model.bytes_read
-        assert ours.bytes_written == model.bytes_written
+from ..oracles import dense
+from ..oracles import series as series_oracle
+from ..oracles.dense import launch_records
 
 
 # ---------------------------------------------------------------------------
@@ -152,59 +151,180 @@ def test_unknown_operation_raises():
 
 
 # ---------------------------------------------------------------------------
-# analytic traces mirror the numeric drivers launch for launch
+# the series drivers record the model's traces; both equal the oracles'
 # ---------------------------------------------------------------------------
 
-def test_matrix_series_trace_matches_numeric(md_limbs):
+def _matrix_series_problem(dimension, order, terms, limbs, complex_data, rng):
+    """Head-dominant matrix coefficients and per-order right-hand sides
+    (one batched ``(n, K+1)`` array on real data)."""
+    def matrix(shift):
+        real = MDArray.from_double(
+            rng.standard_normal((dimension, dimension)) + shift * np.eye(dimension), limbs
+        )
+        if not complex_data:
+            return real
+        imag = MDArray.from_double(rng.standard_normal((dimension, dimension)), limbs)
+        return MDComplexArray(real, imag)
+
+    matrices = [matrix(4.0)] + [matrix(0.0) for _ in range(terms - 1)]
+    if complex_data:
+        rhs = [
+            mdrandom.random_complex_vector(dimension, limbs, rng)
+            for _ in range(order + 1)
+        ]
+    else:
+        rhs = MDArray.from_double(rng.standard_normal((dimension, order + 1)), limbs)
+    return matrices, rhs
+
+
+def expected_matrix_series_trace(matrices, order, tile_size=None, bs_tile_size=None):
+    """The launches of a matrix series solve, built from the dense
+    oracle: its QR of the head; then for a constant head one batched
+    ``Q^H B`` launch and one back substitution per order, for coupled
+    orders one convolution (from order 1), the ``Q^H b`` launch that
+    the oracle's square least squares solve records, and one back
+    substitution per order."""
+    head = matrices[0]
+    n = head.shape[0]
+    limbs = head.limbs
+    complex_data = isinstance(head, MDComplexArray)
+    tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
+    qr = dense.blocked_qr(head, tile_size)
+    rhs = (MDComplexArray if complex_data else MDArray).zeros((n,), limbs)
+    apply_qt = dense.lstsq(head, rhs, tile_size, bs_tile_size).bs_trace.launches[0]
+    back_substitution = dense.tiled_back_substitution(
+        qr.R[:n, :n], rhs, bs_tile_size
+    ).trace
+    trace = KernelTrace("V100")
+    trace.extend(qr.trace)
+    if len(matrices) == 1:
+        trace.add(
+            "apply_qt_batched",
+            STAGE_APPLY_QT,
+            blocks=-(-n * (order + 1) // tile_size),
+            threads_per_block=tile_size,
+            limbs=limbs,
+            tally=stages.tally_matmul(n, n, order + 1, complex_data),
+            bytes_read=md_bytes(n * n + n * (order + 1), limbs, complex_data),
+            bytes_written=md_bytes(n * (order + 1), limbs, complex_data),
+        )
+        for _ in range(order + 1):
+            trace.extend(back_substitution)
+        return trace
+    for k in range(order + 1):
+        terms = min(k, len(matrices) - 1)
+        if terms > 0:
+            trace.add(
+                "series_convolve",
+                stages.STAGE_SERIES_CONVOLVE,
+                blocks=-(-n // tile_size),
+                threads_per_block=tile_size,
+                limbs=limbs,
+                tally=stages.tally_series_convolution(n, terms, complex_data),
+                bytes_read=md_bytes(terms * (n * n + n) + n, limbs, complex_data),
+                bytes_written=md_bytes(n, limbs, complex_data),
+            )
+        trace.record(apply_qt)
+        trace.extend(back_substitution)
+    return trace
+
+
+@pytest.mark.parametrize(
+    "terms,complex_data,tile,bs_tile",
+    [
+        (2, False, 2, None),
+        (3, False, 4, 2),
+        (3, True, 2, None),
+        (2, True, 2, 1),
+    ],
+    ids=["real", "real-bs2", "complex", "complex-bs1"],
+)
+def test_coupled_matrix_series_trace_matches_oracle(
+    terms, complex_data, tile, bs_tile, md_limbs
+):
     rng = np.random.default_rng(20220320)
     order = 4
-    a0 = MDArray.from_double(rng.standard_normal((4, 4)) + 4 * np.eye(4), md_limbs)
-    a1 = MDArray.from_double(rng.standard_normal((4, 4)), md_limbs)
-    rhs = [MDArray.from_double(rng.standard_normal(4), md_limbs) for _ in range(order + 1)]
-    numeric = solve_matrix_series([a0, a1], rhs, tile_size=2)
+    matrices, rhs = _matrix_series_problem(4, order, terms, md_limbs, complex_data, rng)
+    numeric = solve_matrix_series(matrices, rhs, tile_size=tile, bs_tile_size=bs_tile)
     analytic = matrix_series_trace(
-        4, order, md_limbs, matrix_terms=2, tile_size=2
+        4,
+        order,
+        md_limbs,
+        matrix_terms=terms,
+        tile_size=tile,
+        bs_tile_size=bs_tile,
+        complex_data=complex_data,
     )
-    assert_traces_identical(numeric.trace, analytic)
+    expected = expected_matrix_series_trace(matrices, order, tile, bs_tile)
+    assert launch_records(numeric.trace) == launch_records(expected)
+    assert launch_records(analytic) == launch_records(expected)
 
 
-def test_constant_head_trace_matches_numeric_batched(md_limbs):
+@pytest.mark.parametrize(
+    "complex_data,tile,bs_tile",
+    [(False, 2, None), (False, 4, 2), (True, 2, None), (True, None, 1)],
+    ids=["real", "real-bs2", "complex", "complex-bs1"],
+)
+def test_constant_head_trace_matches_oracle(complex_data, tile, bs_tile, md_limbs):
     """A constant head solves all orders against the batched right-hand
     sides: one Q^H B launch, then one back substitution per order."""
     rng = np.random.default_rng(20220320)
     order = 4
-    a0 = MDArray.from_double(rng.standard_normal((4, 4)) + 4 * np.eye(4), md_limbs)
-    batched = MDArray.from_double(rng.standard_normal((4, order + 1)), md_limbs)
-    numeric = solve_matrix_series(a0, batched, tile_size=2)
+    matrices, rhs = _matrix_series_problem(4, order, 1, md_limbs, complex_data, rng)
+    numeric = solve_matrix_series(matrices[0], rhs, tile_size=tile, bs_tile_size=bs_tile)
     analytic = matrix_series_trace(
-        4, order, md_limbs, matrix_terms=1, tile_size=2
+        4,
+        order,
+        md_limbs,
+        matrix_terms=1,
+        tile_size=tile,
+        bs_tile_size=bs_tile,
+        complex_data=complex_data,
     )
-    assert_traces_identical(numeric.trace, analytic)
+    expected = expected_matrix_series_trace(matrices, order, tile, bs_tile)
+    assert launch_records(numeric.trace) == launch_records(expected)
+    assert launch_records(analytic) == launch_records(expected)
     names = [launch.name for launch in numeric.trace.launches]
     assert names.count("apply_qt_batched") == 1
     assert names.count("apply_qt") == 0
 
 
-def test_newton_series_trace_matches_numeric():
-    def system(x, t):
-        x1, x2 = x
-        return [x1 * x1 - 1 - t, x1 * x2 - 1]
-
-    def jacobian(x0):
-        return [[2 * x0[0], 0], [x0[1], x0[0]]]
-
-    numeric = newton_series(system, jacobian, [1, 1], 5, 2, tile_size=1)
-    analytic = newton_series_trace(2, 5, 2, tile_size=1)
-    assert_traces_identical(numeric.trace, analytic)
+def _newton_system(x, t):
+    x1, x2 = x
+    return [x1 * x1 - 1 - t, x1 * x2 - 1]
 
 
-def test_pade_trace_matches_numeric(md_limbs):
+def _newton_jacobian(x0):
+    return [[2 * x0[0], 0], [x0[1], x0[0]]]
+
+
+@pytest.mark.parametrize(
+    "start,tile,bs_tile",
+    [([1, 1], 1, None), ([1, 1], 2, 1), ([1j, -1j], 2, None)],
+    ids=["real", "real-bs1", "complex"],
+)
+def test_newton_series_trace_matches_oracle(start, tile, bs_tile):
+    """The oracle's staircase runs the dense QR and back substitution
+    and records its ``Q^H b`` launches inline."""
+    complex_data = isinstance(start[0], complex)
+    kwargs = dict(tile_size=tile, bs_tile_size=bs_tile)
+    numeric = newton_series(_newton_system, _newton_jacobian, start, 5, 2, **kwargs)
+    expected = series_oracle.unbatched_newton_series(
+        _newton_system, _newton_jacobian, start, 5, 2, **kwargs
+    )
+    analytic = newton_series_trace(2, 5, 2, complex_data=complex_data, **kwargs)
+    assert launch_records(numeric.trace) == launch_records(expected.trace)
+    assert launch_records(analytic) == launch_records(expected.trace)
+
+
+def test_pade_trace_matches_oracle(md_limbs):
     from fractions import Fraction
 
     coeffs = [Fraction((-1) ** k, k + 1) for k in range(10)]
-    numeric = pade(TruncatedSeries.from_fractions(coeffs, md_limbs), 4, 4)
-    analytic = pade_trace(4, 4, md_limbs)
-    assert_traces_identical(numeric.trace, analytic)
+    series = TruncatedSeries.from_fractions(coeffs, md_limbs)
+    expected = series_oracle.pade(series, 4, 4).trace
+    assert launch_records(pade(series, 4, 4).trace) == launch_records(expected)
+    assert launch_records(pade_trace(4, 4, md_limbs)) == launch_records(expected)
 
 
 def test_pade_trace_empty_for_taylor_polynomial():
