@@ -19,7 +19,10 @@ launch scales linearly — exactly how polynomial-homotopy workloads
 * :mod:`repro.batch.back_substitution` —
   :func:`~repro.batch.back_substitution.batched_back_substitution`,
   Algorithm 1 over a batch (singular systems poison only their own
-  slice instead of raising);
+  slice instead of raising), the composition of its two stages
+  :func:`~repro.batch.back_substitution.batched_invert_tiles` and
+  :func:`~repro.batch.back_substitution.batched_substitution`, which
+  solvers that meet one triangular factor many times call apart;
 * :mod:`repro.batch.least_squares` —
   :func:`~repro.batch.least_squares.batched_least_squares`, the
   combined Table 11 solver over a batch;
@@ -36,7 +39,9 @@ launch scales linearly — exactly how polynomial-homotopy workloads
 
 The batch-aware analytic accounting lives in
 :func:`repro.perf.costmodel.batched_qr_trace` /
-``batched_back_substitution_trace`` / ``batched_lstsq_trace`` /
+``batched_back_substitution_trace`` (with its two stages
+``batched_tile_inversion_trace`` and ``batched_substitution_trace``) /
+``batched_lstsq_trace`` /
 ``path_fleet_trace`` (the dense drivers here record the first three
 for the shapes they run) and :func:`repro.md.opcounts.series_counts` (``batch`` parameter);
 ``benchmarks/bench_batched_qr.py`` measures the throughput payoff and
@@ -45,8 +50,11 @@ asserts its floor.
 
 from .back_substitution import (
     BatchedBackSubstitutionResult,
+    BatchedTileInverses,
     batched_back_substitution,
+    batched_invert_tiles,
     batched_invert_upper_triangular,
+    batched_substitution,
 )
 from .fleet import PathFleetResult, track_paths
 from .least_squares import (
@@ -62,6 +70,9 @@ __all__ = [
     "batched_blocked_qr",
     "BatchedBackSubstitutionResult",
     "batched_back_substitution",
+    "BatchedTileInverses",
+    "batched_invert_tiles",
+    "batched_substitution",
     "batched_invert_upper_triangular",
     "BatchedLeastSquaresResult",
     "batched_least_squares",

@@ -3,13 +3,26 @@
 The library's one implementation of Algorithm 1 of the paper, on a
 ``(b, dim, dim)`` batch of upper triangular systems
 (:func:`repro.core.back_substitution.tiled_back_substitution` runs it on
-a batch of one): all diagonal tiles of **all** systems are inverted in
-one launch, and every stage-2 step advances all ``b`` right-hand sides
-at once.  The launch count is that of one system (flat in ``b``); the
-block counts, tallies and memory traffic scale linearly.  The driver
-records the launches of the cost model's
-:func:`repro.perf.costmodel.batched_back_substitution_trace` for its
-shape.
+a batch of one), split into its two stages:
+
+* :func:`batched_invert_tiles` — stage 1: the diagonal tiles of **all**
+  systems are inverted (:func:`batched_invert_upper_triangular` once
+  per diagonal tile, recorded as the one ``invert_tiles`` launch);
+* :func:`batched_substitution` — stage 2 against given inverses: every
+  step advances all ``b`` right-hand sides at once.
+
+:func:`batched_back_substitution` is their composition.  A solver that
+meets the same triangular factor again — the series Newton staircase
+of :mod:`repro.batch.fleet` and
+:func:`repro.series.matrix_series.solve_matrix_series`, one solve per
+series order against one factored head — inverts the tiles once and
+runs only stage 2 per order.  The launch count is that of one system
+(flat in ``b``); the block counts, tallies and memory traffic scale
+linearly.  Each stage records the launches of its cost-model twin
+(:func:`repro.perf.costmodel.batched_tile_inversion_trace`,
+:func:`~repro.perf.costmodel.batched_substitution_trace`), which
+concatenate to
+:func:`~repro.perf.costmodel.batched_back_substitution_trace`.
 
 Per batch slice the arithmetic is bit-identical to the unbatched tile
 inversion and stage-2 loop kept as the test oracle
@@ -34,7 +47,10 @@ from ..vec.mdarray import MDArray
 
 __all__ = [
     "BatchedBackSubstitutionResult",
+    "BatchedTileInverses",
     "batched_invert_upper_triangular",
+    "batched_invert_tiles",
+    "batched_substitution",
     "batched_back_substitution",
 ]
 
@@ -60,6 +76,26 @@ class BatchedBackSubstitutionResult:
     def finite_systems(self) -> np.ndarray:
         """Boolean mask of batch members with finite solutions."""
         return finite_mask(self.x, axis=(0, 2))
+
+
+@dataclass
+class BatchedTileInverses:
+    """Stage 1 of Algorithm 1 on a batch: the inverted diagonal tiles
+    of ``(b, dim, dim)`` upper triangular systems, ready for any number
+    of :func:`batched_substitution` calls against the same systems."""
+
+    #: one inverse per diagonal tile, each of element shape ``(b, n, n)``
+    inverses: list
+    trace: KernelTrace
+    tile_size: int
+
+    @property
+    def tiles(self) -> int:
+        return len(self.inverses)
+
+    @property
+    def batch(self) -> int:
+        return self.inverses[0].shape[0]
 
 
 def batched_invert_upper_triangular(tiles_batch):
@@ -101,69 +137,123 @@ def batched_invert_upper_triangular(tiles_batch):
     return inverse
 
 
+@profiled("batched_tile_inversion", trace_of=lambda result: result.trace)
+def batched_invert_tiles(
+    matrices, tile_size, device="V100", trace=None
+) -> BatchedTileInverses:
+    """Stage 1 of Algorithm 1: invert the diagonal tiles of a
+    ``(b, dim, dim)`` batch of upper triangular systems.
+
+    ``tile_size`` must divide ``dim``.  The launch of
+    :func:`repro.perf.costmodel.batched_tile_inversion_trace` is
+    appended to ``trace`` (a new trace by default)."""
+    from ..perf.costmodel import batched_tile_inversion_trace
+
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise ValueError("expected a (b, dim, dim) batch of square matrices")
+    batch, dim = matrices.shape[0], matrices.shape[1]
+    tiles = _tile_count(dim, tile_size)
+    n = tile_size
+    if trace is None:
+        trace = KernelTrace(
+            device, label=f"batched tile inversion b={batch} dim={dim} {n}x{tiles}"
+        )
+    inverses = []
+    for i in range(tiles):
+        lo, hi = i * n, (i + 1) * n
+        inverses.append(batched_invert_upper_triangular(matrices[:, lo:hi, lo:hi]))
+    complex_data = isinstance(matrices, MDComplexArray)
+    trace.extend(
+        batched_tile_inversion_trace(
+            batch, tiles, n, matrices.limbs, device, complex_data
+        )
+    )
+    return BatchedTileInverses(inverses=inverses, trace=trace, tile_size=n)
+
+
+@profiled("batched_substitution", trace_of=lambda result: result.trace)
+def batched_substitution(
+    matrices, inverses, rhs, device="V100", trace=None
+) -> BatchedBackSubstitutionResult:
+    """Stage 2 of Algorithm 1: solve ``U_i x_i = b_i`` for a
+    ``(b, dim, dim)`` batch against the inverted diagonal tiles
+    ``inverses`` of the same matrices (a :class:`BatchedTileInverses`
+    from :func:`batched_invert_tiles`, whose tile size it takes).
+
+    Complex matrices take real or complex right-hand sides; real
+    matrices need real ones.  The launches of
+    :func:`repro.perf.costmodel.batched_substitution_trace` are
+    appended to ``trace`` (a new trace by default)."""
+    from ..perf.costmodel import batched_substitution_trace
+
+    batch, dim = _check_inputs(matrices, rhs)
+    n = inverses.tile_size
+    tiles = inverses.tiles
+    if inverses.batch != batch or n * tiles != dim:
+        raise ValueError(
+            f"tile inverses of {inverses.batch} systems of dimension {n * tiles} "
+            f"do not match a ({batch}, {dim}, {dim}) batch"
+        )
+    complex_data = isinstance(matrices, MDComplexArray)
+    limbs = matrices.limbs
+    if trace is None:
+        trace = KernelTrace(
+            device, label=f"batched substitution b={batch} dim={dim} {n}x{tiles}"
+        )
+
+    x = (
+        MDComplexArray.zeros((batch, dim), limbs)
+        if complex_data
+        else MDArray.zeros((batch, dim), limbs)
+    )
+    b = rhs.copy()
+    if complex_data and not isinstance(b, MDComplexArray):
+        b = MDComplexArray(b, MDArray.zeros(b.shape, limbs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(tiles - 1, -1, -1):
+            lo, hi = i * n, (i + 1) * n
+            # x_i := U_i^{-1} b_i for every system, one block each
+            xi = vb.batched_matvec(inverses.inverses[i], b[:, lo:hi])
+            x[:, lo:hi] = xi
+            # b_j := b_j - A_{j,i} x_i for all j < i, one launch
+            for j in range(i):
+                jlo, jhi = j * n, (j + 1) * n
+                update = vb.batched_matvec(matrices[:, jlo:jhi, lo:hi], xi)
+                b[:, jlo:jhi] = b[:, jlo:jhi] - update
+
+    trace.extend(
+        batched_substitution_trace(batch, tiles, n, limbs, device, complex_data)
+    )
+    return BatchedBackSubstitutionResult(x=x, trace=trace, tile_size=n, tiles=tiles)
+
+
 @profiled("batched_back_substitution", trace_of=lambda result: result.trace)
 def batched_back_substitution(
     matrices, rhs, tile_size, device="V100", trace=None
 ) -> BatchedBackSubstitutionResult:
     """Solve ``U_i x_i = b_i`` for a ``(b, dim, dim)`` batch with
-    Algorithm 1; parameters mirror the unbatched driver, ``matrices``
-    and ``rhs`` carry one extra leading batch axis.  Complex matrices
-    take real or complex right-hand sides; real matrices need real
-    ones.  The launches are those of
+    Algorithm 1: :func:`batched_invert_tiles`, then
+    :func:`batched_substitution`.  Parameters mirror the unbatched
+    driver, ``matrices`` and ``rhs`` carry one extra leading batch axis.
+    Complex matrices take real or complex right-hand sides; real
+    matrices need real ones.  The launches are those of
     :func:`repro.perf.costmodel.batched_back_substitution_trace`,
     appended to ``trace`` (a new trace by default)."""
-    from ..perf.costmodel import batched_back_substitution_trace
-
     batch, dim = _check_inputs(matrices, rhs)
-    if tile_size <= 0 or dim % tile_size != 0:
-        raise ValueError(f"tile size {tile_size} must divide the dimension {dim}")
-    n = tile_size
-    tiles = dim // n
-    complex_data = isinstance(matrices, MDComplexArray)
-    limbs = matrices.limbs
+    tiles = _tile_count(dim, tile_size)
     if trace is None:
         trace = KernelTrace(
-            device, label=f"batched back substitution b={batch} dim={dim} {n}x{tiles}"
+            device,
+            label=f"batched back substitution b={batch} dim={dim} {tile_size}x{tiles}",
         )
+    inverses = batched_invert_tiles(matrices, tile_size, device=device, trace=trace)
+    return batched_substitution(matrices, inverses, rhs, device=device, trace=trace)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # --------------------------------------------------------------
-        # stage 1: invert all diagonal tiles of all systems (one launch)
-        # --------------------------------------------------------------
-        inverses = []
-        for i in range(tiles):
-            lo, hi = i * n, (i + 1) * n
-            inverses.append(
-                batched_invert_upper_triangular(matrices[:, lo:hi, lo:hi])
-            )
 
-        # --------------------------------------------------------------
-        # stage 2: back substitution over the tiles
-        # --------------------------------------------------------------
-        x = (
-            MDComplexArray.zeros((batch, dim), limbs)
-            if complex_data
-            else MDArray.zeros((batch, dim), limbs)
-        )
-        b = rhs.copy()
-        if complex_data and not isinstance(b, MDComplexArray):
-            b = MDComplexArray(b, MDArray.zeros(b.shape, limbs))
-        for i in range(tiles - 1, -1, -1):
-            lo, hi = i * n, (i + 1) * n
-            # x_i := U_i^{-1} b_i for every system, one block each
-            xi = vb.batched_matvec(inverses[i], b[:, lo:hi])
-            x[:, lo:hi] = xi
-            # b_j := b_j - A_{j,i} x_i for all j < i, one launch
-            if i > 0:
-                for j in range(i):
-                    jlo, jhi = j * n, (j + 1) * n
-                    update = vb.batched_matvec(matrices[:, jlo:jhi, lo:hi], xi)
-                    b[:, jlo:jhi] = b[:, jlo:jhi] - update
-
-    trace.extend(
-        batched_back_substitution_trace(batch, tiles, n, limbs, device, complex_data)
-    )
-    return BatchedBackSubstitutionResult(x=x, trace=trace, tile_size=n, tiles=tiles)
+def _tile_count(dim: int, tile_size: int) -> int:
+    if tile_size <= 0 or dim % tile_size != 0:
+        raise ValueError(f"tile size {tile_size} must divide the dimension {dim}")
+    return dim // tile_size
 
 
 def _check_inputs(matrices, rhs) -> tuple:

@@ -14,7 +14,8 @@ one):
   immediately and an escalated path joins its new rung mates at once;
 * each sub-batch advances through one batched step — the series
   Newton staircase (one :func:`~repro.batch.qr.batched_blocked_qr` of
-  all Jacobian heads, one batched triangular solve per series order;
+  all Jacobian heads and one inversion of their ``R`` tiles, then one
+  batched substitution against those inverses per series order;
   :func:`repro.series.newton.newton_series` runs the same staircase
   on a batch of one), **one** :func:`~repro.batch.pade.batched_pade`
   construction covering all ``batch × dimension`` solution components,
@@ -86,7 +87,7 @@ from ..vec import batched as vb
 from ..vec import linalg
 from ..vec.complexmd import MDComplexArray, finite_mask
 from ..vec.mdarray import MDArray
-from .back_substitution import batched_back_substitution
+from .back_substitution import batched_invert_tiles, batched_substitution
 from .least_squares import batched_least_squares
 from .pade import batched_pade
 from .qr import batched_blocked_qr
@@ -814,10 +815,14 @@ def _newton_staircase(
     ``solution`` holds every path's series solution as limb planes of
     element shape ``(b, n, K+1)``, the heads in column 0; orders 1 to
     ``K`` are written in place.  One batched QR factors the Jacobian
-    heads ``head_matrices`` (element shape ``(b, n, n)``) once; each
-    order ``k`` then takes the residual columns of the partial series
-    (:func:`_residual_columns`, the paths expanded at ``t_heads``), one
-    ``Q^H r`` product and one batched back substitution against ``R``.
+    heads ``head_matrices`` (element shape ``(b, n, n)``) and, from
+    order 1 on, one
+    :func:`~repro.batch.back_substitution.batched_invert_tiles` inverts
+    the diagonal tiles of ``R`` once; each order ``k`` then takes the
+    residual columns of the partial series (:func:`_residual_columns`,
+    the paths expanded at ``t_heads``), one ``Q^H r`` product and one
+    :func:`~repro.batch.back_substitution.batched_substitution` against
+    those inverses.
     The solver launches are recorded into ``trace``, the residual
     evaluations into ``residual_trace`` (``None`` records none).
     Returns the triangular factors, element shape ``(b, n, n)``.
@@ -832,6 +837,12 @@ def _newton_staircase(
     qr = batched_blocked_qr(head_matrices, tile_size, device=device, trace=trace)
     q_conjugate = vb.batched_conjugate_transpose(qr.Q)
     uppers = qr.R[:, :n, :n]
+    # stage 1 of Algorithm 1 once per head, when there is an order to solve
+    inverses = (
+        batched_invert_tiles(uppers, bs_tile_size, device=device, trace=trace)
+        if terms > 1
+        else None
+    )
     for k in range(1, terms):
         # views: column k is still zero while order k is solved
         rhs = _residual_columns(
@@ -846,8 +857,8 @@ def _newton_staircase(
         trace.record(
             _apply_qt_launch(n, tile_size, limbs, complex_data).batched(batch)
         )
-        bs = batched_back_substitution(
-            uppers, qhb[:, :n], bs_tile_size, device=device, trace=trace
+        bs = batched_substitution(
+            uppers, inverses, qhb[:, :n], device=device, trace=trace
         )
         solution[:, :, k] = bs.x
     return uppers

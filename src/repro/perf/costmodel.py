@@ -37,6 +37,8 @@ __all__ = [
     "polynomial_evaluation_trace",
     "batched_qr_trace",
     "batched_back_substitution_trace",
+    "batched_tile_inversion_trace",
+    "batched_substitution_trace",
     "batched_lstsq_trace",
     "path_fleet_trace",
     "COSTMODEL_TWINS",
@@ -196,18 +198,17 @@ def qr_trace(rows, cols, tile_size, limbs, device="V100", complex_data=False, tr
     return trace
 
 
-def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data=False, trace=None):
-    """Analytic trace of Algorithm 1 (tiled back substitution): the
-    launches :func:`repro.core.back_substitution.tiled_back_substitution`
-    records, that is
-    :func:`repro.batch.back_substitution.batched_back_substitution` at
-    batch 1."""
-    n = tile_size
-    if n <= 0 or tiles <= 0:
+def _check_tiles(tiles, tile_size) -> None:
+    if tile_size <= 0 or tiles <= 0:
         raise ValueError("tiles and tile size must be positive")
-    if trace is None:
-        trace = KernelTrace(device, label=f"BS model dim={tiles * n} {n}x{tiles}")
 
+
+def _record_tile_inversion(trace, tiles, tile_size, limbs, complex_data=False):
+    """Stage 1 of Algorithm 1, appended to ``trace``: one launch
+    inverting all ``tiles`` diagonal tiles (one block of ``tile_size``
+    threads per tile)."""
+    _check_tiles(tiles, tile_size)
+    n = tile_size
     trace.add(
         "invert_tiles",
         stages.STAGE_INVERT_TILES,
@@ -219,6 +220,15 @@ def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data
         bytes_written=md_bytes(tiles * n * n, limbs, complex_data),
         efficiency=TILE_INVERSION_EFFICIENCY,
     )
+    return trace
+
+
+def _record_substitution(trace, tiles, tile_size, limbs, complex_data=False):
+    """Stage 2 of Algorithm 1 against inverted tiles, appended to
+    ``trace``: per tile, last to first, ``x_i = U_i^{-1} b_i`` and one
+    update launch of the blocks above it."""
+    _check_tiles(tiles, tile_size)
+    n = tile_size
     for i in range(tiles - 1, -1, -1):
         trace.add(
             "multiply_inverse",
@@ -244,6 +254,19 @@ def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data
                 efficiency=BS_UPDATE_EFFICIENCY,
             )
     return trace
+
+
+def back_substitution_trace(tiles, tile_size, limbs, device="V100", complex_data=False, trace=None):
+    """Analytic trace of Algorithm 1 (tiled back substitution): the
+    launches :func:`repro.core.back_substitution.tiled_back_substitution`
+    records, that is
+    :func:`repro.batch.back_substitution.batched_back_substitution` at
+    batch 1 — the tile inversion launch, then the substitution."""
+    n = tile_size
+    if trace is None:
+        trace = KernelTrace(device, label=f"BS model dim={tiles * n} {n}x{tiles}")
+    _record_tile_inversion(trace, tiles, n, limbs, complex_data)
+    return _record_substitution(trace, tiles, n, limbs, complex_data)
 
 
 def lstsq_trace(
@@ -299,25 +322,29 @@ def matrix_series_trace(
     """Analytic trace of a linearized block Toeplitz series solve.
 
     The launches :func:`repro.series.matrix_series.solve_matrix_series`
-    records: one blocked QR of the head matrix, then
+    records: one blocked QR of the head matrix and one inversion of the
+    diagonal tiles of its ``R`` (stage 1 of Algorithm 1, shared by every
+    order), then
 
     * for a **constant head** (``matrix_terms == 1``), whose orders
       decouple, one *batched* ``Q^H B`` matrix-matrix launch over the
       whole ``(n, order+1)`` right-hand-side array followed by one
-      tiled back substitution per order;
+      substitution (stage 2 of Algorithm 1) per order;
     * for a **coupled** matrix series, one right-hand-side convolution
       (batched over the coupling terms), one ``Q^H r`` product and one
-      tiled back substitution per series order.
+      substitution per series order.
 
     ``matrix_terms`` is the number of matrix series coefficients.
     """
     n = dimension
     tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
+    tiles = n // bs_tile_size
     if trace is None:
         trace = KernelTrace(
             device, label=f"matrix series model dim={n} order={order}"
         )
     qr_trace(n, n, tile_size, limbs, device, complex_data, trace=trace)
+    _record_tile_inversion(trace, tiles, bs_tile_size, limbs, complex_data)
     if matrix_terms == 1:
         trace.add(
             "apply_qt_batched",
@@ -330,9 +357,7 @@ def matrix_series_trace(
             bytes_written=md_bytes(n * (order + 1), limbs, complex_data),
         )
         for _ in range(order + 1):
-            back_substitution_trace(
-                n // bs_tile_size, bs_tile_size, limbs, device, complex_data, trace=trace
-            )
+            _record_substitution(trace, tiles, bs_tile_size, limbs, complex_data)
         return trace
     for k in range(order + 1):
         terms = min(k, matrix_terms - 1)
@@ -348,9 +373,7 @@ def matrix_series_trace(
                 bytes_written=md_bytes(n, limbs, complex_data),
             )
         trace.record(_apply_qt_launch(n, tile_size, limbs, complex_data))
-        back_substitution_trace(
-            n // bs_tile_size, bs_tile_size, limbs, device, complex_data, trace=trace
-        )
+        _record_substitution(trace, tiles, bs_tile_size, limbs, complex_data)
     return trace
 
 
@@ -368,8 +391,10 @@ def newton_series_trace(
     """Analytic trace of the order-by-order series Newton staircase.
 
     The launches :func:`repro.series.newton.newton_series` records: one
-    blocked QR of the Jacobian head, then one ``Q^H r`` product and one
-    tiled back substitution per series order ``1 .. order``.  The residual
+    blocked QR of the Jacobian head and, for ``order >= 1``, one
+    inversion of the diagonal tiles of its ``R`` (stage 1 of
+    Algorithm 1), then one ``Q^H r`` product and one substitution
+    (stage 2) per series order ``1 .. order``.  The residual
     evaluations run in the vectorized limb-major series arithmetic on
     the host side of the simulation; their multiple double operation
     and launch counts are catalogued separately by
@@ -385,12 +410,13 @@ def newton_series_trace(
         trace = KernelTrace(
             device, label=f"newton series model dim={n} order={order}"
         )
+    tiles = n // bs_tile_size
     qr_trace(n, n, tile_size, limbs, device, complex_data=complex_data, trace=trace)
+    if order:
+        _record_tile_inversion(trace, tiles, bs_tile_size, limbs, complex_data)
     for _ in range(order):
         trace.record(_apply_qt_launch(n, tile_size, limbs, complex_data))
-        back_substitution_trace(
-            n // bs_tile_size, bs_tile_size, limbs, device, complex_data, trace=trace
-        )
+        _record_substitution(trace, tiles, bs_tile_size, limbs, complex_data)
     return trace
 
 
@@ -601,9 +627,40 @@ def batched_back_substitution_trace(
 ):
     """Analytic trace of the batched tiled back substitution, the
     launches :func:`repro.batch.back_substitution.batched_back_substitution`
-    records."""
+    records: :func:`batched_tile_inversion_trace` followed by
+    :func:`batched_substitution_trace`."""
     return back_substitution_trace(
         tiles, tile_size, limbs, device, complex_data
+    ).batched(batch)
+
+
+def batched_tile_inversion_trace(
+    batch, tiles, tile_size, limbs, device="V100", complex_data=False
+):
+    """Analytic trace of stage 1 of the batched Algorithm 1, the one
+    ``invert_tiles`` launch
+    :func:`repro.batch.back_substitution.batched_invert_tiles` records."""
+    trace = KernelTrace(
+        device,
+        label=f"tile inversion model dim={tiles * tile_size} {tile_size}x{tiles}",
+    )
+    return _record_tile_inversion(
+        trace, tiles, tile_size, limbs, complex_data
+    ).batched(batch)
+
+
+def batched_substitution_trace(
+    batch, tiles, tile_size, limbs, device="V100", complex_data=False
+):
+    """Analytic trace of stage 2 of the batched Algorithm 1 against
+    inverted tiles, the launches
+    :func:`repro.batch.back_substitution.batched_substitution` records."""
+    trace = KernelTrace(
+        device,
+        label=f"substitution model dim={tiles * tile_size} {tile_size}x{tiles}",
+    )
+    return _record_substitution(
+        trace, tiles, tile_size, limbs, complex_data
     ).batched(batch)
 
 
@@ -641,8 +698,9 @@ def path_fleet_trace(
 ):
     """Analytic trace of one batched fleet step over ``batch`` paths.
 
-    One batched series Newton expansion (QR of all Jacobian heads plus
-    one batched solve per series order) and **one** batched Padé
+    One batched series Newton expansion (QR of all Jacobian heads, one
+    inversion of their ``R`` tiles, then one batched ``Q^H r`` and one
+    batched substitution per series order) and **one** batched Padé
     construction covering all ``batch * dimension`` solution components
     — the work :func:`repro.batch.fleet.track_paths` performs per
     precision sub-batch.  The flops are ``batch`` times those of
@@ -707,6 +765,8 @@ COSTMODEL_TWINS = {
     "poly_eval_jacobian": polynomial_evaluation_trace,
     "batched_qr": batched_qr_trace,
     "batched_back_substitution": batched_back_substitution_trace,
+    "batched_tile_inversion": batched_tile_inversion_trace,
+    "batched_substitution": batched_substitution_trace,
     "batched_lstsq": batched_lstsq_trace,
     # a path is tracked as a fleet of one
     "track_path": path_fleet_trace,

@@ -466,8 +466,9 @@ class Homotopy:
         shape ``(b, tracking_dimension, K+1)`` and real parameter planes
         ``t_series`` of element shape ``(b, K+1)`` in, residual planes
         out.  ``gamma`` scales (complex) or rotates (realified) the start
-        residual, then batched Cauchy products convolve it with ``1 - t``
-        and the target residual with ``t``."""
+        residual, then one batched Cauchy launch sequence convolves it
+        with ``1 - t`` and the target residual with ``t``
+        (:func:`_combine_with_parameter`, shared by both backends)."""
         if self._backend == "complex":
             return self._complex_residual(
                 coefficients, t_series, trace=trace, device=device
@@ -483,7 +484,7 @@ class Homotopy:
                 MDArray.zeros(coefficients.shape, coefficients.limbs),
             )
         n = self._dimension
-        batch, dimension, terms = coefficients.shape
+        dimension = coefficients.shape[1]
         if dimension != n:
             raise ValueError(
                 f"expected batched planes over {n} complex variables, "
@@ -496,23 +497,12 @@ class Homotopy:
         g = self._start.evaluate_series(coefficients, trace=trace, device=device)
         f = self._target.evaluate_series(coefficients, trace=trace, device=device)
         left = g * gamma
-        s_series = _one_minus(t_series)
-        # stack [left_re, left_im, f_re, f_im] against [s, s, t, t]: the
-        # parameter is real, so one real batched Cauchy launch covers
-        # all four planes
-        planes = np.concatenate(
-            [left.real.data, left.imag.data, f.real.data, f.imag.data], axis=2
-        )
-        s_data = np.broadcast_to(
-            s_series.data[:, :, None, :], (prec.limbs, batch, 2 * n, terms)
-        )
-        t_data = np.broadcast_to(
-            t_series.data[:, :, None, :], (prec.limbs, batch, 2 * n, terms)
-        )
-        factors = np.concatenate([s_data, t_data], axis=2)
-        product = linalg.cauchy_product(MDArray(planes), MDArray(factors))
-        h = MDArray(product.data[:, :, : 2 * n]) + MDArray(
-            product.data[:, :, 2 * n :]
+        # the parameter is real, so the real and imaginary planes combine
+        # as independent real planes
+        h = _combine_with_parameter(
+            np.concatenate([left.real.data, left.imag.data], axis=2),
+            np.concatenate([f.real.data, f.imag.data], axis=2),
+            t_series,
         )
         return MDComplexArray(
             MDArray(h.data[:, :, :n]), MDArray(h.data[:, :, n:])
@@ -527,31 +517,35 @@ class Homotopy:
                 f"got {dimension}"
             )
         prec = get_precision(coefficients.limbs)
-        a = MultiDouble(self.gamma.real, prec)
-        b = MultiDouble(self.gamma.imag, prec)
         g = self._start.evaluate_series(coefficients, trace=trace, device=device)
         f = self._target.evaluate_series(coefficients, trace=trace, device=device)
-        g_re = MDArray(g.data[:, :, :n])
-        g_im = MDArray(g.data[:, :, n:])
-        f_re = MDArray(f.data[:, :, :n])
-        f_im = MDArray(f.data[:, :, n:])
-        # gamma acts as a rotation mixing real and imaginary parts
-        left_re = g_re * a - g_im * b
-        left_im = g_re * b + g_im * a
-        s_series = _one_minus(t_series)
-        s_data = MDArray(
-            np.broadcast_to(s_series.data[:, :, None, :], g_re.data.shape)
+        # gamma = a + ib acts as a rotation mixing the real and imaginary
+        # parts (g is [g_re, g_im] along the equation axis): the products
+        # [g_re a, g_re b, g_im b, g_im a] in one launch, then
+        # [left_re, left_im] = [g_re a - g_im b, g_re b + g_im a] in one
+        # sum after an exact negation
+        shape = (prec.limbs, batch, 4 * n, terms)
+        doubled = np.repeat(g.data.reshape(prec.limbs, batch, 2, n, terms), 2, axis=2)
+        rotation = np.repeat(self._gamma_limbs(prec)[:, [0, 1, 1, 0]], n, axis=1)
+        products = MDArray(doubled.reshape(shape)) * MDArray(
+            np.broadcast_to(rotation[:, None, :, None], shape)
         )
-        t_data = MDArray(
-            np.broadcast_to(t_series.data[:, :, None, :], g_re.data.shape)
+        _negate_block(products, 2 * n, 3 * n)
+        left = MDArray(products.data[:, :, : 2 * n]) + MDArray(
+            products.data[:, :, 2 * n :]
         )
-        h_re = linalg.cauchy_product(left_re, s_data) + linalg.cauchy_product(
-            f_re, t_data
-        )
-        h_im = linalg.cauchy_product(left_im, s_data) + linalg.cauchy_product(
-            f_im, t_data
-        )
-        return MDArray(np.concatenate([h_re.data, h_im.data], axis=2))
+        return _combine_with_parameter(left.data, f.data, t_series)
+
+    def _gamma_limbs(self, prec):
+        """The limbs of ``gamma``'s real and imaginary parts at ``prec``,
+        one column each: shape ``(limbs, 2)``."""
+        return np.array(
+            [
+                MultiDouble(self.gamma.real, prec).limbs,
+                MultiDouble(self.gamma.imag, prec).limbs,
+            ],
+            dtype=np.float64,
+        ).T
 
     # ------------------------------------------------------------------
     # Jacobian (one shared power-product pass per system)
@@ -613,17 +607,41 @@ class Homotopy:
         commutative; ``(1 - t) gamma`` equals ``gamma (1 - t)`` in every
         bit, ``gamma`` being a double)."""
         batch = t_planes.shape[0]
+        limbs = t_planes.limbs
         t = t_planes.reshape(batch, 1, 1)
         s = _one_minus(t_planes).reshape(batch, 1, 1)
-        a_s = s * MultiDouble(self.gamma.real, s.limbs)
-        b_s = s * MultiDouble(self.gamma.imag, s.limbs)
+        # [gamma_re (1 - t), gamma_im (1 - t)] in one launch
+        scaled = MDArray(np.repeat(s.data, 2, axis=2)) * MDArray(
+            np.broadcast_to(
+                self._gamma_limbs(get_precision(limbs))[:, None, :, None],
+                (limbs, batch, 2, 1),
+            )
+        )
+        a_s = MDArray(scaled.data[:, :, :1])
+        b_s = MDArray(scaled.data[:, :, 1:])
         if self._backend == "complex":
             return jg * MDComplexArray(a_s, b_s) + jf * t
+        # the six products [g_re a_s, g_re b_s, g_im b_s, g_im a_s,
+        # jf_top t, jf_bottom t] in one launch, then
+        # top = g_re a_s - g_im b_s + jf_top t (an exact negation) and
+        # bottom = g_re b_s + g_im a_s + jf_bottom t in two sums
         n = self._dimension
-        g_re, g_im = jg[:, :n], jg[:, n:]
-        top = g_re * a_s - g_im * b_s + jf[:, :n] * t
-        bottom = g_re * b_s + g_im * a_s + jf[:, n:] * t
-        return MDArray(np.concatenate([top.data, bottom.data], axis=2))
+        width = jg.shape[2]
+        g_re, g_im = jg.data[:, :, :n], jg.data[:, :, n:]
+        operands = np.concatenate([g_re, g_re, g_im, g_im, jf.data], axis=2)
+        factors = np.concatenate(
+            [
+                np.broadcast_to(factor.data, (limbs, batch, n, width))
+                for factor in (a_s, b_s, b_s, a_s, t, t)
+            ],
+            axis=2,
+        )
+        products = MDArray(operands) * MDArray(factors)
+        _negate_block(products, 2 * n, 3 * n)
+        combined = MDArray(products.data[:, :, : 2 * n]) + MDArray(
+            products.data[:, :, 2 * n : 4 * n]
+        )
+        return combined + MDArray(products.data[:, :, 4 * n :])
 
     # ------------------------------------------------------------------
     # tracking drivers
@@ -730,6 +748,36 @@ class Homotopy:
             f"paths={self.path_count}, gamma={self.gamma:.6f}, "
             f"backend={self._backend!r})"
         )
+
+
+def _combine_with_parameter(left, f, t_series) -> MDArray:
+    """``(1 - t) left + t f`` on real limb planes: ``left`` and ``f``
+    of element shape ``(b, m, K+1)`` (raw data), ``t_series`` of element
+    shape ``(b, K+1)``.  ``[left, f]`` convolve against ``[1 - t, t]``
+    in one batched Cauchy launch sequence, then one sum — the tail of
+    both residual cores (each complex plane is a real one, the
+    parameter being real)."""
+    limbs, batch, rows, terms = left.shape
+    s_series = _one_minus(t_series)
+    factors = np.concatenate(
+        [
+            np.broadcast_to(series.data[:, :, None, :], (limbs, batch, rows, terms))
+            for series in (s_series, t_series)
+        ],
+        axis=2,
+    )
+    product = linalg.cauchy_product(
+        MDArray(np.concatenate([left, f], axis=2)), MDArray(factors)
+    )
+    return MDArray(product.data[:, :, :rows]) + MDArray(product.data[:, :, rows:])
+
+
+def _negate_block(products: MDArray, lo: int, hi: int) -> None:
+    """Negate rows ``lo:hi`` of freshly computed product planes in place
+    — exact, so adding them afterwards is the subtraction ``x - y``
+    every backend runs as ``x + (-y)``."""
+    block = products.data[:, :, lo:hi]
+    np.negative(block, out=block)
 
 
 def _one_minus(t_series: MDArray) -> MDArray:

@@ -9,23 +9,31 @@ system the paper's Section 1.1 describes: order ``k`` of
 
 Solving it therefore takes **one linear solve per series order, always
 against the head matrix** ``A_0``.  This module factors ``A_0`` once
-with the blocked Householder QR of :mod:`repro.core` and keeps all the
-right-hand sides in one limb-major ``(n, K+1)`` coefficient array:
+with the blocked Householder QR of :mod:`repro.core`, inverts the
+diagonal tiles of its ``R`` once (stage 1 of Algorithm 1,
+:func:`repro.batch.back_substitution.batched_invert_tiles`) and keeps
+all the right-hand sides in one limb-major ``(n, K+1)`` coefficient
+array:
 
 * for a **constant head** (one matrix coefficient) every order
   decouples, so all the ``Q^H b_k`` products collapse into a single
   batched matrix-matrix launch against the whole right-hand-side
-  array, followed by one tiled back substitution per order;
+  array, followed by one substitution against the tile inverses
+  (stage 2, :func:`~repro.batch.back_substitution.batched_substitution`)
+  per order;
 * when later matrix coefficients **couple** the orders, the solve
   walks the staircase order by order, with the right-hand-side
   convolution ``sum_j A_j x_{k-j}`` executed as one batched launch
   over all coupling terms (:func:`repro.vec.linalg.convolve_matvec`)
   and recorded as its own kernel stage
-  (:data:`repro.core.stages.STAGE_SERIES_CONVOLVE`).
+  (:data:`repro.core.stages.STAGE_SERIES_CONVOLVE`), then one ``Q^H r``
+  product and one substitution per order.
 
-The solve records the launches of the cost model's
-:func:`repro.perf.costmodel.matrix_series_trace` for its shape,
-including the batched ``Q^H B`` launch of the constant-head path.
+A complex head takes real or complex right-hand sides (real ones are
+promoted); a real head needs real ones.  The solve records the launches
+of the cost model's :func:`repro.perf.costmodel.matrix_series_trace`
+for its shape, including the batched ``Q^H B`` launch of the
+constant-head path.
 """
 
 from __future__ import annotations
@@ -34,9 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.back_substitution import tiled_back_substitution
+from ..batch.back_substitution import batched_invert_tiles, batched_substitution
 from ..core.blocked_qr import blocked_qr
 from ..core.least_squares import resolve_tile_sizes
+from ..core.tile_inverse import check_nonsingular
 from ..gpu.kernel import KernelTrace
 from ..obs.profile import profiled
 from ..vec import linalg
@@ -117,14 +126,16 @@ def _normalize_matrix_coefficients(matrix_coefficients):
     return matrix_coefficients
 
 
-def _normalize_rhs(rhs_coefficients, n: int):
+def _normalize_rhs(rhs_coefficients, n: int, complex_data: bool):
     """Normalize the right-hand side to its batched representation.
 
     Accepts a :class:`VectorSeries`, one batched ``(n, K+1)`` array, or
     the legacy list of per-order ``(n,)`` vectors.  Returns
-    ``(batched, per_order, complex_data)`` where ``batched`` is the
-    ``(n, K+1)`` array (``None`` for complex data) and ``per_order``
-    the list of ``(n,)`` columns.
+    ``(batched, per_order)`` where ``batched`` is the ``(n, K+1)`` array
+    (``None`` for complex data) and ``per_order`` the list of ``(n,)``
+    columns.  Under a complex head (``complex_data``) real columns are
+    promoted to complex ones with a zero imaginary part; under a real
+    head a complex right-hand side raises ``ValueError``.
     """
     if isinstance(rhs_coefficients, VectorSeries):
         rhs_coefficients = rhs_coefficients.coefficients
@@ -135,17 +146,29 @@ def _normalize_rhs(rhs_coefficients, n: int):
             raise ValueError("need at least the order-zero right-hand side")
         batched = rhs_coefficients
         per_order = [batched[:, k] for k in range(batched.shape[1])]
-        return batched, per_order, False
-    per_order = list(rhs_coefficients)
-    if not per_order:
-        raise ValueError("need at least the order-zero right-hand side")
-    for rhs in per_order:
-        if rhs.shape[0] != n:
-            raise ValueError("right-hand side length does not match the matrix")
-    if isinstance(per_order[0], MDComplexArray):
-        return None, per_order, True
-    batched = MDArray(np.stack([v.data for v in per_order], axis=-1))
-    return batched, per_order, False
+    else:
+        per_order = list(rhs_coefficients)
+        if not per_order:
+            raise ValueError("need at least the order-zero right-hand side")
+        for rhs in per_order:
+            if rhs.shape[0] != n:
+                raise ValueError("right-hand side length does not match the matrix")
+        batched = None
+    if complex_data:
+        return None, [
+            rhs
+            if isinstance(rhs, MDComplexArray)
+            else MDComplexArray(rhs, MDArray.zeros(rhs.shape, rhs.limbs))
+            for rhs in per_order
+        ]
+    if any(isinstance(rhs, MDComplexArray) for rhs in per_order):
+        raise ValueError(
+            "a complex right-hand side needs a complex matrix; "
+            "promote the matrix to MDComplexArray"
+        )
+    if batched is None:
+        batched = MDArray(np.stack([v.data for v in per_order], axis=-1))
+    return batched, per_order
 
 
 @profiled("solve_matrix_series", trace_of=lambda result: result.trace)
@@ -170,12 +193,15 @@ def solve_matrix_series(
         ``(n, K+1)`` :class:`MDArray` (or
         :class:`~repro.series.vector.VectorSeries`), or the legacy list
         ``[b_0, b_1, ..., b_K]`` of ``(n,)`` arrays; the order count
-        fixes the truncation order ``K`` of the solution.
+        fixes the truncation order ``K`` of the solution.  Under a
+        complex head real vectors are promoted to complex ones; a real
+        head with complex vectors raises ``ValueError``.
     tile_size:
         Panel width of the one-off QR factorization of ``A_0``
         (defaults as in :func:`repro.core.least_squares.lstsq`).
     bs_tile_size:
-        Tile size of the per-order back substitutions (defaults to
+        Tile size of the triangular solves against ``R`` (one tile
+        inversion, then one substitution per order; defaults to
         ``tile_size``).
     device:
         Simulated device the kernel launches are attributed to.
@@ -188,7 +214,8 @@ def solve_matrix_series(
     matrix_coefficients = _normalize_matrix_coefficients(matrix_coefficients)
     head = matrix_coefficients[0]
     n = head.shape[0]
-    batched_rhs, rhs_list, complex_data = _normalize_rhs(rhs_coefficients, n)
+    complex_data = isinstance(head, MDComplexArray)
+    batched_rhs, rhs_list = _normalize_rhs(rhs_coefficients, n, complex_data)
     tile_size, bs_tile_size = resolve_tile_sizes(n, tile_size, bs_tile_size)
 
     order = len(rhs_list) - 1
@@ -197,7 +224,15 @@ def solve_matrix_series(
 
     qr = blocked_qr(head, tile_size, device=device)
     q_conjugate = linalg.conjugate_transpose(qr.Q)
-    upper = qr.R[:n, :n]
+    # stage 1 of Algorithm 1 once: every order solves against this R
+    uppers = qr.R[:n, :n].reshape(1, n, n)
+    inverses = batched_invert_tiles(uppers, bs_tile_size, device=device)
+    check_nonsingular(uppers[0])
+
+    def substitute(qhb):
+        return batched_substitution(
+            uppers, inverses, qhb.reshape(1, n), device=device
+        ).x[0]
 
     solution = []
     if matrix_terms == 1:
@@ -210,12 +245,9 @@ def solve_matrix_series(
             rhs_matrix = batched_rhs
         qhb_all = linalg.matmul(q_conjugate, rhs_matrix)
         for k in range(order + 1):
-            bs = tiled_back_substitution(
-                upper, qhb_all[:n, k], bs_tile_size, device=device
-            )
-            solution.append(bs.x)
+            solution.append(substitute(qhb_all[:n, k]))
     else:
-        # coupled orders: one convolution + Q^H r + back substitution
+        # coupled orders: one convolution + Q^H r + substitution
         # per order, the convolution batched over the coupling terms
         if not complex_data:
             coupling = MDArray(
@@ -243,8 +275,7 @@ def solve_matrix_series(
                         MDArray(coupling.data[:, :terms]), previous
                     )
             qhb = linalg.matvec(q_conjugate, rhs)
-            bs = tiled_back_substitution(upper, qhb[:n], bs_tile_size, device=device)
-            solution.append(bs.x)
+            solution.append(substitute(qhb[:n]))
 
     trace = matrix_series_trace(
         n,

@@ -14,14 +14,16 @@ coefficients must be computed most accurately because roundoff
 propagates from each order into all later ones.
 
 :func:`newton_series` is this order-by-order staircase (linear in the
-order, one back substitution per order, Jacobian factored once).  It
+order; the Jacobian head is factored and the diagonal tiles of its
+``R`` inverted once, then one triangular substitution per order).  It
 runs on a batch of one path over the staircase of the path fleet
-(:mod:`repro.batch.fleet`): one batched QR of the Jacobian heads, then
-per order the residual columns (one ``residual_fleet`` call on a
+(:mod:`repro.batch.fleet`): one batched QR of the Jacobian heads and
+one batched tile inversion, then per order the residual columns (one
+``residual_fleet`` call on a
 :class:`~repro.poly.system.PolynomialSystem` or
 :class:`~repro.poly.homotopy.Homotopy`, a per-path loop on a plain
-callable), one ``Q^H r`` product and one batched back substitution, so
-the library holds one series Newton staircase.  Its references are the
+callable), one ``Q^H r`` product and one batched substitution, so the
+library holds one series Newton staircase.  Its references are the
 test oracles of ``tests/oracles/series.py``: the unbatched staircase
 ``unbatched_newton_series`` and the scalar loop-per-coefficient
 ``newton_series``, both **bit-identical** (the cross-checks of
@@ -232,8 +234,9 @@ def newton_series(
     precision:
         Limb count (or precision name) of the computation.
     tile_size, bs_tile_size, device:
-        Passed to the QR factorization and the per-order back
-        substitutions, as in :func:`repro.core.least_squares.lstsq`.
+        Passed to the QR factorization and the triangular solves (one
+        tile inversion, then one substitution per order), as in
+        :func:`repro.core.least_squares.lstsq`.
 
     The expansion is a batch of one path over the path fleet's
     staircase (:mod:`repro.batch.fleet`), so ``system`` is called as the

@@ -24,8 +24,10 @@ import pytest
 from repro.batch import (
     batched_back_substitution,
     batched_blocked_qr,
+    batched_invert_tiles,
     batched_least_squares,
     batched_pade,
+    batched_substitution,
 )
 from repro.core.back_substitution import tiled_back_substitution
 from repro.core.blocked_qr import blocked_qr
@@ -35,6 +37,8 @@ from repro.perf.costmodel import (
     batched_back_substitution_trace,
     batched_lstsq_trace,
     batched_qr_trace,
+    batched_substitution_trace,
+    batched_tile_inversion_trace,
     pade_trace,
 )
 from repro.series import TruncatedSeries
@@ -207,6 +211,135 @@ class TestBatchedBackSubstitution:
         rhs = MDComplexArray.zeros((2, 4), 2)
         with pytest.raises(ValueError, match="complex right-hand side"):
             batched_back_substitution(uppers, rhs, 2)
+
+
+def int64_planes(array):
+    """The limb planes of a real or complex array as int64 views."""
+    planes = (array.real, array.imag) if isinstance(array, MDComplexArray) else (array,)
+    return [plane.data.view(np.int64) for plane in planes]
+
+
+class TestBackSubstitutionStages:
+    """Algorithm 1 split in its two stages: the tiles inverted once,
+    then any number of substitutions against those inverses — what the
+    series staircases run per order against one factored head."""
+
+    @staticmethod
+    def problem(batch, dim, limbs, complex_data, rng, orders=3):
+        uppers = vb.stack(
+            [
+                mdrandom.random_well_conditioned_upper_triangular(
+                    dim, limbs, rng, complex_data=complex_data
+                )
+                for _ in range(batch)
+            ]
+        )
+        rhs = [
+            vb.stack(random_vectors(batch, dim, limbs, complex_data, rng))
+            for _ in range(orders)
+        ]
+        return uppers, rhs
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_substitutions_against_one_inversion_equal_fresh_solves(
+        self, complex_data, limbs, rng
+    ):
+        uppers, rhs = self.problem(3, 6, limbs, complex_data, rng)
+        inverses = batched_invert_tiles(uppers, 2)
+        assert inverses.tiles == 3 and inverses.batch == 3
+        for b in rhs:
+            staged = batched_substitution(uppers, inverses, b).x
+            fresh = batched_back_substitution(uppers, b, 2).x
+            for ours, theirs in zip(
+                int64_planes(staged), int64_planes(fresh), strict=True
+            ):
+                assert np.array_equal(ours, theirs)
+            # and every slot against the unbatched dense oracle
+            for index in range(3):
+                reference = dense.tiled_back_substitution(uppers[index], b[index], 2).x
+                for ours, theirs in zip(
+                    int64_planes(staged[index]), int64_planes(reference), strict=True
+                ):
+                    assert np.array_equal(ours, theirs)
+
+    def test_real_rhs_under_complex_matrices(self, rng):
+        uppers, _ = self.problem(2, 4, 2, True, rng)
+        rhs = vb.stack(random_vectors(2, 4, 2, False, rng))
+        staged = batched_substitution(uppers, batched_invert_tiles(uppers, 2), rhs).x
+        fresh = batched_back_substitution(uppers, rhs, 2).x
+        assert isinstance(staged, MDComplexArray)
+        for ours, theirs in zip(int64_planes(staged), int64_planes(fresh), strict=True):
+            assert np.array_equal(ours, theirs)
+
+    def test_singular_slice_stays_in_its_slot(self, rng):
+        uppers, rhs = self.problem(3, 4, 2, False, rng)
+        singular = uppers.copy()
+        singular[1] = MDArray.zeros((4, 4), 2)  # zero diagonal
+        inverses = batched_invert_tiles(singular, 2)
+        for b in rhs:
+            result = batched_substitution(singular, inverses, b)
+            assert result.finite_systems().tolist() == [True, False, True]
+            for index in (0, 2):
+                reference = dense.tiled_back_substitution(
+                    uppers[index], b[index], 2
+                ).x
+                assert np.array_equal(
+                    result.x.data[:, index].view(np.int64),
+                    reference.data.view(np.int64),
+                )
+
+    @pytest.mark.parametrize(
+        "batch,complex_data,limbs",
+        [(BATCH, False, 2), (3, True, 4), (1, False, 8), (2, True, 1)],
+        ids=["real", "complex", "b1", "complex-d"],
+    )
+    def test_stage_records_concatenate_to_the_back_substitution_trace(
+        self, batch, complex_data, limbs, rng
+    ):
+        uppers, (b,) = self.problem(batch, 8, limbs, complex_data, rng, orders=1)
+        inverses = batched_invert_tiles(uppers, 2)
+        substitution = batched_substitution(uppers, inverses, b)
+        whole = batched_back_substitution_trace(
+            batch, 4, 2, limbs, complex_data=complex_data
+        )
+        assert launch_records(inverses.trace) + launch_records(
+            substitution.trace
+        ) == launch_records(whole)
+        models = (
+            batched_tile_inversion_trace(batch, 4, 2, limbs, complex_data=complex_data),
+            batched_substitution_trace(batch, 4, 2, limbs, complex_data=complex_data),
+        )
+        assert launch_records(models[0]) == launch_records(inverses.trace)
+        assert launch_records(models[1]) == launch_records(substitution.trace)
+        # and against the dense oracle's two stages, batched
+        upper = uppers[0]
+        first, second = KernelTrace("V100"), KernelTrace("V100")
+        dense.substitute(upper, dense.invert_tiles(upper, 2, first), b[0], second)
+        assert launch_records(inverses.trace) == launch_records(first.batched(batch))
+        assert launch_records(substitution.trace) == launch_records(
+            second.batched(batch)
+        )
+
+    def test_shared_trace_gets_both_stages(self, rng):
+        uppers, (b,) = self.problem(2, 4, 2, False, rng, orders=1)
+        trace = KernelTrace("V100")
+        batched_substitution(
+            uppers, batched_invert_tiles(uppers, 2, trace=trace), b, trace=trace
+        )
+        assert launch_records(trace) == launch_records(
+            batched_back_substitution_trace(2, 2, 2, 2)
+        )
+
+    def test_mismatched_inverses_are_rejected(self, rng):
+        uppers, (b,) = self.problem(2, 4, 2, False, rng, orders=1)
+        with pytest.raises(ValueError, match="tile inverses"):
+            batched_substitution(uppers, batched_invert_tiles(uppers[:1], 2), b)
+        with pytest.raises(ValueError, match="tile inverses"):
+            batched_substitution(
+                uppers[:, :2, :2], batched_invert_tiles(uppers, 2), b[:, :2]
+            )
+        with pytest.raises(ValueError, match="must divide"):
+            batched_invert_tiles(uppers, 3)
 
 
 class TestBatchedLeastSquares:

@@ -20,6 +20,7 @@ The edge cases the batched execution layer must get right:
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ import pytest
 from repro.batch import PathFleetResult, track_paths
 from repro.batch import fleet as fleet_module
 from repro.md.number import ComplexMultiDouble
-from repro.perf.costmodel import path_fleet_trace
+from repro.perf.costmodel import newton_series_trace, path_fleet_trace
 from repro.series import newton_series, track_path
 from repro.series.pade import PadeBatch
 from repro.series.tracker import PathResult
@@ -476,6 +477,41 @@ def _scalar_halvings(
 
 
 class TestFleetCostModel:
+    @pytest.mark.parametrize("limbs", [1, 2], ids=["d", "dd"])
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_round_records_one_tile_inversion_and_equal_the_model(
+        self, limbs, complex_data
+    ):
+        """A round's staircase inverts the tiles of its ``R`` once (the
+        batched Padé's Hankel solve inverts its own), and the round
+        records exactly the launches of ``path_fleet_trace`` (a plain
+        callable records no residual launches), field by field."""
+        starts = [[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]]
+        if complex_data:
+            starts = [[complex(v), complex(v)] for v, _ in starts]
+        order = 8
+        fleet = track_paths(
+            coupled_system,
+            coupled_jacobian,
+            starts,
+            tol=1e-12,
+            order=order,
+            max_steps=3,
+            precision_ladder=(limbs,),
+        )
+        staircase = len(newton_series_trace(2, order, limbs))
+        assert fleet.round_traces
+        for (_, _, indices), numeric in zip(fleet.sub_batches, fleet.round_traces):
+            names = [launch.name for launch in numeric.launches[:staircase]]
+            assert names.count("invert_tiles") == 1
+            assert names.count("multiply_inverse") == order
+            analytic = path_fleet_trace(
+                len(indices), 2, order, limbs, complex_data=complex_data
+            )
+            assert [astuple(launch) for launch in numeric.launches] == [
+                astuple(launch) for launch in analytic.launches
+            ]
+
     def test_fleet_trace_flat_in_batch(self):
         base = path_fleet_trace(1, 2, 8, 2)
         wide = path_fleet_trace(32, 2, 8, 2)

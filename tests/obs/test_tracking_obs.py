@@ -160,10 +160,13 @@ class TestCyclic3FleetArtifacts:
         rows = predicted_vs_measured(recorder)
         assert rows, "no profiled spans carried both milliseconds columns"
         names = {row["span"] for row in rows}
-        # the lock-step expansion and its batched stages all align
+        # the lock-step expansion and its batched stages all align; the
+        # staircase shows the two stages of Algorithm 1 apart
         assert "fleet_expansion" in names
         assert "batched_qr" in names
         assert "batched_back_substitution" in names
+        assert "batched_tile_inversion" in names
+        assert "batched_substitution" in names
         assert "batched_lstsq" in names
         assert "poly_eval_series" in names
         for row in rows:

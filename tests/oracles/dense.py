@@ -7,7 +7,9 @@ its :mod:`repro.batch` driver on a leading batch axis of 1 — so the
 library holds one implementation of Algorithms 1 and 2.  This module
 keeps the unbatched code the batched drivers were built from, written
 over :mod:`repro.vec.linalg`: the Householder panel loop, the WY
-accumulation, the tile inversion and the tiled stage-2 loop.
+accumulation, the tile inversion and the tiled stage-2 loop (the two
+stages of Algorithm 1 callable apart, as the series oracles call them:
+one inversion per factored head, one substitution per order).
 
 Every launch is recorded inline, next to the arithmetic it stands for.
 The library's drivers record the traces of the analytic cost model
@@ -58,6 +60,8 @@ __all__ = [
     "wy_product",
     "invert_upper_triangular",
     "blocked_qr",
+    "invert_tiles",
+    "substitute",
     "tiled_back_substitution",
     "lstsq",
     "launch_records",
@@ -393,30 +397,20 @@ def invert_upper_triangular(tile):
     return inverse
 
 
-def tiled_back_substitution(matrix, rhs, tile_size, device="V100", trace=None):
-    """Solve the upper triangular system ``U x = b`` with Algorithm 1,
-    one system at a time; returns a :class:`BackSubstitutionResult`."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("the coefficient matrix must be square")
-    if rhs.ndim != 1 or rhs.shape[0] != matrix.shape[0]:
-        raise ValueError("right-hand side length does not match the matrix")
-    if matrix.limbs != rhs.limbs:
-        raise ValueError("matrix and right-hand side must share the precision")
-    dim = matrix.shape[0]
-    if tile_size <= 0 or dim % tile_size != 0:
-        raise ValueError(f"tile size {tile_size} must divide the dimension {dim}")
+def invert_tiles(matrix, tile_size, trace):
+    """Stage 1 of Algorithm 1: invert every diagonal tile of the upper
+    triangular ``matrix`` (a zero diagonal leading limb raises
+    ``ZeroDivisionError``) and record the one launch; returns the
+    inverses, one ``(n, n)`` array per tile."""
     n = tile_size
-    tiles = dim // n
+    tiles = matrix.shape[0] // n
     complex_data = _is_complex(matrix)
     limbs = matrix.limbs
-    if trace is None:
-        trace = KernelTrace(device, label=f"back substitution dim={dim} {n}x{tiles}")
-
-    # stage 1: invert all diagonal tiles (one launch, N blocks of n threads)
     inverses = [
         invert_upper_triangular(matrix[i * n : (i + 1) * n, i * n : (i + 1) * n])
         for i in range(tiles)
     ]
+    # one launch, N blocks of n threads
     trace.add(
         "invert_tiles",
         stages.STAGE_INVERT_TILES,
@@ -428,9 +422,18 @@ def tiled_back_substitution(matrix, rhs, tile_size, device="V100", trace=None):
         bytes_written=md_bytes(tiles * n * n, limbs, complex_data),
         efficiency=TILE_INVERSION_EFFICIENCY,
     )
+    return inverses
 
-    # stage 2: back substitution over the tiles
-    x = _zeros(complex_data, (dim,), limbs)
+
+def substitute(matrix, inverses, rhs, trace):
+    """Stage 2 of Algorithm 1: solve ``U x = b`` against the tile
+    inverses of ``matrix`` from :func:`invert_tiles`, recording its
+    launches; returns ``x``."""
+    n = inverses[0].shape[0]
+    tiles = len(inverses)
+    complex_data = _is_complex(matrix)
+    limbs = matrix.limbs
+    x = _zeros(complex_data, (n * tiles,), limbs)
     b = rhs.copy()
     for i in range(tiles - 1, -1, -1):
         lo, hi = i * n, (i + 1) * n
@@ -464,7 +467,28 @@ def tiled_back_substitution(matrix, rhs, tile_size, device="V100", trace=None):
                 bytes_written=md_bytes(i * n, limbs, complex_data),
                 efficiency=BS_UPDATE_EFFICIENCY,
             )
+    return x
 
+
+def tiled_back_substitution(matrix, rhs, tile_size, device="V100", trace=None):
+    """Solve the upper triangular system ``U x = b`` with Algorithm 1,
+    one system at a time (:func:`invert_tiles`, then
+    :func:`substitute`); returns a :class:`BackSubstitutionResult`."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("the coefficient matrix must be square")
+    if rhs.ndim != 1 or rhs.shape[0] != matrix.shape[0]:
+        raise ValueError("right-hand side length does not match the matrix")
+    if matrix.limbs != rhs.limbs:
+        raise ValueError("matrix and right-hand side must share the precision")
+    dim = matrix.shape[0]
+    if tile_size <= 0 or dim % tile_size != 0:
+        raise ValueError(f"tile size {tile_size} must divide the dimension {dim}")
+    n = tile_size
+    tiles = dim // n
+    if trace is None:
+        trace = KernelTrace(device, label=f"back substitution dim={dim} {n}x{tiles}")
+    inverses = invert_tiles(matrix, n, trace)
+    x = substitute(matrix, inverses, rhs, trace)
     return BackSubstitutionResult(x=x, trace=trace, tile_size=n, tiles=tiles)
 
 

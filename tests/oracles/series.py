@@ -25,8 +25,9 @@ it mirrors —
   identical operand order in every ring operation;
 * calculus and Horner evaluation perform the same
   :mod:`repro.md.generic` limb operations element by element;
-* the staircase runs the unbatched QR and back substitution of the
-  dense oracle (``tests/oracles/dense.py``) and the library's
+* the staircase runs the unbatched QR and the two stages of the back
+  substitution of the dense oracle (``tests/oracles/dense.py``; the
+  tiles inverted once, one substitution per order) and the library's
   ``Q^H b`` product, and gathers each right-hand side from scalar
   residual coefficients instead of limb-major columns.
 
@@ -57,12 +58,13 @@ the numerator convolution and the defect — that
 hide in its own reference (``tests/series/test_pade.py``).
 
 :func:`unbatched_newton_series` is the per-path staircase on the
-limb-major series — one residual call, one column gather, one ``Q^H b``
-product and one tiled back substitution per order — that the path
-fleet batches and :func:`repro.series.newton.newton_series` runs as a
-batch of one.  It never calls :mod:`repro.batch.fleet`; the unbatched
-reference tracker (``tests/oracles/solo_tracker.py``) expands every
-step with it (``tests/series/test_newton_oracle.py``).
+limb-major series — one tile inversion, then one residual call, one
+column gather, one ``Q^H b`` product and one substitution per order —
+that the path fleet batches and
+:func:`repro.series.newton.newton_series` runs as a batch of one.  It
+never calls :mod:`repro.batch.fleet`; the unbatched reference tracker
+(``tests/oracles/solo_tracker.py``) expands every step with it
+(``tests/series/test_newton_oracle.py``).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from repro.vec import linalg
 from repro.vec.complexmd import MDComplexArray, map_planes
 from repro.vec.mdarray import MDArray
 
-from .dense import blocked_qr, lstsq, tiled_back_substitution
+from .dense import blocked_qr, invert_tiles, lstsq, substitute
 
 __all__ = [
     "ScalarSeries",
@@ -542,9 +544,10 @@ def newton_series(
     """The order-by-order Newton staircase on :class:`ScalarSeries`.
 
     ``system(x, t)`` is evaluated on scalar series; the Jacobian head
-    is factored once with the dense oracle's ``blocked_qr`` and every
-    order runs one ``Q^H b`` product and one ``tiled_back_substitution``
-    of the dense oracle, recording the same launches as
+    is factored once with the dense oracle's ``blocked_qr``, the tiles
+    of ``R`` are inverted once (``invert_tiles``) and every order runs
+    one ``Q^H b`` product and one ``substitute`` of the dense oracle,
+    recording the same launches as
     :func:`repro.series.newton.newton_series`.  Real start points only.
     The result carries one :class:`ScalarSeries` per unknown and no
     ``vector``.
@@ -570,6 +573,7 @@ def newton_series(
         device, label=f"newton series dim={n} order={order} {prec.name}"
     )
     trace.extend(qr.trace)
+    inverses = invert_tiles(upper, bs_tile_size, trace) if order else None
 
     columns = [[h] for h in heads]
     zero = MultiDouble(0, prec)
@@ -591,11 +595,9 @@ def newton_series(
             bytes_read=md_bytes(n * n + n, limbs, False),
             bytes_written=md_bytes(n, limbs, False),
         )
-        bs = tiled_back_substitution(
-            upper, qhb[:n], bs_tile_size, device=device, trace=trace
-        )
+        x = substitute(upper, inverses, qhb[:n], trace)
         for i, column in enumerate(columns):
-            column.append(bs.x.to_multidouble(i))
+            column.append(x.to_multidouble(i))
 
     return NewtonSeriesResult(
         series=[ScalarSeries(column, prec) for column in columns],
@@ -633,12 +635,13 @@ def unbatched_newton_series(
     Arguments and result are those of
     :func:`repro.series.newton.newton_series` with the three values
     passed in order (no argument shifting, inputs assumed valid).  The
-    Jacobian head is factored once by the dense oracle's ``blocked_qr``;
-    every order calls ``system(x, t)`` on the partial series, with the
-    real parameter series ``TruncatedSeries.variable(k, prec)``, gathers
-    the residual column, forms ``Q^H b`` with
-    :func:`repro.vec.linalg.matvec` and solves one
-    ``tiled_back_substitution`` of the dense oracle.  The
+    Jacobian head is factored once by the dense oracle's ``blocked_qr``
+    and the tiles of ``R`` inverted once (``invert_tiles``); every order
+    calls ``system(x, t)`` on the partial series, with the real
+    parameter series ``TruncatedSeries.variable(k, prec)``, gathers the
+    residual column, forms ``Q^H b`` with
+    :func:`repro.vec.linalg.matvec` and runs one ``substitute`` of the
+    dense oracle.  The
     library's :func:`~repro.series.newton.newton_series` is a batch of
     one over the path fleet's staircase; this is the per-path loop both
     are checked against, and it never calls the fleet.
@@ -667,6 +670,7 @@ def unbatched_newton_series(
         device, label=f"newton series dim={n} order={order} {prec.name}"
     )
     trace.extend(qr.trace)
+    inverses = invert_tiles(upper, bs_tile_size, trace) if order else None
 
     if complex_data:
         solution = ComplexVectorSeries.zeros(n, order, prec)
@@ -694,10 +698,7 @@ def unbatched_newton_series(
             bytes_read=md_bytes(n * n + n, limbs, complex_data),
             bytes_written=md_bytes(n, limbs, complex_data),
         )
-        bs = tiled_back_substitution(
-            upper, qhb[:n], bs_tile_size, device=device, trace=trace
-        )
-        solution.set_coefficient(k, bs.x)
+        solution.set_coefficient(k, substitute(upper, inverses, qhb[:n], trace))
 
     return NewtonSeriesResult(
         series=solution.components(),

@@ -412,6 +412,8 @@ class TestComplexTraceIdentity:
         return [[2 * x0[0]]]
 
     def test_newton_series_trace_matches_oracle(self):
+        """The head's tiles are inverted once, then one substitution
+        per order."""
         numeric = newton_series(self._system, self._jacobian, [1j], 5, 2, tile_size=1)
         analytic = newton_series_trace(1, 5, 2, tile_size=1, complex_data=True)
         expected = unbatched_newton_series(
@@ -419,6 +421,9 @@ class TestComplexTraceIdentity:
         ).trace
         assert launch_records(numeric.trace) == launch_records(expected)
         assert launch_records(analytic) == launch_records(expected)
+        names = [launch.name for launch in expected.launches]
+        assert names.count("invert_tiles") == 1
+        assert names.count("multiply_inverse") == 5
 
     def test_complex_step_costs_more_than_real(self):
         real = path_fleet_trace(1, 3, 8, 2, tile_size=1)

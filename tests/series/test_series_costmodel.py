@@ -179,11 +179,11 @@ def _matrix_series_problem(dimension, order, terms, limbs, complex_data, rng):
 
 def expected_matrix_series_trace(matrices, order, tile_size=None, bs_tile_size=None):
     """The launches of a matrix series solve, built from the dense
-    oracle: its QR of the head; then for a constant head one batched
-    ``Q^H B`` launch and one back substitution per order, for coupled
-    orders one convolution (from order 1), the ``Q^H b`` launch that
-    the oracle's square least squares solve records, and one back
-    substitution per order."""
+    oracle: its QR of the head and one inversion of the tiles of ``R``;
+    then for a constant head one batched ``Q^H B`` launch and one
+    substitution per order, for coupled orders one convolution (from
+    order 1), the ``Q^H b`` launch that the oracle's square least
+    squares solve records, and one substitution per order."""
     head = matrices[0]
     n = head.shape[0]
     limbs = head.limbs
@@ -192,11 +192,14 @@ def expected_matrix_series_trace(matrices, order, tile_size=None, bs_tile_size=N
     qr = dense.blocked_qr(head, tile_size)
     rhs = (MDComplexArray if complex_data else MDArray).zeros((n,), limbs)
     apply_qt = dense.lstsq(head, rhs, tile_size, bs_tile_size).bs_trace.launches[0]
-    back_substitution = dense.tiled_back_substitution(
-        qr.R[:n, :n], rhs, bs_tile_size
-    ).trace
+    upper = qr.R[:n, :n]
+    inversion = KernelTrace("V100")
+    inverses = dense.invert_tiles(upper, bs_tile_size, inversion)
+    substitution = KernelTrace("V100")
+    dense.substitute(upper, inverses, rhs, substitution)
     trace = KernelTrace("V100")
     trace.extend(qr.trace)
+    trace.extend(inversion)
     if len(matrices) == 1:
         trace.add(
             "apply_qt_batched",
@@ -209,7 +212,7 @@ def expected_matrix_series_trace(matrices, order, tile_size=None, bs_tile_size=N
             bytes_written=md_bytes(n * (order + 1), limbs, complex_data),
         )
         for _ in range(order + 1):
-            trace.extend(back_substitution)
+            trace.extend(substitution)
         return trace
     for k in range(order + 1):
         terms = min(k, len(matrices) - 1)
@@ -225,7 +228,7 @@ def expected_matrix_series_trace(matrices, order, tile_size=None, bs_tile_size=N
                 bytes_written=md_bytes(n, limbs, complex_data),
             )
         trace.record(apply_qt)
-        trace.extend(back_substitution)
+        trace.extend(substitution)
     return trace
 
 
@@ -267,7 +270,8 @@ def test_coupled_matrix_series_trace_matches_oracle(
 )
 def test_constant_head_trace_matches_oracle(complex_data, tile, bs_tile, md_limbs):
     """A constant head solves all orders against the batched right-hand
-    sides: one Q^H B launch, then one back substitution per order."""
+    sides: one tile inversion, one Q^H B launch, then one substitution
+    per order."""
     rng = np.random.default_rng(20220320)
     order = 4
     matrices, rhs = _matrix_series_problem(4, order, 1, md_limbs, complex_data, rng)
@@ -287,6 +291,7 @@ def test_constant_head_trace_matches_oracle(complex_data, tile, bs_tile, md_limb
     names = [launch.name for launch in numeric.trace.launches]
     assert names.count("apply_qt_batched") == 1
     assert names.count("apply_qt") == 0
+    assert names.count("invert_tiles") == 1
 
 
 def _newton_system(x, t):
@@ -304,8 +309,9 @@ def _newton_jacobian(x0):
     ids=["real", "real-bs1", "complex"],
 )
 def test_newton_series_trace_matches_oracle(start, tile, bs_tile):
-    """The oracle's staircase runs the dense QR and back substitution
-    and records its ``Q^H b`` launches inline."""
+    """The oracle's staircase runs the dense QR, inverts the tiles of
+    ``R`` once and substitutes once per order, recording its ``Q^H b``
+    launches inline."""
     complex_data = isinstance(start[0], complex)
     kwargs = dict(tile_size=tile, bs_tile_size=bs_tile)
     numeric = newton_series(_newton_system, _newton_jacobian, start, 5, 2, **kwargs)
@@ -315,6 +321,18 @@ def test_newton_series_trace_matches_oracle(start, tile, bs_tile):
     analytic = newton_series_trace(2, 5, 2, complex_data=complex_data, **kwargs)
     assert launch_records(numeric.trace) == launch_records(expected.trace)
     assert launch_records(analytic) == launch_records(expected.trace)
+    names = [launch.name for launch in expected.trace.launches]
+    assert names.count("invert_tiles") == 1
+    assert names.count("apply_qt") == 5
+
+
+def test_order_zero_staircase_inverts_nothing():
+    """Order 0 solves nothing, so no tile inversion is recorded (and a
+    singular head does not raise)."""
+    numeric = newton_series(_newton_system, _newton_jacobian, [1, 1], 0, 2)
+    analytic = newton_series_trace(2, 0, 2)
+    assert launch_records(numeric.trace) == launch_records(analytic)
+    assert "invert_tiles" not in [launch.name for launch in analytic.launches]
 
 
 def test_pade_trace_matches_oracle(md_limbs):
