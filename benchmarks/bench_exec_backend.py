@@ -22,10 +22,10 @@ which lifts exactly the composite workloads these conservative floors
 guard.
 
 The one-limb kernels (:mod:`repro.exec.onelimb`) get their own floor:
-a d launch run as plain IEEE double arithmetic against the
-:mod:`repro.md.generic` tuple path every d launch took before, bitwise
-identity asserted first, at least **3x** on 64- and 4096-element
-launches.
+a d ``add``, ``mul``, ``div`` or ``sqrt`` launch run as plain IEEE
+double arithmetic against the :mod:`repro.md.generic` tuple path every
+d launch took before, bitwise identity asserted first, at least **3x**
+on 64- and 4096-element launches.
 
 Narrow launches get floors too, on one-element planes like the QR's
 norms and betas, where the fused backend replays :mod:`repro.md.generic`
@@ -298,30 +298,33 @@ def test_exec_fused_katsura_floor():
     assert speedup >= POLY_SPEEDUP_FLOOR
 
 
-def _tuple_path(op, x, y):
+def _tuple_path(op, *stacks):
     """A d launch as every one ran before the one-limb kernels: the
     expansion arithmetic of md.generic on limb tuples, restacked."""
-    limbs = getattr(mdgeneric, op)(tuple(x), tuple(y), 1)
+    limbs = getattr(mdgeneric, op)(*map(tuple, stacks), 1)
     return np.stack(np.broadcast_arrays(*limbs), axis=0)
 
 
 @pytest.mark.parametrize("n", ONE_LIMB_SIZES)
-@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("op", ["add", "mul", "div", "sqrt"])
 def test_exec_one_limb_floor(op, n):
-    """d ``add``/``mul`` through the backend (the one-limb kernels)
-    against the md.generic tuple path: >= 3x."""
+    """d ``add``/``mul``/``div``/``sqrt`` through the backend (the
+    one-limb kernels) against the md.generic tuple path: >= 3x."""
     x, y = np.random.default_rng(40 + n).standard_normal((2, 1, n))
+    operands = (np.abs(x),) if op == "sqrt" else (x, y)
     kernel = getattr(GenericBackend(), op)
-    assert getattr(onelimb, op)(x, y, 1) is not None  # runs one-limb
+    assert getattr(onelimb, op)(*operands, 1) is not None  # runs one-limb
     assert np.array_equal(
-        kernel(x, y).view(np.int64), _tuple_path(op, x, y).view(np.int64)
+        kernel(*operands).view(np.int64), _tuple_path(op, *operands).view(np.int64)
     )
 
     calls = range(ONE_LIMB_CALLS)
     tuple_seconds = harness.best_seconds(
-        lambda: [_tuple_path(op, x, y) for _ in calls], repeats=5
+        lambda: [_tuple_path(op, *operands) for _ in calls], repeats=5
     )
-    onelimb_seconds = harness.best_seconds(lambda: [kernel(x, y) for _ in calls], repeats=5)
+    onelimb_seconds = harness.best_seconds(
+        lambda: [kernel(*operands) for _ in calls], repeats=5
+    )
     speedup = tuple_seconds / onelimb_seconds
     harness.record(
         "exec",

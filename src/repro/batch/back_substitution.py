@@ -6,8 +6,9 @@ The library's one implementation of Algorithm 1 of the paper, on a
 a batch of one), split into its two stages:
 
 * :func:`batched_invert_tiles` — stage 1: the diagonal tiles of **all**
-  systems are inverted (:func:`batched_invert_upper_triangular` once
-  per diagonal tile, recorded as the one ``invert_tiles`` launch);
+  systems are inverted, stacked into one
+  :func:`batched_invert_upper_triangular` call (the one
+  ``invert_tiles`` launch the cost model records);
 * :func:`batched_substitution` — stage 2 against given inverses: every
   step advances all ``b`` right-hand sides at once.
 
@@ -42,7 +43,7 @@ import numpy as np
 from ..gpu.kernel import KernelTrace
 from ..obs.profile import profiled
 from ..vec import batched as vb
-from ..vec.complexmd import MDComplexArray, finite_mask
+from ..vec.complexmd import MDComplexArray, finite_mask, map_planes
 from ..vec.mdarray import MDArray
 
 __all__ = [
@@ -158,10 +159,13 @@ def batched_invert_tiles(
         trace = KernelTrace(
             device, label=f"batched tile inversion b={batch} dim={dim} {n}x{tiles}"
         )
-    inverses = []
-    for i in range(tiles):
-        lo, hi = i * n, (i + 1) * n
-        inverses.append(batched_invert_upper_triangular(matrices[:, lo:hi, lo:hi]))
+    # the diagonal tiles of every system as one (tiles * b, n, n) batch,
+    # tile-major: the row steps are elementwise over the batch, so one
+    # inversion gives each tile the bits of its own
+    stacked = batched_invert_upper_triangular(
+        map_planes(matrices, lambda data: _diagonal_tiles(data, tiles, n))
+    )
+    inverses = [stacked[i * batch : (i + 1) * batch] for i in range(tiles)]
     complex_data = isinstance(matrices, MDComplexArray)
     trace.extend(
         batched_tile_inversion_trace(
@@ -248,6 +252,16 @@ def batched_back_substitution(
         )
     inverses = batched_invert_tiles(matrices, tile_size, device=device, trace=trace)
     return batched_substitution(matrices, inverses, rhs, device=device, trace=trace)
+
+
+def _diagonal_tiles(data, tiles, n):
+    """The ``(m, tiles * b, n, n)`` diagonal tiles of ``(m, b, dim,
+    dim)`` limb-major storage, tile ``i`` of system ``s`` at batch index
+    ``i * b + s``."""
+    m, batch = data.shape[:2]
+    blocks = data.reshape(m, batch, tiles, n, tiles, n)
+    diagonal = np.diagonal(blocks, axis1=2, axis2=4)  # (m, b, n, n, tiles)
+    return np.moveaxis(diagonal, -1, 1).reshape(m, tiles * batch, n, n)
 
 
 def _tile_count(dim: int, tile_size: int) -> int:

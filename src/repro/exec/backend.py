@@ -28,7 +28,14 @@ have one limb through the plain IEEE double kernels of
 ``sqrt``): when the error-free transformations are exact and finite,
 the one-limb renormalization returns the rounded value itself, so one
 IEEE operation plus ``+ 0.0`` gives the same bits.  A per-launch guard
-sends every other launch down the expansion path.
+sends every other launch down the expansion path.  ``div``, ``sqrt``
+and one-limb pairwise sums check their operands once per launch against
+a window inside which every step guard provably vouches.  Sums take
+that check through the launch-configuration hook :meth:`sum_combine`,
+which both backends inherit: :meth:`MDArray.sum
+<repro.vec.mdarray.MDArray.sum>` asks it for the combine of each tree
+level, plain IEEE additions when one bound over the stack vouches for
+the whole tree and one :meth:`add` launch per level otherwise.
 
 ``fused`` runs each ``add``, ``sub``, ``mul``, ``div``, ``sqr`` and
 ``sqrt`` launch down the first of three paths that takes it: the
@@ -63,6 +70,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import onelimb
 from .arena import ScratchArena
 
 __all__ = [
@@ -121,10 +129,11 @@ class ExecutionBackend:
         raise NotImplementedError
 
     # -- launch-configuration hooks (reference implementations) ---------
-    # Value-neutral data movement that prepares operands for a launch.
-    # The base implementations reproduce the pre-backend behavior
-    # exactly (copies, per-call index computation); the fused backend
-    # overrides them with views and cached index grids — same values.
+    # Value-neutral choices that prepare a launch.  The base
+    # implementations of the data-movement hooks reproduce the
+    # pre-backend behavior exactly (copies, per-call index computation);
+    # the fused backend overrides them with views and cached index
+    # grids — same values.  Both backends share sum_combine.
     def split_reduction_operands(self, work, axis, pad):
         """The two halves of one pairwise-reduction level.
 
@@ -142,6 +151,25 @@ class ExecutionBackend:
             pad_shape[axis] = 1
             second = np.concatenate([second, pad(pad_shape)], axis=axis)
         return first, second
+
+    def sum_combine(self, data, axis, m):
+        """The combine launch of every level of a pairwise sum.
+
+        ``data`` is the limb-major stack that
+        :func:`repro.vec.mdarray.pairwise_reduce` sums along storage
+        axis ``axis`` at ``m`` limbs.  When one check over a one-limb
+        stack vouches for every level (:func:`repro.exec.onelimb.sum_tree`),
+        a level is one IEEE addition plus ``+ 0.0``, the bits
+        :meth:`add` would return; otherwise every level is one
+        :meth:`add` launch.
+        """
+        combine = onelimb.sum_tree(data, axis, m)
+        if combine is None:
+
+            def combine(first, second):
+                return self.add(first, second, m)
+
+        return combine
 
     def gather_antidiagonals(self, data, terms):
         """Anti-diagonal gather of a Cauchy product grid.

@@ -352,12 +352,9 @@ class MDArray:
             flat = self.reshape(self.size)
             return flat.sum(axis=0)
         ax = axis % self.ndim + 1  # element axis i is storage axis i+1
-        backend = get_backend()
-        m = self.limbs
-
-        def combine(first, second):
-            return backend.add(first, second, m)
-
+        # the backend picks each level's combine: one add launch, or on a
+        # one-limb stack that one bound vouches for, plain IEEE additions
+        combine = get_backend().sum_combine(self.data, ax, self.limbs)
         return MDArray(pairwise_reduce(self.data, ax, combine, np.zeros))
 
     def prod(self, axis=None) -> "MDArray":

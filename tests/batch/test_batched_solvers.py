@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.batch import back_substitution
 from repro.batch import (
     batched_back_substitution,
     batched_blocked_qr,
@@ -261,6 +262,27 @@ class TestBackSubstitutionStages:
                     int64_planes(staged[index]), int64_planes(reference), strict=True
                 ):
                     assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_all_tiles_invert_in_one_call(self, complex_data, monkeypatch, rng):
+        """The diagonal tiles of every system are one stacked batch,
+        tile-major; the slot checks above pin their bits."""
+        uppers, _ = self.problem(3, 6, 2, complex_data, rng, orders=0)
+        invert, shapes = back_substitution.batched_invert_upper_triangular, []
+
+        def counted(tiles_batch):
+            shapes.append(tiles_batch.shape)
+            return invert(tiles_batch)
+
+        monkeypatch.setattr(back_substitution, "batched_invert_upper_triangular", counted)
+        inverses = batched_invert_tiles(uppers, 2)
+        assert shapes == [(9, 2, 2)]
+        for i in range(3):
+            expected = invert(uppers[:, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
+            for ours, theirs in zip(
+                int64_planes(inverses.inverses[i]), int64_planes(expected), strict=True
+            ):
+                assert np.array_equal(ours, theirs)
 
     def test_real_rhs_under_complex_matrices(self, rng):
         uppers, _ = self.problem(2, 4, 2, True, rng)
